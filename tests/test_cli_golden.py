@@ -1,0 +1,116 @@
+"""Byte-for-byte pins on every command's stdout and ``--out`` file.
+
+The expected bytes live in ``cli_golden.json`` next to this file.  After a
+change that is meant to alter output, record them again with
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+
+and review the diff of the JSON file.
+"""
+
+import contextlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from avgov import cli
+
+GOLDEN = Path(__file__).with_name("cli_golden.json")
+
+PROP4 = {
+    "experts": [
+        {"weight": 0.49, "beliefs": [0.95, 1.0]},
+        {"weight": 0.41, "beliefs": [1.0, 0.95]},
+        {"weight": 0.10, "beliefs": [1.0, 0.0]},
+    ],
+    "schedule": {"T": 0.9, "epsilon": 19, "a_prime": 1},
+    "query": {"mode": "semi", "epsilon": 0},
+    "world": {"expertise": [0.9, 0.8, 0.7], "good_prior": 0.5, "k": 2,
+              "zeta": 0.1, "gamma": 0.5, "horizon": 3, "seed": 11},
+}
+
+# A second small game with side payments: its semi-strategic equilibrium
+# moves when the weight-normalized external rewards are dropped, so they
+# reach the utilities, the certificate and the derived delta.
+SIDE_PAYMENTS = {
+    "experts": [
+        {"weight": 0.31, "beliefs": [0.72, 0.74], "external": [0.0, 1.09]},
+        {"weight": 0.59, "beliefs": [0.35, 0.31]},
+        {"weight": 0.43, "beliefs": [0.89, 0.48], "external": [2.99, 0.0]},
+    ],
+    "schedule": {"T": 0.9, "epsilon": 19, "a_prime": 1},
+}
+
+SCENARIOS = {"prop4": PROP4, "external": SIDE_PAYMENTS}
+
+# case name -> (scenario or None, argv without --scenario and --out)
+CASES = {
+    "derive-params": ("prop4", ["derive-params"]),
+    "validate": ("prop4", ["validate"]),
+    "winner-honest": ("prop4", ["winner"]),
+    "winner-zeros": ("prop4", ["winner", "--profile", "zeros"]),
+    "winner-explicit": ("prop4", ["winner", "--profile", "01|10|11"]),
+    "qual": ("prop4", ["qual"]),
+    "honest": ("prop4", ["honest"]),
+    "construct-pne": ("prop4", ["construct-pne"]),
+    "safety": ("prop4", ["safety", "--g", "2.0"]),
+    "reward-curve": ("prop4", ["reward-curve", "--samples", "11"]),
+    "enumerate-semi": ("prop4", ["enumerate", "--mode", "semi"]),
+    "enumerate-strategic": ("prop4", ["enumerate", "--mode", "strategic"]),
+    "poa-semi": ("prop4", ["poa", "--mode", "semi"]),
+    "poa-strategic": ("prop4", ["poa", "--mode", "strategic", "--epsilon", "0.5"]),
+    "dynamics": ("prop4", ["dynamics", "--start", "zeros"]),
+    "repeat": ("prop4", ["repeat", "--horizon", "6", "--seed", "4"]),
+    "deviation-gap": ("prop4", ["deviation-gap", "--expert", "1", "--horizon", "3"]),
+    "external-validate": ("external", ["validate"]),
+    "external-winner": ("external", ["winner"]),
+    "external-enumerate": ("external", ["enumerate"]),
+    "external-safety": ("external", ["safety"]),
+    "reproduce-prop4": (None, ["reproduce", "prop4"]),
+    "reproduce-thm6": (None, ["reproduce", "thm6", "--eps-weight", "0.05"]),
+    "reproduce-prop3": (None, ["reproduce", "prop3", "--n", "3"]),
+}
+
+
+def run_case(name, workdir):
+    """Run one case in-process; return its exit code, stdout and the text
+    of its ``--out`` file."""
+    scenario, argv = CASES[name]
+    workdir = Path(workdir)
+    argv = list(argv)
+    if scenario is not None:
+        path = workdir / f"{scenario}.json"
+        path.write_text(json.dumps(SCENARIOS[scenario]))
+        argv += ["--scenario", str(path)]
+    out_path = workdir / f"{name}.out"
+    argv += ["--out", str(out_path)]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main(argv)
+    return {"code": code, "stdout": stdout.getvalue(),
+            "out": out_path.read_bytes().decode()}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+def test_golden_file_covers_every_case(golden):
+    assert sorted(golden) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_golden_bytes(name, golden, tmp_path):
+    assert run_case(name, tmp_path) == golden[name]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        record = {name: run_case(name, tmp) for name in sorted(CASES)}
+    GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    print(f"recorded {len(record)} cases in {GOLDEN}", file=sys.stderr)
