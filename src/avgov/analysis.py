@@ -32,12 +32,14 @@ from .core import (
     Instance,
     RewardSchedule,
     VotingProfile,
+    _expected_branches,
+    _normalized_external,
     opt_quality,
     qual,
     utility,
     winner,
 )
-from .errors import ContractViolation, GuardRefusal, NormalizationError
+from .errors import ContractViolation, GuardRefusal
 
 # Exhaustive enumeration is refused beyond this many profile bits.
 ENUMERATION_GUARD_BITS = 24
@@ -56,8 +58,8 @@ class EquilibriumQuery:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ContractViolation(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not self.epsilon >= 0.0:
-            raise ContractViolation(f"epsilon = {self.epsilon} must be >= 0")
+        if not 0.0 <= self.epsilon < math.inf:
+            raise ContractViolation(f"epsilon = {self.epsilon} must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -242,18 +244,12 @@ def _winners(masses):
     return np.where(dead, -1, js)
 
 
-def _branch_values(p, schedule):
-    yes = p * schedule.a - (1.0 - p) * schedule.s
-    no = (1.0 - p) * schedule.a_prime
-    return yes, no
-
-
 def _utilities_for(votes_on_winner, js, p_row, ghat_row, schedule):
     """Utility of one expert across many profiles given the 0-based winner
     per profile (-1 = dummy) and her vote on it."""
     pj = np.where(js >= 0, p_row[np.maximum(js, 0)], 0.0)
     gj = np.where(js >= 0, ghat_row[np.maximum(js, 0)], 0.0)
-    yes, no = _branch_values(pj, schedule)
+    yes, no = _expected_branches(pj, schedule)
     u = pj * gj + np.where(votes_on_winner == 1, yes, no)
     return np.where(js >= 0, u, 0.0)
 
@@ -275,13 +271,10 @@ def enumerate_equilibria(instance: Instance, schedule: RewardSchedule,
         )
     w = np.asarray(instance.weights)
     p = np.asarray(instance.beliefs)
-    g = np.asarray(instance.external)
-    if np.any((g > 0.0) & (w[:, None] <= 0.0)):
-        i, j = map(int, np.argwhere((g > 0.0) & (w[:, None] <= 0.0))[0])
-        raise NormalizationError(
-            f"expert {i} has zero weight but external[{i}][{j}] = {g[i][j]} > 0"
-        )
-    ghat = np.divide(g, w[:, None], out=np.zeros_like(g), where=g > 0.0)
+    ghat = np.array([
+        [_normalized_external(instance, i, j) for j in range(1, k + 1)]
+        for i in range(n)
+    ])
     honest = (p >= schedule.T).astype(np.float64)
     deviations = np.asarray(_vote_vectors(k), dtype=np.float64)
     factor = 1.0 + query.epsilon
@@ -456,12 +449,7 @@ def safety_certificate(instance: Instance, schedule: RewardSchedule, *,
     for i in range(instance.n):
         row = []
         for j in range(instance.k):
-            g = instance.external[i][j]
-            if g > 0.0 and instance.weights[i] <= 0.0:
-                raise NormalizationError(
-                    f"expert {i} has zero weight but external[{i}][{j}] = {g} > 0"
-                )
-            ghat = g / instance.weights[i] if g > 0.0 else 0.0
+            ghat = _normalized_external(instance, i, j + 1)
             envelope = deviation_safety_threshold(schedule, ghat, variant=variant)
             p = instance.beliefs[i][j]
             cell_safe = p < envelope.effective_threshold

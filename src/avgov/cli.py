@@ -112,8 +112,12 @@ def _flatten(payload, prefix=""):
     return rows
 
 
+def _bits(row):
+    return "".join(str(v) for v in row)
+
+
 def profile_to_str(profile):
-    return "|".join("".join(str(v) for v in row) for row in profile.votes)
+    return "|".join(_bits(row) for row in profile.votes)
 
 
 def parse_profile(text):
@@ -243,7 +247,7 @@ def scenario_from_dict(data) -> Scenario:
                 horizon=int(wd["horizon"]),
                 seed=int(wd.get("seed", 0)),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ScenarioError(f"world: missing or malformed field ({exc})") from exc
         except ContractViolation as exc:
             raise ScenarioError(f"world: {exc}") from exc
@@ -350,9 +354,6 @@ def prop3_scenario(n: int = 4) -> Scenario:
                      mode="strategic")
 
 
-BUILTINS = ("prop3", "prop4", "thm6")
-
-
 # ---------------------------------------------------------------------------
 # Command handlers.  Each returns (payload, csv_header, csv_rows); header
 # and rows are None for commands without a natural table.
@@ -373,23 +374,6 @@ def _query_override(scenario, args):
     return analysis.EquilibriumQuery(mode=mode, epsilon=epsilon)
 
 
-def _schedule_dict(schedule):
-    return {
-        "a": schedule.a, "a_prime": schedule.a_prime, "s": schedule.s,
-        "T": schedule.T, "epsilon": schedule.epsilon, "delta": schedule.delta,
-    }
-
-
-def _diagnostics_dict(diag):
-    return {
-        "threshold_identity_residual": diag.threshold_identity_residual,
-        "inflection_residual": diag.inflection_residual,
-        "a_dominates": diag.a_dominates,
-        "epsilon_condition": diag.epsilon_condition,
-        "all_ok": diag.all_ok,
-    }
-
-
 def cmd_derive_params(args):
     if args.T is None or args.epsilon is None or args.a_prime is None:
         scenario = _need_scenario(args)
@@ -402,8 +386,8 @@ def cmd_derive_params(args):
     else:
         schedule = params.derive_schedule(args.T, args.epsilon, args.a_prime)
     payload = {
-        "schedule": _schedule_dict(schedule),
-        "diagnostics": _diagnostics_dict(params.validate_schedule(schedule)),
+        "schedule": dataclasses.asdict(schedule),
+        "diagnostics": dataclasses.asdict(params.validate_schedule(schedule)),
     }
     return payload, None, None
 
@@ -411,8 +395,8 @@ def cmd_derive_params(args):
 def cmd_validate(args):
     scenario = _need_scenario(args)
     payload = {
-        "schedule": _schedule_dict(scenario.schedule),
-        "diagnostics": _diagnostics_dict(scenario.diagnostics),
+        "schedule": dataclasses.asdict(scenario.schedule),
+        "diagnostics": dataclasses.asdict(scenario.diagnostics),
         "schedule_form": scenario.schedule_form,
     }
     return payload, None, None
@@ -487,10 +471,14 @@ def _report_payload(report):
     }
 
 
-def cmd_enumerate(args):
+def _enumerate(args):
     scenario = _need_scenario(args)
     query = _query_override(scenario, args)
-    report = analysis.enumerate_equilibria(scenario.instance, scenario.schedule, query)
+    return analysis.enumerate_equilibria(scenario.instance, scenario.schedule, query)
+
+
+def cmd_enumerate(args):
+    report = _enumerate(args)
     rows = [
         (profile_to_str(e.profile), e.winner, e.winner_quality)
         for e in report.equilibria
@@ -499,17 +487,8 @@ def cmd_enumerate(args):
 
 
 def cmd_poa(args):
-    scenario = _need_scenario(args)
-    query = _query_override(scenario, args)
-    report = analysis.enumerate_equilibria(scenario.instance, scenario.schedule, query)
-    payload = {
-        "mode": query.mode,
-        "epsilon": query.epsilon,
-        "equilibrium_count": len(report.equilibria),
-        "opt": {"proposal": report.opt[0], "quality": report.opt[1]},
-        "poa": report.poa,
-        "pos": report.pos,
-    }
+    payload = _report_payload(_enumerate(args))
+    del payload["equilibria"]
     return payload, None, None
 
 
@@ -539,12 +518,8 @@ def cmd_dynamics(args):
         scenario.instance, scenario.schedule, start, mode, args.max_steps
     )
     moves = [
-        {
-            "expert": m.expert,
-            "old": "".join(str(v) for v in m.old_votes),
-            "new": "".join(str(v) for v in m.new_votes),
-            "winner": m.winner,
-        }
+        {"expert": m.expert, "old": _bits(m.old_votes), "new": _bits(m.new_votes),
+         "winner": m.winner}
         for m in trace.path
     ]
     payload = {
@@ -556,8 +531,7 @@ def cmd_dynamics(args):
         "cycle_length": trace.cycle_length,
     }
     rows = [
-        (idx, m.expert, "".join(str(v) for v in m.old_votes),
-         "".join(str(v) for v in m.new_votes), m.winner)
+        (idx, m.expert, _bits(m.old_votes), _bits(m.new_votes), m.winner)
         for idx, m in enumerate(trace.path)
     ]
     return payload, ("step", "expert", "old_votes", "new_votes", "winner"), rows
@@ -569,18 +543,9 @@ def cmd_safety(args):
     certificate = analysis.safety_certificate(scenario.instance, scenario.schedule)
     delta = params.external_bound_delta(scenario.instance, scenario.schedule)
     payload = {
-        "envelope": {
-            "g": args.g,
-            "statement_branch": envelope.statement_branch,
-            "proof_branch": envelope.proof_branch,
-            "effective_threshold": envelope.effective_threshold,
-            "variant": envelope.variant,
-        },
+        "envelope": {"g": args.g, **dataclasses.asdict(envelope)},
         "delta": delta,
-        "certificate": {
-            "safe": [list(row) for row in certificate.safe],
-            "eligible": certificate.eligible,
-        },
+        "certificate": dataclasses.asdict(certificate),
     }
     return payload, None, None
 
@@ -601,17 +566,11 @@ def _world_for(args, scenario):
     world = scenario.world
     if world is None:
         raise ScenarioError(f"{args.command} requires a scenario with a world section")
-    horizon = getattr(args, "horizon", None)
-    seed = getattr(args, "seed", None)
-    if horizon is not None or seed is not None:
-        world = repeated.WorldConfig(
-            expertise=world.expertise, good_prior=world.good_prior,
-            proposals_per_round=world.proposals_per_round, zeta=world.zeta,
-            gamma=world.gamma,
-            horizon=horizon if horizon is not None else world.horizon,
-            seed=seed if seed is not None else world.seed,
-        )
-    return world
+    return dataclasses.replace(
+        world,
+        horizon=world.horizon if args.horizon is None else args.horizon,
+        seed=world.seed if args.seed is None else args.seed,
+    )
 
 
 def cmd_repeat(args):
@@ -634,7 +593,7 @@ def cmd_repeat(args):
     for t in range(world.horizon):
         for i in range(world.n):
             rows.append((
-                t, i, "".join(str(v) for v in trace.profiles[t].votes[i]),
+                t, i, _bits(trace.profiles[t].votes[i]),
                 trace.winners[t], trace.revealed[t],
                 trace.realized[t][i], trace.subjective[t][i],
                 trace.weights[t][i], trace.weights[t + 1][i],
@@ -647,7 +606,7 @@ def cmd_repeat(args):
 def cmd_deviation_gap(args):
     scenario = _need_scenario(args)
     world = _world_for(args, scenario)
-    horizon = args.horizon if args.horizon is not None else world.horizon
+    horizon = world.horizon
     result = repeated.deviation_gap(world, scenario.schedule, args.expert, horizon)
     sched = scenario.schedule
     tail = repeated.deviation_tail_bound(sched, world.zeta, world.gamma, horizon)
@@ -668,7 +627,7 @@ def cmd_deviation_gap(args):
         "ratio_with_tail": ratio_with_tail,
         "deviation_bound": (1.0 + 3.0 * sched.epsilon) * (1.0 + sched.delta),
         "single_shot_bound": (1.0 + sched.epsilon) * (1.0 + sched.delta),
-        "best_plan": ["".join(str(v) for v in row) for row in result.best_plan],
+        "best_plan": [_bits(row) for row in result.best_plan],
     }
     return payload, None, None
 
@@ -677,99 +636,102 @@ def _approx_equal(x, y, tol=1e-9):
     return abs(x - y) <= tol
 
 
-def cmd_reproduce(args):
-    name = args.name
-    if name == "prop4":
-        scenario = prop4_scenario()
-        mode = args.mode or "semi"
-        epsilon = args.epsilon if args.epsilon is not None else 0.0
-        report = analysis.enumerate_equilibria(
-            scenario.instance, scenario.schedule,
-            analysis.EquilibriumQuery(mode=mode, epsilon=epsilon),
-        )
-        start = core.honest_profile(scenario.instance, scenario.schedule.T)
-        trace = analysis.best_response_dynamics(
-            scenario.instance, scenario.schedule, start, mode, max_steps=64
-        )
-        claims = {
-            "no_pne": len(report.equilibria) == 0,
-            "cycle_of_length_4": trace.terminal == "cycle" and trace.cycle_length == 4,
-        }
-        payload = {
-            "name": name,
-            "mode": mode,
-            "epsilon": epsilon,
-            "equilibria": [profile_to_str(e.profile) for e in report.equilibria],
-            "cycle_length": trace.cycle_length,
-            "moves": [
-                {"expert": m.expert,
-                 "new": "".join(str(v) for v in m.new_votes),
-                 "winner": m.winner}
-                for m in trace.path
-            ],
-            "claims": claims,
-            "pass": all(claims.values()),
-        }
-        return payload, None, None
-    if name == "thm6":
-        slack = args.eps_weight
-        scenario = thm6_scenario(slack)
-        profile = core.VotingProfile(((0, 1), (1, 0)))
-        is_pne = analysis.is_approx_pne(
+def _ratio_to_opt(scenario, profile):
+    """The quality of the profile's winner, the optimal quality, and the
+    optimum divided by the winner's quality (infinite at quality 0)."""
+    instance, T = scenario.instance, scenario.schedule.T
+    quality = core.qual(instance, T, core.winner(instance, profile).winner)
+    opt = core.opt_quality(instance, T)[1]
+    return quality, opt, opt / quality if quality > 0.0 else float("inf")
+
+
+# Built-in reproductions.  Each returns (payload, claims); cmd_reproduce
+# adds the name, the claims and whether they all hold.
+
+
+def _reproduce_prop4(args):
+    scenario = prop4_scenario()
+    query = _query_override(scenario, args)
+    report = analysis.enumerate_equilibria(scenario.instance, scenario.schedule, query)
+    start = core.honest_profile(scenario.instance, scenario.schedule.T)
+    trace = analysis.best_response_dynamics(
+        scenario.instance, scenario.schedule, start, query.mode, max_steps=64
+    )
+    payload = {
+        "mode": query.mode,
+        "epsilon": query.epsilon,
+        "equilibria": [profile_to_str(e.profile) for e in report.equilibria],
+        "cycle_length": trace.cycle_length,
+        "moves": [
+            {"expert": m.expert, "new": _bits(m.new_votes), "winner": m.winner}
+            for m in trace.path
+        ],
+    }
+    claims = {
+        "no_pne": len(report.equilibria) == 0,
+        "cycle_of_length_4": trace.terminal == "cycle" and trace.cycle_length == 4,
+    }
+    return payload, claims
+
+
+def _reproduce_thm6(args):
+    slack = args.eps_weight
+    scenario = thm6_scenario(slack)
+    profile = core.VotingProfile(((0, 1), (1, 0)))
+    quality, opt, ratio = _ratio_to_opt(scenario, profile)
+    payload = {
+        "weight_slack": slack,
+        "profile": profile_to_str(profile),
+        "pne_quality": quality,
+        "opt": opt,
+        "poa": ratio,
+    }
+    claims = {
+        "profile_is_semi_pne": analysis.is_approx_pne(
             scenario.instance, scenario.schedule, profile,
             analysis.EquilibriumQuery(mode="semi", epsilon=0.0),
-        )
-        outcome = core.winner(scenario.instance, profile)
-        quality = core.qual(scenario.instance, scenario.schedule.T, outcome.winner)
-        opt = core.opt_quality(scenario.instance, scenario.schedule.T)
-        ratio = opt[1] / quality if quality > 0.0 else float("inf")
-        claims = {
-            "profile_is_semi_pne": is_pne,
-            "ratio_matches": _approx_equal(ratio, 2.0 / (1.0 + slack)),
-        }
-        payload = {
-            "name": name,
-            "weight_slack": slack,
-            "profile": profile_to_str(profile),
-            "pne_quality": quality,
-            "opt": opt[1],
-            "poa": ratio,
-            "claims": claims,
-            "pass": all(claims.values()),
-        }
-        return payload, None, None
-    if name == "prop3":
-        n = args.n
-        scenario = prop3_scenario(n)
-        profile = analysis.constructive_pne(scenario.instance, scenario.schedule)
-        expected = [[0, 0] for _ in range(scenario.instance.n)]
-        expected[0][0] = 1
-        is_pne = analysis.is_approx_pne(
+        ),
+        "ratio_matches": _approx_equal(ratio, 2.0 / (1.0 + slack)),
+    }
+    return payload, claims
+
+
+def _reproduce_prop3(args):
+    n = args.n
+    scenario = prop3_scenario(n)
+    profile = analysis.constructive_pne(scenario.instance, scenario.schedule)
+    quality, opt, ratio = _ratio_to_opt(scenario, profile)
+    payload = {
+        "n": n,
+        "profile": profile_to_str(profile),
+        "pne_quality": quality,
+        "opt": opt,
+        "ratio": ratio,
+    }
+    claims = {
+        "constructive_is_first_expert_first_proposal":
+            profile.votes == ((1, 0),) + ((0, 0),) * n,
+        "passes_strategic_check": analysis.is_approx_pne(
             scenario.instance, scenario.schedule, profile,
             analysis.EquilibriumQuery(mode="strategic", epsilon=0.0),
-        )
-        outcome = core.winner(scenario.instance, profile)
-        quality = core.qual(scenario.instance, scenario.schedule.T, outcome.winner)
-        opt = core.opt_quality(scenario.instance, scenario.schedule.T)
-        ratio = opt[1] / quality if quality > 0.0 else float("inf")
-        claims = {
-            "constructive_is_first_expert_first_proposal":
-                profile.votes == tuple(tuple(r) for r in expected),
-            "passes_strategic_check": is_pne,
-            "ratio_matches": _approx_equal(ratio, 1.0 / (1.0 / n + 0.01)),
-        }
-        payload = {
-            "name": name,
-            "n": n,
-            "profile": profile_to_str(profile),
-            "pne_quality": quality,
-            "opt": opt[1],
-            "ratio": ratio,
-            "claims": claims,
-            "pass": all(claims.values()),
-        }
-        return payload, None, None
-    raise ScenarioError(f"unknown builtin {name!r}; choose from {BUILTINS}")
+        ),
+        "ratio_matches": _approx_equal(ratio, 1.0 / (1.0 / n + 0.01)),
+    }
+    return payload, claims
+
+
+REPRODUCTIONS = {
+    "prop3": _reproduce_prop3,
+    "prop4": _reproduce_prop4,
+    "thm6": _reproduce_thm6,
+}
+BUILTINS = tuple(REPRODUCTIONS)
+
+
+def cmd_reproduce(args):
+    payload, claims = REPRODUCTIONS[args.name](args)
+    payload.update({"name": args.name, "claims": claims, "pass": all(claims.values())})
+    return payload, None, None
 
 
 HANDLERS = {

@@ -19,6 +19,7 @@ concurrent callers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ContractViolation, NormalizationError
@@ -68,16 +69,18 @@ class Instance:
         else:
             external = _as_matrix(self.external, "external", n=len(weights), k=k)
         for i, w in enumerate(weights):
-            if not w >= 0.0:
-                raise ContractViolation(f"weights[{i}] = {w} must be >= 0")
+            if not 0.0 <= w < math.inf:
+                raise ContractViolation(f"weights[{i}] = {w} must be finite and >= 0")
         for i, row in enumerate(beliefs):
             for j, p in enumerate(row):
                 if not 0.0 <= p <= 1.0:
                     raise ContractViolation(f"beliefs[{i}][{j}] = {p} outside [0, 1]")
         for i, row in enumerate(external):
             for j, g in enumerate(row):
-                if not g >= 0.0:
-                    raise ContractViolation(f"external[{i}][{j}] = {g} must be >= 0")
+                if not 0.0 <= g < math.inf:
+                    raise ContractViolation(
+                        f"external[{i}][{j}] = {g} must be finite and >= 0"
+                    )
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "beliefs", beliefs)
         object.__setattr__(self, "external", external)
@@ -118,7 +121,10 @@ class RewardSchedule:
 
     def __post_init__(self):
         for name in ("a", "a_prime", "s", "T", "epsilon", "delta"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ContractViolation(f"{name} = {value} must be finite")
+            object.__setattr__(self, name, value)
         if not self.a > 0.0:
             raise ContractViolation(f"a = {self.a} must be > 0")
         if not self.a_prime >= 0.0:
@@ -230,6 +236,13 @@ def reward(vote_bit: int, quality_bit: int, schedule: RewardSchedule, weight: fl
     return weight * base
 
 
+def _expected_branches(p, schedule):
+    """Weight-normalized expected reward of approving and of disapproving
+    a winner believed good with probability p, unchecked; p may be a float
+    or a numpy array."""
+    return p * schedule.a - (1.0 - p) * schedule.s, (1.0 - p) * schedule.a_prime
+
+
 def expected_reward(vote_bit: int, belief_p: float, schedule: RewardSchedule) -> float:
     """Weight-normalized expected mechanism reward for a vote on the
     winning proposal, from the voter's own perspective."""
@@ -237,9 +250,8 @@ def expected_reward(vote_bit: int, belief_p: float, schedule: RewardSchedule) ->
         raise ContractViolation("vote_bit must be a bit")
     if not 0.0 <= belief_p <= 1.0:
         raise ContractViolation(f"belief_p = {belief_p} outside [0, 1]")
-    if vote_bit == 1:
-        return belief_p * schedule.a - (1.0 - belief_p) * schedule.s
-    return (1.0 - belief_p) * schedule.a_prime
+    approve, reject = _expected_branches(belief_p, schedule)
+    return approve if vote_bit == 1 else reject
 
 
 def _normalized_external(instance, expert_i, proposal_j):
@@ -273,7 +285,8 @@ def utility(instance: Instance, schedule: RewardSchedule, profile: VotingProfile
     j = outcome.winner
     p = instance.beliefs[expert_i][j - 1]
     ghat = _normalized_external(instance, expert_i, j)
-    return p * ghat + expected_reward(profile.votes[expert_i][j - 1], p, schedule)
+    approve, reject = _expected_branches(p, schedule)
+    return p * ghat + (approve if profile.votes[expert_i][j - 1] == 1 else reject)
 
 
 def honest_profile(instance: Instance, T: float) -> VotingProfile:
@@ -318,5 +331,5 @@ def reward_curve(schedule: RewardSchedule, sample_count: int) -> list:
     rows = []
     for i in range(sample_count):
         p = i / (sample_count - 1)
-        rows.append((p, expected_reward(1, p, schedule), expected_reward(0, p, schedule)))
+        rows.append((p, *_expected_branches(p, schedule)))
     return rows

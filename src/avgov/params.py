@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Instance, RewardSchedule
-from .errors import ContractViolation, DerivationError, NormalizationError
+from .core import Instance, RewardSchedule, _normalized_external
+from .errors import ContractViolation, DerivationError
 
 # Residual tolerance for the schedule identities.
 IDENTITY_TOL = 1e-9
@@ -146,16 +146,8 @@ def external_bound_delta(instance: Instance, schedule: RewardSchedule) -> float:
     rewards."""
     worst = 0.0
     for i in range(instance.n):
-        w = instance.weights[i]
-        for j in range(instance.k):
-            g = instance.external[i][j]
-            if g == 0.0:
-                continue
-            if w <= 0.0:
-                raise NormalizationError(
-                    f"expert {i} has zero weight but external[{i}][{j}] = {g} > 0"
-                )
-            worst = max(worst, (g / w) / schedule.a)
+        for j in range(1, instance.k + 1):
+            worst = max(worst, _normalized_external(instance, i, j) / schedule.a)
     return worst
 
 

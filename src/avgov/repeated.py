@@ -13,12 +13,20 @@ concurrently.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Instance, RewardSchedule, honest_profile, reward, winner
+from .core import (
+    Instance,
+    RewardSchedule,
+    _expected_branches,
+    honest_profile,
+    reward,
+    winner,
+)
 from .errors import ContractViolation, GuardRefusal
 from .params import max_discount
 
@@ -185,9 +193,6 @@ def _simulate(world, schedule, draws, policy):
     realized_rows, subjective_rows = [], []
     correct = [0] * n
     revealed_rounds = 0
-    realized_totals = [0.0] * n
-    subjective_totals = [0.0] * n
-    discount = 1.0
     deviator = policy.expert if isinstance(policy, SingleDeviatorPolicy) else None
 
     for t, (qualities, beliefs, external) in enumerate(draws):
@@ -205,10 +210,8 @@ def _simulate(world, schedule, draws, policy):
                 vote = profile.votes[i][js - 1]
                 realized[i] = reward(vote, q, schedule, weights[i])
                 p = beliefs[i][js - 1]
-                expected = (
-                    p * schedule.a - (1.0 - p) * schedule.s if vote == 1
-                    else (1.0 - p) * schedule.a_prime
-                )
+                approve, reject = _expected_branches(p, schedule)
+                expected = approve if vote == 1 else reject
                 subjective[i] = weights[i] * expected + p * external[i][js - 1]
                 if vote == q:
                     correct[i] += 1
@@ -216,10 +219,6 @@ def _simulate(world, schedule, draws, policy):
             revealed.append(q)
         else:
             revealed.append(None)
-        for i in range(n):
-            realized_totals[i] += discount * realized[i]
-            subjective_totals[i] += discount * subjective[i]
-        discount *= world.gamma
         omega = [correct_fraction(correct[i], revealed_rounds) for i in range(n)]
         weights = [delayed_update(weights[i], omega[i], world.zeta) for i in range(n)]
         weight_rows.append(tuple(weights))
@@ -236,8 +235,12 @@ def _simulate(world, schedule, draws, policy):
         realized=tuple(realized_rows),
         subjective=tuple(subjective_rows),
         weights=tuple(weight_rows),
-        discounted_realized=tuple(realized_totals),
-        discounted_subjective=tuple(subjective_totals),
+        discounted_realized=tuple(
+            discounted_total(column, world.gamma) for column in zip(*realized_rows)
+        ),
+        discounted_subjective=tuple(
+            discounted_total(column, world.gamma) for column in zip(*subjective_rows)
+        ),
         correct=tuple(correct),
         revealed_rounds=revealed_rounds,
         gamma_warning=gamma_warning,
@@ -299,11 +302,7 @@ def deviation_gap(world: WorldConfig, schedule: RewardSchedule, expert_i: int,
             f"gamma = {world.gamma} exceeds max_discount = "
             f"{max_discount(schedule.epsilon, world.zeta)}"
         )
-    short_world = WorldConfig(
-        expertise=world.expertise, good_prior=world.good_prior,
-        proposals_per_round=k, zeta=world.zeta, gamma=world.gamma,
-        horizon=horizon_H, seed=world.seed,
-    )
+    short_world = dataclasses.replace(world, horizon=horizon_H)
     draws = _presample(short_world)
     honest_total = _simulate(
         short_world, schedule, draws, HonestPolicy()

@@ -141,6 +141,39 @@ def test_validation_errors_exit_2(capsys, tmp_path):
     assert "error" in err
 
 
+INFINITE_WEIGHT = dict(PROP4_SCENARIO, experts=[
+    {"weight": float("inf"), "beliefs": [0.95, 1.0]},
+    {"weight": 0.41, "beliefs": [1.0, 0.95]},
+])
+INFINITE_HORIZON = dict(PROP4_SCENARIO, world={
+    "expertise": [0.9, 0.6], "good_prior": 0.5, "k": 2, "zeta": 0.05,
+    "gamma": 0.5, "horizon": float("inf"),
+})
+
+
+@pytest.mark.parametrize("data, argv", [
+    (INFINITE_WEIGHT, ["validate"]),
+    (INFINITE_WEIGHT, ["enumerate"]),
+    (PROP4_SCENARIO, ["enumerate", "--epsilon", "inf"]),
+    (INFINITE_HORIZON, ["repeat"]),
+], ids=["validate-weight", "enumerate-weight", "enumerate-epsilon", "repeat-horizon"])
+def test_non_finite_numbers_exit_2(capsys, scenario_file, data, argv):
+    code, out, err = run_cli(capsys, *argv, "--scenario", scenario_file(data))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "inf" in err
+
+
+@pytest.mark.parametrize("text", ["11|10", "11|1|10", "1x|10|10", "12|10|10"],
+                         ids=["wrong-shape", "ragged", "non-digit", "non-bit"])
+def test_winner_rejects_bad_profile_text(capsys, scenario_file, text):
+    code, out, err = run_cli(capsys, "winner", "--scenario",
+                             scenario_file(PROP4_SCENARIO), "--profile", text)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "profile" in err
+
+
 def test_guard_refusal_exits_3(capsys, scenario_file):
     data = dict(PROP4_SCENARIO)
     data["experts"] = [

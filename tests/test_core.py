@@ -1,13 +1,16 @@
 """Core mechanics: winner selection, rewards, utilities, honest strategy,
 estimated quality and the reward curve."""
 
+import dataclasses
 import itertools
+import math
 
 import pytest
 from hypothesis import given, strategies as st
 
 from avgov import (
     ContractViolation,
+    EquilibriumQuery,
     Instance,
     NormalizationError,
     RewardSchedule,
@@ -63,6 +66,28 @@ def test_schedule_validation():
         RewardSchedule(a=1.0, a_prime=1.0, s=1.0, T=1.0)
     with pytest.raises(ContractViolation):
         RewardSchedule(a=1.0, a_prime=-1.0, s=1.0, T=0.5)
+
+
+# Every number a scenario can carry into these constructors must be
+# finite: Python's JSON reader accepts Infinity, which passes a ">= 0"
+# range check.
+NON_FINITE_BUILDERS = {
+    "weights": lambda v: Instance(weights=(v,), beliefs=((0.5,),)),
+    "external": lambda v: Instance(weights=(1.0,), beliefs=((0.5,),), external=((v,),)),
+    "a": lambda v: dataclasses.replace(SCHED, a=v),
+    "a_prime": lambda v: dataclasses.replace(SCHED, a_prime=v),
+    "s": lambda v: dataclasses.replace(SCHED, s=v),
+    "epsilon": lambda v: dataclasses.replace(SCHED, epsilon=v),
+    "delta": lambda v: dataclasses.replace(SCHED, delta=v),
+    "query.epsilon": lambda v: EquilibriumQuery(epsilon=v),
+}
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+@pytest.mark.parametrize("field", sorted(NON_FINITE_BUILDERS))
+def test_constructors_reject_non_finite_numbers(field, value):
+    with pytest.raises(ContractViolation, match="finite"):
+        NON_FINITE_BUILDERS[field](value)
 
 
 def test_profile_validation():
