@@ -7,9 +7,19 @@ strategic experts, best-response dynamics with cycle detection, and the
 per-cell deviation-safety certificate.
 
 Two independent routes compute equilibrium membership: the per-profile
-check (:func:`is_approx_pne`, plain Python) and the chunked vectorized
-enumerator (:func:`enumerate_equilibria`, numpy).  They are cross-checked
-against each other by the test suite; keep them independent.
+check (:func:`is_approx_pne`, plain Python) and the vectorized enumerator
+(:func:`enumerate_equilibria`, numpy).  They are cross-checked against each
+other by the test suite; keep them independent.
+
+The enumerator keeps one bool per profile (2^(n*k) bytes) marking the
+profiles still in the running, and makes one sweep per expert.  Expert i's
+sweep lays the profile space out as rows: a row is one context of the other
+experts' votes and its 2^k columns are her own vote vectors, so each of her
+deviations and admissibility flips from a profile is another column of the
+same row.  Rows are taken in fixed-size blocks, and rows with no profile
+left in the running are skipped.  Masses are summed in the order
+:func:`avgov.core.winner` sums them, so every utility the enumerator
+compares equals :func:`avgov.core.utility` bit for bit.
 
 Semi-strategic semantics are coordinate-wise: an expert's reported vector
 is admissible iff every coordinate on which it disagrees with her honest
@@ -222,45 +232,89 @@ def is_approx_pne(instance: Instance, schedule: RewardSchedule,
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive enumeration (vectorized, chunked)
+# Exhaustive enumeration (vectorized, one row sweep per expert)
 # ---------------------------------------------------------------------------
 
-_CHUNK_BITS = 15
-
-
-def _profile_bits(start, stop, n, k):
-    """Decode profile indices into a (stop-start, n, k) bit array; bit
-    (i*k + j) of the index is expert i's vote on proposal j+1."""
-    idx = np.arange(start, stop, dtype=np.int64)
-    shifts = np.arange(n * k, dtype=np.int64).reshape(n, k)
-    return ((idx[:, None, None] >> shifts[None, :, :]) & 1).astype(np.float64)
+# Each row block covers about 2^_BLOCK_BITS profiles (at least one row).
+_BLOCK_BITS = 15
 
 
 def _winners(masses):
-    """Vectorized winner selection: 0-based argmax with first-index ties,
-    -1 where no proposal has positive mass."""
-    js = np.argmax(masses, axis=1)
-    dead = masses.max(axis=1) <= 0.0
-    return np.where(dead, -1, js)
+    """Vectorized winner selection: ``masses[j]`` holds proposal j+1's
+    mass across many profiles.  Returns the 0-based argmax with
+    first-index ties, -1 where no proposal has positive mass."""
+    best = masses[0]
+    js = np.zeros(best.shape, dtype=np.int64)
+    for j in range(1, len(masses)):
+        js[masses[j] > best] = j
+        best = np.maximum(best, masses[j])
+    return np.where(best <= 0.0, -1, js)
 
 
-def _utilities_for(votes_on_winner, js, p_row, ghat_row, schedule):
-    """Utility of one expert across many profiles given the 0-based winner
-    per profile (-1 = dummy) and her vote on it."""
-    pj = np.where(js >= 0, p_row[np.maximum(js, 0)], 0.0)
-    gj = np.where(js >= 0, ghat_row[np.maximum(js, 0)], 0.0)
-    yes, no = _expected_branches(pj, schedule)
-    u = pj * gj + np.where(votes_on_winner == 1, yes, no)
-    return np.where(js >= 0, u, 0.0)
+def _utilities_for(p_row, ghat_row, schedule):
+    """One expert's utility by (her vote vector d, winner index + 1), with
+    her vote on proposal j+1 at bit j of d.  Column 0 is the dummy, worth
+    0; every entry is the value core.utility computes."""
+    k = len(p_row)
+    own = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+    approve, reject = _expected_branches(p_row, schedule)
+    table = np.zeros((1 << k, k + 1))
+    table[:, 1:] = p_row * ghat_row + np.where(own == 1, approve, reject)
+    return table
+
+
+def _row_checks(i, ctx, w, table, honest_row, factor, semi):
+    """Expert i's checks on a block of rows.  Returns one bool per (own
+    vector d, row): True where she has no (1+eps)-improving deviation and,
+    in semi mode, is admissible.
+
+    ``ctx`` holds each row's context: the other experts' votes, with expert
+    e's vote on proposal j+1 at bit e'*k + j, where e' skips expert i.  Her
+    own vector d has her vote on proposal j+1 at bit j.
+    """
+    n, k = len(w), len(honest_row)
+    cols = np.arange(1 << k)
+    own = ((cols[:, None] >> np.arange(k)) & 1) == 1
+    others = (ctx >> np.arange((n - 1) * k)[:, None]) & 1
+    others = others.reshape(n - 1, k, len(ctx))
+    # Masses add the experts in index order, as core.winner does; expert
+    # i's vote on proposal j only chooses between two running sums.
+    low = np.zeros((k, len(ctx)))
+    for e in range(i):
+        low += w[e] * others[e]
+    high = low + w[i]
+    for e in range(i + 1, n):
+        low += w[e] * others[e - 1]
+        high += w[e] * others[e - 1]
+    masses = np.where(own.T[:, :, None], high[:, None, :], low[:, None, :])
+    u = table[cols[:, None], _winners(masses) + 1]
+
+    # The best deviation from d is the row's best value over the other
+    # vectors: the row maximum, or the runner-up where d holds it.
+    best = u[0]
+    runner_up = np.full(len(ctx), -np.inf)
+    for d in range(1, 1 << k):
+        runner_up = np.maximum(runner_up, np.minimum(best, u[d]))
+        best = np.maximum(best, u[d])
+    ok = ~(np.where(u == best, runner_up, best) > factor * u + TOL)
+    if semi:
+        # Flipping coordinate j of her vector is vector d ^ (1 << j).
+        for j in range(k):
+            dishonest = own[:, j] != honest_row[j]
+            if dishonest.any():
+                ok &= ~dishonest[:, None] | (u[cols ^ (1 << j)] < u - TOL)
+    return ok
 
 
 def enumerate_equilibria(instance: Instance, schedule: RewardSchedule,
                          query: EquilibriumQuery) -> EquilibriumReport:
-    """Brute-force every profile in {0,1}^(n*k) and keep the equilibria.
+    """Brute-force every profile in {0,1}^(n*k) and keep the equilibria,
+    listed in ascending profile index; bit (i*k + j) of the index is
+    expert i's vote on proposal j+1.
 
     Refuses instances with more than ENUMERATION_GUARD_BITS profile bits.
-    Profiles are processed in ascending index order in fixed-size chunks;
-    the result does not depend on the chunking.
+    Makes one sweep of row blocks per expert, as the module docstring
+    describes; the result does not depend on the block size.
     """
     n, k = instance.n, instance.k
     bits = n * k
@@ -275,63 +329,45 @@ def enumerate_equilibria(instance: Instance, schedule: RewardSchedule,
         [_normalized_external(instance, i, j) for j in range(1, k + 1)]
         for i in range(n)
     ])
-    honest = (p >= schedule.T).astype(np.float64)
-    deviations = np.asarray(_vote_vectors(k), dtype=np.float64)
+    honest = p >= schedule.T
     factor = 1.0 + query.epsilon
+    semi = query.mode == "semi"
 
-    total = 1 << bits
-    chunk = 1 << _CHUNK_BITS
+    ok = np.ones(1 << bits, dtype=bool)
+    n_rows = 1 << (bits - k)
+    block = max(1, (1 << _BLOCK_BITS) >> k)
+    cols = np.arange(1 << k, dtype=np.int64)
+    for i in range(n):
+        table = _utilities_for(p[i], ghat[i], schedule)
+        below = (1 << (i * k)) - 1
+        for start in range(0, n_rows, block):
+            ctx = np.arange(start, min(start + block, n_rows), dtype=np.int64)
+            # A profile's index is its row's context with i's k bits
+            # inserted at bit i*k.
+            base = (ctx & below) | ((ctx >> (i * k)) << ((i + 1) * k))
+            idx = (cols << (i * k))[:, None] | base
+            alive = ok[idx]
+            live = alive.any(axis=0)
+            if not live.all():
+                if not live.any():
+                    continue
+                ctx, idx, alive = ctx[live], idx[:, live], alive[:, live]
+            ok[idx] = alive & _row_checks(i, ctx, w, table, honest[i], factor, semi)
+        if not ok.any():
+            break
+
     found = []
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        bmat = _profile_bits(start, stop, n, k)
-        masses = np.einsum("cik,i->ck", bmat, w)
-        js = _winners(masses)
-        ok = np.ones(stop - start, dtype=bool)
-        base_u = np.empty((stop - start, n))
-        for i in range(n):
-            vote = np.take_along_axis(
-                bmat[:, i, :], np.maximum(js, 0)[:, None], axis=1
-            )[:, 0]
-            base_u[:, i] = _utilities_for(vote, js, p[i], ghat[i], schedule)
-        for i in range(n):
-            rest = masses - w[i] * bmat[:, i, :]
-            for dev in deviations:
-                same = np.all(bmat[:, i, :] == dev, axis=1)
-                dev_m = rest + w[i] * dev
-                djs = _winners(dev_m)
-                dvote = np.where(djs >= 0, dev[np.maximum(djs, 0)], 0.0)
-                dev_u = _utilities_for(dvote, djs, p[i], ghat[i], schedule)
-                ok &= same | ~(dev_u > factor * base_u[:, i] + TOL)
-            if not ok.any():
-                break
-        if query.mode == "semi" and ok.any():
-            for i in range(n):
-                for j in range(k):
-                    dishonest = bmat[:, i, j] != honest[i, j]
-                    if not dishonest.any():
-                        continue
-                    fm = masses.copy()
-                    fm[:, j] += w[i] * (honest[i, j] - bmat[:, i, j])
-                    fjs = _winners(fm)
-                    fvote = np.take_along_axis(
-                        bmat[:, i, :], np.maximum(fjs, 0)[:, None], axis=1
-                    )[:, 0]
-                    fvote = np.where(fjs == j, honest[i, j], fvote)
-                    flip_u = _utilities_for(fvote, fjs, p[i], ghat[i], schedule)
-                    ok &= ~dishonest | (flip_u < base_u[:, i] - TOL)
-        for offset in np.nonzero(ok)[0]:
-            idx = start + int(offset)
-            votes = tuple(
-                tuple((idx >> (i * k + j)) & 1 for j in range(k)) for i in range(n)
-            )
-            prof = VotingProfile(votes)
-            out = winner(instance, prof)
-            found.append(EquilibriumEntry(
-                profile=prof,
-                winner=out.winner,
-                winner_quality=qual(instance, schedule.T, out.winner),
-            ))
+    for idx in np.flatnonzero(ok).tolist():
+        votes = tuple(
+            tuple((idx >> (i * k + j)) & 1 for j in range(k)) for i in range(n)
+        )
+        prof = VotingProfile(votes)
+        out = winner(instance, prof)
+        found.append(EquilibriumEntry(
+            profile=prof,
+            winner=out.winner,
+            winner_quality=qual(instance, schedule.T, out.winner),
+        ))
 
     opt = opt_quality(instance, schedule.T)
     poa = pos = None

@@ -147,29 +147,41 @@ EXPLICIT_KEYS = {"a", "a_prime", "s", "T"}
 DERIVABLE_KEYS = {"T", "epsilon", "a_prime"}
 
 
+def _number(value, field):
+    """``float(value)``, or a ScenarioError naming the field."""
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{field} = {value!r} is not a number") from exc
+
+
 def _schedule_from_dict(data):
     supplied_delta = None
     if "delta" in data:
         data = dict(data)
-        supplied_delta = float(data.pop("delta"))
+        supplied_delta = _number(data.pop("delta"), "schedule: delta")
     keys = set(data)
+
+    def num(key):
+        return _number(data[key], f"schedule: {key}")
+
     if keys == DERIVABLE_KEYS:
         try:
             schedule = params.derive_schedule(
-                float(data["T"]), float(data["epsilon"]), float(data["a_prime"]),
+                num("T"), num("epsilon"), num("a_prime"),
                 delta=supplied_delta or 0.0,
             )
         except DerivationError as exc:
             raise ScenarioError(f"schedule: {exc}") from exc
         return schedule, "derived", supplied_delta
     if keys == EXPLICIT_KEYS:
-        a, ap, T = float(data["a"]), float(data["a_prime"]), float(data["T"])
+        a, ap, T = num("a"), num("a_prime"), num("T")
         # Recover the slack the schedule was built for; downstream bounds
         # need it and the explicit form does not carry it.
         epsilon = max(a / (ap * (1.0 - T)) - 1.0, 0.0) if ap > 0.0 and T < 1.0 else 0.0
         try:
             schedule = core.RewardSchedule(
-                a=a, a_prime=ap, s=float(data["s"]), T=T, epsilon=epsilon,
+                a=a, a_prime=ap, s=num("s"), T=T, epsilon=epsilon,
                 delta=supplied_delta or 0.0,
             )
         except ContractViolation as exc:
@@ -211,6 +223,8 @@ def scenario_from_dict(data) -> Scenario:
         raise ScenarioError(f"experts: missing or malformed field ({exc})") from exc
     try:
         instance = core.Instance(weights=weights, beliefs=beliefs, external=external)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"experts: missing or malformed field ({exc})") from exc
     except ContractViolation as exc:
         raise ScenarioError(str(exc)) from exc
     if "schedule" not in data:
@@ -230,7 +244,7 @@ def scenario_from_dict(data) -> Scenario:
     try:
         query = analysis.EquilibriumQuery(
             mode=query_data.get("mode", "semi"),
-            epsilon=float(query_data.get("epsilon", 0.0)),
+            epsilon=_number(query_data.get("epsilon", 0.0), "query: epsilon"),
         )
     except ContractViolation as exc:
         raise ScenarioError(f"query: {exc}") from exc
@@ -768,7 +782,6 @@ def build_parser():
         p = sub.add_parser(name, **kwargs)
         p.add_argument("--scenario", help="scenario JSON file")
         p.add_argument("--out", help="write CSV/flattened output here")
-        p.add_argument("--seed", type=int, help="override world seed")
         return p
 
     p = add("derive-params", help="derive a reward schedule from (T, epsilon, a')")
@@ -807,10 +820,12 @@ def build_parser():
 
     p = add("repeat", help="simulate the repeated game")
     p.add_argument("--horizon", type=int)
+    p.add_argument("--seed", type=int, help="override world seed")
 
     p = add("deviation-gap", help="exhaustive single-deviator search")
     p.add_argument("--expert", type=int, default=0)
     p.add_argument("--horizon", type=int)
+    p.add_argument("--seed", type=int, help="override world seed")
 
     p = add("reproduce", help="reproduce a built-in instance and check its claims")
     p.add_argument("name", choices=BUILTINS)

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from avgov import (
     ContractViolation,
@@ -27,6 +28,7 @@ from avgov import (
     safety_certificate,
     utility,
 )
+from avgov import analysis
 from avgov.cli import prop3_scenario, prop4_scenario, thm6_scenario
 
 SEMI0 = EquilibriumQuery(mode="semi", epsilon=0.0)
@@ -243,6 +245,69 @@ def test_enumerate_matches_per_profile_check():
             if is_approx_pne(instance, sched, profile, query):
                 brute.add(votes)
         assert enumerated == brute
+
+
+def _brute_force_equilibria(instance, schedule, query):
+    n, k = instance.n, instance.k
+    found = set()
+    for bits in range(1 << (n * k)):
+        votes = tuple(
+            tuple((bits >> (i * k + j)) & 1 for j in range(k)) for i in range(n)
+        )
+        if is_approx_pne(instance, schedule, VotingProfile(votes), query):
+            found.add(votes)
+    return found
+
+
+def test_enumerate_breaks_deviation_ties_like_winner():
+    # Expert 1's deviation to 00 leaves both proposals with expert 0's
+    # weight alone; core.winner elects proposal 1 on that tie, which lifts
+    # her utility from 0.48 to 1.0, so 11|01 is no equilibrium.
+    sched = derive_schedule(0.9, 19.0, 1.0)
+    instance = Instance(weights=(0.1, 0.2), beliefs=((0.5, 0.95), (0.0, 0.92)))
+    profile = VotingProfile(((1, 1), (0, 1)))
+    assert not is_approx_pne(instance, sched, profile, STRAT0)
+    report = enumerate_equilibria(instance, sched, STRAT0)
+    assert profile.votes not in {e.profile.votes for e in report.equilibria}
+    assert {e.profile.votes for e in report.equilibria} == \
+        _brute_force_equilibria(instance, sched, STRAT0)
+
+
+@st.composite
+def tie_prone_instances(draw):
+    # Weights from a small set of decimals make many float-sum ties.
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 9 // n if n > 1 else 3))
+    weights = tuple(draw(st.sampled_from((0.1, 0.2, 0.3, 0.5))) for _ in range(n))
+    belief = st.one_of(st.sampled_from((0.0, 0.5, 0.92, 0.95, 1.0)),
+                       st.floats(0.0, 1.0))
+    beliefs = tuple(tuple(draw(belief) for _ in range(k)) for _ in range(n))
+    return Instance(weights=weights, beliefs=beliefs)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(tie_prone_instances())
+def test_enumerate_equals_per_profile_check_on_ties(instance):
+    sched = derive_schedule(0.9, 19.0, 1.0)
+    for mode in ("strategic", "semi"):
+        for eps in (0.0, sched.epsilon):
+            query = EquilibriumQuery(mode, eps)
+            report = enumerate_equilibria(instance, sched, query)
+            assert {e.profile.votes for e in report.equilibria} == \
+                _brute_force_equilibria(instance, sched, query)
+
+
+@pytest.mark.parametrize("block_bits", [0, 1, 3])
+def test_enumerate_does_not_depend_on_block_size(monkeypatch, block_bits):
+    rng = np.random.default_rng(17)
+    sched = derive_schedule(0.9, 19.0, 1.0)
+    cases = [(random_instance(rng, n=n, k=k), query)
+             for n, k in ((4, 2), (3, 3), (5, 1))
+             for query in (SEMI0, STRAT0, EquilibriumQuery("semi", sched.epsilon))]
+    expected = [enumerate_equilibria(inst, sched, query) for inst, query in cases]
+    monkeypatch.setattr(analysis, "_BLOCK_BITS", block_bits)
+    assert [enumerate_equilibria(inst, sched, query)
+            for inst, query in cases] == expected
 
 
 def test_enumerate_infinite_ratio_for_zero_quality_winner():

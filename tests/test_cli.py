@@ -174,6 +174,27 @@ def test_winner_rejects_bad_profile_text(capsys, scenario_file, text):
     assert err.startswith("error: ") and "profile" in err
 
 
+STRING_WEIGHT = dict(PROP4_SCENARIO, experts=[
+    {"weight": "abc", "beliefs": [0.95, 1.0]},
+    {"weight": 0.41, "beliefs": [1.0, 0.95]},
+])
+STRING_QUERY_EPSILON = dict(PROP4_SCENARIO, query={"mode": "semi", "epsilon": "abc"})
+STRING_SCHEDULE_T = dict(PROP4_SCENARIO, schedule={"T": "abc", "epsilon": 19,
+                                                   "a_prime": 1})
+
+
+@pytest.mark.parametrize("data, argv", [
+    (STRING_WEIGHT, ["validate"]),
+    (STRING_QUERY_EPSILON, ["winner"]),
+    (STRING_SCHEDULE_T, ["validate"]),
+], ids=["weight", "query-epsilon", "schedule-T"])
+def test_string_numbers_exit_2(capsys, scenario_file, data, argv):
+    code, out, err = run_cli(capsys, *argv, "--scenario", scenario_file(data))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "'abc'" in err
+
+
 def test_guard_refusal_exits_3(capsys, scenario_file):
     data = dict(PROP4_SCENARIO)
     data["experts"] = [
@@ -283,6 +304,17 @@ def test_repeat_seed_and_horizon_flags(capsys, scenario_file):
                          "--horizon", "5")
     payload = json.loads(out1)
     assert payload["seed"] == 9 and payload["horizon"] == 5
+
+
+@pytest.mark.parametrize("argv", [
+    ["reproduce", "prop4"], ["enumerate"], ["winner"], ["validate"],
+], ids=["reproduce", "enumerate", "winner", "validate"])
+def test_seed_is_refused_where_no_world_is_read(capsys, scenario_file, argv):
+    if argv[0] != "reproduce":
+        argv = argv + ["--scenario", scenario_file(PROP4_SCENARIO)]
+    code, out, _ = run_cli(capsys, *argv, "--seed", "3")
+    assert code == 64
+    assert out == ""
 
 
 def test_deviation_gap_command(capsys, scenario_file):
