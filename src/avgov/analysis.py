@@ -24,9 +24,13 @@ compares equals :func:`avgov.core.utility` bit for bit.
 Semi-strategic semantics are coordinate-wise: an expert's reported vector
 is admissible iff every coordinate on which it disagrees with her honest
 vector would, when flipped alone to the honest value (winner recomputed),
-strictly lower her utility.  A semi-strategic equilibrium is a profile with
-no (1+eps)-improving unilateral deviation in which every expert is
-admissible.
+strictly lower her utility.  Her semi best response is every admissible
+vector within TOL of her best admissible utility; it is never empty, since
+her honest vector is admissible.  A semi-strategic equilibrium is a profile
+with no (1+eps)-improving unilateral deviation in which every expert is
+admissible.  The per-profile route reads all of these from one table per
+expert: her utility for each of her 2^k vectors against the rest of the
+profile.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from .core import (
     Instance,
     RewardSchedule,
     VotingProfile,
+    _check_dims,
     _expected_branches,
     _normalized_external,
     opt_quality,
@@ -132,28 +137,46 @@ def _honest_row(instance, schedule, expert_i):
     )
 
 
-def _admissible_row(instance, schedule, profile, expert_i):
-    """Whether expert_i's current vector is semi-strategic-admissible:
-    every dishonest coordinate strictly loses when flipped alone."""
-    honest = _honest_row(instance, schedule, expert_i)
-    row = profile.votes[expert_i]
-    base = None
-    for j in range(instance.k):
-        if row[j] == honest[j]:
-            continue
-        if base is None:
-            base = utility(instance, schedule, profile, expert_i)
-        flipped = utility(instance, schedule, profile.flip(expert_i, j + 1), expert_i)
-        if not flipped < base - TOL:
-            return False
-    return True
+def _responses(instance, schedule, profile, expert_i):
+    """Expert i's utility table: ``core.utility`` of the profile with her
+    row replaced by each of her 2^k vote vectors, keyed in ascending
+    binary order with coordinate 1 as the most significant bit."""
+    _check_dims(instance, profile)
+    return {
+        vec: utility(instance, schedule, profile.replace_row(expert_i, vec), expert_i)
+        for vec in _vote_vectors(instance.k)
+    }
+
+
+def _admissible(values, vec, honest):
+    """Whether vote vector vec is semi-strategic-admissible under the
+    expert's utility table: every dishonest coordinate strictly loses when
+    flipped alone."""
+    base = values[vec]
+    return all(
+        values[vec[:j] + (h,) + vec[j + 1:]] < base - TOL
+        for j, h in enumerate(honest) if vec[j] != h
+    )
+
+
+def _optima(values, honest, mode):
+    """The vectors within TOL of the best value in the utility table; in
+    semi mode only admissible vectors compete.  Never empty: the honest
+    vector has no dishonest coordinate, so it is always admissible."""
+    candidates = list(values)
+    if mode == "semi":
+        candidates = [vec for vec in candidates if _admissible(values, vec, honest)]
+    top = max(values[vec] for vec in candidates)
+    return tuple(vec for vec in candidates if values[vec] >= top - TOL)
 
 
 def is_admissible(instance: Instance, schedule: RewardSchedule,
                   profile: VotingProfile) -> tuple:
     """Per-expert semi-strategic admissibility flags for a profile."""
     return tuple(
-        _admissible_row(instance, schedule, profile, i) for i in range(instance.n)
+        _admissible(_responses(instance, schedule, profile, i), profile.votes[i],
+                    _honest_row(instance, schedule, i))
+        for i in range(instance.n)
     )
 
 
@@ -161,55 +184,17 @@ def best_response(instance: Instance, schedule: RewardSchedule,
                   profile: VotingProfile, expert_i: int, mode: str) -> tuple:
     """The expert's optimal vote vectors against the rest of the profile.
 
-    Searches all 2^k alternatives; vectors within tolerance of the maximum
-    count as optimal.  In semi mode the result keeps only the
-    semi-strategic-admissible maximizers (falling back to making
-    loss-free dishonest coordinates honest if tolerance drift ever empties
-    the filter).  Vectors are returned in ascending binary order with
-    coordinate 1 as the most significant bit.
+    Searches all 2^k alternatives.  In strategic mode the result is every
+    vector within tolerance of the maximum utility; in semi mode it is
+    every admissible vector within tolerance of the best admissible
+    utility, which always includes at least one vector.  Vectors are
+    returned in ascending binary order with coordinate 1 as the most
+    significant bit.
     """
     if mode not in MODES:
         raise ContractViolation(f"mode must be one of {MODES}, got {mode!r}")
-    values = {}
-    for vec in _vote_vectors(instance.k):
-        values[vec] = utility(instance, schedule, profile.replace_row(expert_i, vec),
-                              expert_i)
-    best = max(values.values())
-    maximizers = [vec for vec, u in values.items() if u >= best - TOL]
-    if mode == "strategic":
-        return tuple(maximizers)
-    admissible = [
-        vec for vec in maximizers
-        if _admissible_row(instance, schedule, profile.replace_row(expert_i, vec),
-                           expert_i)
-    ]
-    if admissible:
-        return tuple(admissible)
-    # Tolerance pathology: repair each maximizer by flipping loss-free
-    # dishonest coordinates toward honesty until none remain.
-    honest = _honest_row(instance, schedule, expert_i)
-    repaired = set()
-    for vec in maximizers:
-        current = vec
-        changed = True
-        while changed:
-            changed = False
-            base = values.get(current)
-            if base is None:
-                base = utility(instance, schedule,
-                               profile.replace_row(expert_i, current), expert_i)
-            for j in range(instance.k):
-                if current[j] == honest[j]:
-                    continue
-                candidate = current[:j] + (honest[j],) + current[j + 1:]
-                cand_u = utility(instance, schedule,
-                                 profile.replace_row(expert_i, candidate), expert_i)
-                if not cand_u < base - TOL:
-                    current = candidate
-                    changed = True
-                    break
-        repaired.add(current)
-    return tuple(sorted(repaired))
+    values = _responses(instance, schedule, profile, expert_i)
+    return _optima(values, _honest_row(instance, schedule, expert_i), mode)
 
 
 def is_approx_pne(instance: Instance, schedule: RewardSchedule,
@@ -219,14 +204,14 @@ def is_approx_pne(instance: Instance, schedule: RewardSchedule,
     must additionally be admissible."""
     factor = 1.0 + query.epsilon
     for i in range(instance.n):
-        base = utility(instance, schedule, profile, i)
-        for vec in _vote_vectors(instance.k):
-            if vec == profile.votes[i]:
-                continue
-            dev = utility(instance, schedule, profile.replace_row(i, vec), i)
-            if dev > factor * base + TOL:
-                return False
-        if query.mode == "semi" and not _admissible_row(instance, schedule, profile, i):
+        values = _responses(instance, schedule, profile, i)
+        current = profile.votes[i]
+        bound = factor * values[current] + TOL
+        if any(u > bound for vec, u in values.items() if vec != current):
+            return False
+        if query.mode == "semi" and not _admissible(
+            values, current, _honest_row(instance, schedule, i)
+        ):
             return False
     return True
 
@@ -414,13 +399,6 @@ def constructive_pne(instance: Instance, schedule: RewardSchedule) -> VotingProf
     return _singleton_profile(n, k, i_star, best_for[i_star][1])
 
 
-def _binary_value(vec):
-    value = 0
-    for v in vec:
-        value = (value << 1) | v
-    return value
-
-
 def best_response_dynamics(instance: Instance, schedule: RewardSchedule,
                            start_profile: VotingProfile, mode: str,
                            max_steps: int) -> DynamicsTrace:
@@ -435,25 +413,20 @@ def best_response_dynamics(instance: Instance, schedule: RewardSchedule,
         raise ContractViolation(f"mode must be one of {MODES}, got {mode!r}")
     if max_steps < 1:
         raise ContractViolation("max_steps must be >= 1")
+    honest = [_honest_row(instance, schedule, i) for i in range(instance.n)]
     profile = start_profile
     seen = {profile.votes: 0}
     path = []
     for step in range(1, max_steps + 1):
         move = None
         for i in range(instance.n):
-            current_u = utility(instance, schedule, profile, i)
-            options = best_response(instance, schedule, profile, i, mode)
-            best_u = utility(
-                instance, schedule, profile.replace_row(i, options[0]), i
-            )
-            forced = mode == "semi" and not _admissible_row(
-                instance, schedule, profile, i
-            )
-            if best_u > current_u + TOL or forced:
-                target = min(options, key=_binary_value)
-                if target != profile.votes[i]:
-                    move = (i, target)
-                    break
+            values = _responses(instance, schedule, profile, i)
+            current = profile.votes[i]
+            target = _optima(values, honest[i], mode)[0]
+            forced = mode == "semi" and not _admissible(values, current, honest[i])
+            if (values[target] > values[current] + TOL or forced) and target != current:
+                move = (i, target)
+                break
         if move is None:
             return DynamicsTrace(path=tuple(path), terminal="fixed_point")
         i, target = move

@@ -25,34 +25,6 @@ from .errors import (
     ScenarioError,
 )
 
-COMMANDS = (
-    "derive-params", "validate", "winner", "qual", "honest", "enumerate",
-    "poa", "construct-pne", "dynamics", "safety", "reward-curve", "repeat",
-    "deviation-gap", "reproduce",
-)
-
-# Which library operation each command exposes; every public operation is
-# reachable from exactly one command (checked by the test suite).
-DISPATCH_OPS = {
-    "derive-params": ("params.derive_schedule",),
-    "validate": ("params.validate_schedule",),
-    "winner": ("core.winner", "core.utility"),
-    "qual": ("core.qual",),
-    "honest": ("core.honest_profile",),
-    "enumerate": ("analysis.enumerate_equilibria", "analysis.is_approx_pne",
-                  "analysis.is_admissible"),
-    "poa": ("core.opt_quality",),
-    "construct-pne": ("analysis.constructive_pne",),
-    "dynamics": ("analysis.best_response_dynamics", "analysis.best_response"),
-    "safety": ("params.deviation_safety_threshold", "params.external_bound_delta",
-               "analysis.safety_certificate"),
-    "reward-curve": ("core.reward_curve", "core.expected_reward"),
-    "repeat": ("repeated.run", "repeated.sample_round", "repeated.delayed_update",
-               "repeated.correct_fraction", "core.reward"),
-    "deviation-gap": ("repeated.deviation_gap", "params.max_discount"),
-    "reproduce": (),
-}
-
 
 # ---------------------------------------------------------------------------
 # Canonical output
@@ -229,6 +201,8 @@ def scenario_from_dict(data) -> Scenario:
         raise ScenarioError(str(exc)) from exc
     if "schedule" not in data:
         raise ScenarioError("scenario has no schedule")
+    if not isinstance(data["schedule"], dict):
+        raise ScenarioError("schedule must be a JSON object")
     schedule, form, supplied_delta = _schedule_from_dict(data["schedule"])
     # The external-reward bound belongs to the instance; a supplied value
     # may only widen it.
@@ -241,6 +215,8 @@ def scenario_from_dict(data) -> Scenario:
     if computed_delta > schedule.delta:
         schedule = dataclasses.replace(schedule, delta=computed_delta)
     query_data = data.get("query", {})
+    if not isinstance(query_data, dict):
+        raise ScenarioError("query must be a JSON object")
     try:
         query = analysis.EquilibriumQuery(
             mode=query_data.get("mode", "semi"),

@@ -186,13 +186,11 @@ class VotingProfile:
 
 @dataclass(frozen=True)
 class Outcome:
-    """Result of winner selection: the winning proposal (0 = dummy), the
-    per-proposal approving weight, and the winner's revealed quality bit
-    once evaluation has happened (None before that)."""
+    """Result of winner selection: the winning proposal (0 = dummy) and the
+    per-proposal approving weight."""
 
     winner: int
     approval_mass: tuple
-    revealed_quality: int | None = None
 
 
 def _check_dims(instance, profile):

@@ -71,6 +71,8 @@ class WorldConfig:
             raise ContractViolation(f"gamma = {self.gamma} outside [0, 1)")
         if self.horizon < 1:
             raise ContractViolation("horizon must be >= 1")
+        if self.seed < 0:
+            raise ContractViolation(f"seed = {self.seed} must be >= 0")
         object.__setattr__(self, "expertise", expertise)
 
     @property
@@ -325,12 +327,13 @@ def deviation_gap(world: WorldConfig, schedule: RewardSchedule, expert_i: int,
 
 
 def deviation_tail_bound(schedule: RewardSchedule, zeta: float, gamma: float,
-                         horizon_H: int, start_weight: float = INITIAL_WEIGHT) -> float:
+                         horizon_H: int) -> float:
     """Analytic cap on any single deviator's discounted subjective total
-    beyond a truncated horizon: per round at most (1+delta) * weight * a
-    with the weight growing at most (1+zeta) per round."""
+    beyond a truncated horizon: per round at most (1+delta) * weight * a,
+    with the weight starting at INITIAL_WEIGHT and growing at most (1+zeta)
+    per round."""
     growth = (1.0 + zeta) * gamma
     if growth >= 1.0:
         raise ContractViolation(f"(1+zeta)*gamma = {growth} must be < 1 for the tail sum")
-    per_round = (1.0 + schedule.delta) * start_weight * schedule.a
+    per_round = (1.0 + schedule.delta) * INITIAL_WEIGHT * schedule.a
     return per_round * growth ** horizon_H / (1.0 - growth)

@@ -29,6 +29,7 @@ from avgov import (
     utility,
 )
 from avgov import analysis
+from avgov.core import TOL
 from avgov.cli import prop3_scenario, prop4_scenario, thm6_scenario
 
 SEMI0 = EquilibriumQuery(mode="semi", epsilon=0.0)
@@ -89,6 +90,38 @@ def test_best_response_single_expert_approves_good_proposal():
         assert best_response(instance, sched, profile, 0, mode) == ((1,),)
 
 
+def test_best_response_semi_when_no_strategic_optimum_is_admissible():
+    # Expert 0 believes every proposal sits exactly at T, so her utility is
+    # set by her external reward for the winner, and those differ by less
+    # than a few TOL.  Each strategic optimum keeps a dishonest coordinate
+    # whose flip costs her less than TOL, so none is admissible; her only
+    # admissible vector, the honest one, is her semi best response.
+    sched = derive_schedule(0.9, 19, 1)
+    instance = Instance(
+        weights=(1.0, 0.5),
+        beliefs=((0.9, 0.9, 0.9),
+                 (0.5052403477902054, 0.12035012637450515, 0.13378614402282085)),
+        external=((0.9999999983333333, 0.9999999992222223, 0.9999999995555555),
+                  (0, 0, 0)),
+    )
+    profile = VotingProfile(((1, 0, 1), (1, 1, 0)))
+    assert best_response(instance, sched, profile, 0, "semi") == ((1, 1, 1),)
+    assert best_response(instance, sched, profile, 0, "strategic") == \
+        ((0, 0, 1), (0, 1, 0), (0, 1, 1))
+
+
+@pytest.mark.parametrize("call", [
+    lambda inst, sched, prof: best_response(inst, sched, prof, 0, "semi"),
+    lambda inst, sched, prof: is_admissible(inst, sched, prof),
+    lambda inst, sched, prof: is_approx_pne(inst, sched, prof, SEMI0),
+    lambda inst, sched, prof: best_response_dynamics(inst, sched, prof, "semi", 4),
+], ids=["best_response", "is_admissible", "is_approx_pne", "dynamics"])
+def test_per_profile_route_rejects_a_profile_of_the_wrong_shape(call):
+    instance = Instance(weights=(1.0,), beliefs=((0.95,),))
+    with pytest.raises(ContractViolation):
+        call(instance, derive_schedule(0.9, 19.0, 1.0), VotingProfile(((0, 1),)))
+
+
 def test_best_response_rejects_unknown_mode(prop4):
     instance, schedule = prop4
     with pytest.raises(ContractViolation):
@@ -123,6 +156,38 @@ def test_admissible_prop4_pointless_lie_rejected(prop4):
     # changes the winner, so the lie stops being justified.
     profile = VotingProfile(((0, 1), (1, 0), (1, 0)))
     assert is_admissible(instance, schedule, profile) == (False, True, True)
+
+
+def _admissible_by_definition(instance, schedule, profile, i):
+    honest = honest_profile(instance, schedule.T).votes[i]
+    base = utility(instance, schedule, profile, i)
+    return all(
+        utility(instance, schedule, profile.flip(i, j + 1), i) < base - TOL
+        for j in range(instance.k) if profile.votes[i][j] != honest[j]
+    )
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_semi_best_response_is_admissible_on_near_ties(data):
+    sched = derive_schedule(0.9, 19.0, 1.0)
+    instance = data.draw(tie_prone_instances(
+        pool=(0.0, 0.5, sched.T, 0.95, 1.0),
+        near_tie_external=data.draw(st.booleans()),
+    ))
+    row = st.tuples(*[st.integers(0, 1)] * instance.k)
+    profile = VotingProfile(data.draw(st.tuples(*[row] * instance.n)))
+    assert is_admissible(instance, sched, profile) == tuple(
+        _admissible_by_definition(instance, sched, profile, i)
+        for i in range(instance.n)
+    )
+    for i in range(instance.n):
+        response = best_response(instance, sched, profile, i, "semi")
+        assert response
+        for vec in response:
+            assert _admissible_by_definition(
+                instance, sched, profile.replace_row(i, vec), i
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -274,15 +339,20 @@ def test_enumerate_breaks_deviation_ties_like_winner():
 
 
 @st.composite
-def tie_prone_instances(draw):
-    # Weights from a small set of decimals make many float-sum ties.
+def tie_prone_instances(draw, pool=(0.0, 0.5, 0.92, 0.95, 1.0), near_tie_external=False):
+    # Weights from a small set of decimals make many float-sum ties.  Near-tie
+    # external rewards differ across proposals by up to a few TOL.
     n = draw(st.integers(1, 4))
     k = draw(st.integers(1, 9 // n if n > 1 else 3))
     weights = tuple(draw(st.sampled_from((0.1, 0.2, 0.3, 0.5))) for _ in range(n))
-    belief = st.one_of(st.sampled_from((0.0, 0.5, 0.92, 0.95, 1.0)),
-                       st.floats(0.0, 1.0))
+    belief = st.one_of(st.sampled_from(pool), st.floats(0.0, 1.0))
     beliefs = tuple(tuple(draw(belief) for _ in range(k)) for _ in range(n))
-    return Instance(weights=weights, beliefs=beliefs)
+    external = None
+    if near_tie_external:
+        gap = st.sampled_from((0.0, 0.5, 1.0, 1.5, 2.0, 2.5))
+        external = tuple(tuple(w * (1.0 - draw(gap) * TOL) for _ in range(k))
+                         for w in weights)
+    return Instance(weights=weights, beliefs=beliefs, external=external)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)

@@ -1,11 +1,12 @@
 """Scenario loading, command dispatch, output determinism and exit codes."""
 
+import argparse
 import csv
 import json
 
 import pytest
 
-from avgov import analysis, cli, core, params, repeated
+from avgov import cli, params
 
 PROP4_SCENARIO = {
     "experts": [
@@ -99,31 +100,10 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_every_command_has_handler_and_ops_covered():
-    assert set(cli.COMMANDS) == set(cli.HANDLERS)
-    assert set(cli.COMMANDS) == set(cli.DISPATCH_OPS)
-    expected_ops = {
-        "core.winner", "core.reward", "core.expected_reward", "core.utility",
-        "core.honest_profile", "core.qual", "core.opt_quality",
-        "core.reward_curve",
-        "params.derive_schedule", "params.validate_schedule",
-        "params.deviation_safety_threshold", "params.external_bound_delta",
-        "params.max_discount",
-        "analysis.best_response", "analysis.is_admissible",
-        "analysis.is_approx_pne", "analysis.enumerate_equilibria",
-        "analysis.constructive_pne", "analysis.best_response_dynamics",
-        "analysis.safety_certificate",
-        "repeated.correct_fraction", "repeated.delayed_update",
-        "repeated.sample_round", "repeated.run", "repeated.deviation_gap",
-    }
-    seen = [op for ops in cli.DISPATCH_OPS.values() for op in ops]
-    assert sorted(seen) == sorted(set(seen)), "an operation is mapped twice"
-    assert set(seen) == expected_ops
-    for module_op in expected_ops:
-        module_name, func = module_op.split(".")
-        module = {"core": core, "params": params, "analysis": analysis,
-                  "repeated": repeated}[module_name]
-        assert callable(getattr(module, func))
+def test_parser_subcommands_equal_handlers():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(cli.HANDLERS)
 
 
 def test_usage_errors_exit_64(capsys):
@@ -193,6 +173,32 @@ def test_string_numbers_exit_2(capsys, scenario_file, data, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "'abc'" in err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("schedule", 5),
+    ("schedule", ["T", "epsilon", "a_prime"]),
+    ("query", [1]),
+], ids=["schedule-number", "schedule-list", "query-list"])
+def test_non_object_schedule_or_query_exits_2(capsys, scenario_file, field, value):
+    data = dict(PROP4_SCENARIO, **{field: value})
+    code, out, err = run_cli(capsys, "validate", "--scenario", scenario_file(data))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and f"{field} must be a JSON object" in err
+
+
+@pytest.mark.parametrize("command", ["repeat", "deviation-gap"])
+@pytest.mark.parametrize("world_seed, flags", [(-1, []), (0, ["--seed", "-3"])],
+                         ids=["world", "flag"])
+def test_negative_seed_exits_2(capsys, scenario_file, command, world_seed, flags):
+    world = {"expertise": [0.9, 0.6], "good_prior": 0.5, "k": 2, "zeta": 0.05,
+             "gamma": 0.5, "horizon": 4, "seed": world_seed}
+    data = dict(PROP4_SCENARIO, world=world)
+    code, out, err = run_cli(capsys, command, *flags, "--scenario", scenario_file(data))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "seed = -" in err
 
 
 def test_guard_refusal_exits_3(capsys, scenario_file):
