@@ -6,6 +6,15 @@ implemented and only its quality revealed, rewards are paid in proportion
 to current weights, and weights move toward each expert's empirical
 correct-prediction rate under a multiplicative step cap.
 
+Round draws do not depend on play, so everything the rest of a run depends
+on after round t is one game state: the weight vector, the correct counts
+and the number of revealed rounds.  ``_play_round`` is the single home of
+one round's rules; full runs and the single-deviator search both call it.
+The search (``deviation_gap``) walks states forward instead of replaying
+every plan: plan prefixes that reach the same state share their future, so
+each state keeps only the prefixes that could still end a first maximal
+plan, and live states per round are capped by STATE_GUARD.
+
 A single run is sequential by nature; independent runs (different seeds or
 deviation plans) are pure functions of their arguments and can execute
 concurrently.
@@ -16,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +42,9 @@ from .params import max_discount
 
 INITIAL_WEIGHT = 0.5
 
-# Exhaustive deviation-plan search is refused beyond this many plans.
-PLAN_GUARD = 1 << 16
+# The deviation search is refused as soon as one round reaches more than
+# this many distinct game states.
+STATE_GUARD = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -182,53 +193,95 @@ def discounted_total(values, gamma: float) -> float:
 
 
 def _presample(world):
-    rng = np.random.default_rng(world.seed)
-    return tuple(sample_round(world, rng) for _ in range(world.horizon))
+    """All rounds' draws from one ``rng.random((H, k + n*k))`` call.
+
+    Row t holds the same doubles, in the same order, as round t's
+    ``rng.random(k)`` and ``rng.random((n, k))`` in ``sample_round``, so
+    the draws equal ``horizon`` successive ``sample_round`` calls.
+    """
+    n, k, horizon = world.n, world.proposals_per_round, world.horizon
+    u = np.random.default_rng(world.seed).random((horizon, k + n * k))
+    good = u[:, :k] < world.good_prior
+    hit = u[:, k:].reshape(horizon, n, k) < np.array(world.expertise)[:, None]
+    beliefs = np.where(hit, good[:, None, :], ~good[:, None, :]).astype(float)
+    external = tuple((0.0,) * k for _ in range(n))
+    return tuple(
+        (tuple(q), tuple(map(tuple, b)), external)
+        for q, b in zip(good.astype(int).tolist(), beliefs.tolist())
+    )
+
+
+class _Round(NamedTuple):
+    """What one round produced, and the state it left: ``state`` is
+    ``(weights, correct, revealed_rounds)`` entering the next round."""
+
+    profile: object
+    winner: int
+    revealed: object
+    realized: tuple
+    subjective: tuple
+    state: tuple
+
+
+def _play_round(schedule, zeta, draw, state, deviation=None):
+    """One round from ``state`` over a pre-drawn ``draw``; everyone votes
+    honestly except ``deviation = (expert, votes)``, if given."""
+    qualities, beliefs, external = draw
+    weights, correct, revealed_rounds = state
+    n = len(weights)
+    instance = Instance(weights=weights, beliefs=beliefs, external=external)
+    profile = honest_profile(instance, schedule.T)
+    if deviation is not None:
+        profile = profile.replace_row(*deviation)
+    js = winner(instance, profile).winner
+    realized = [0.0] * n
+    subjective = [0.0] * n
+    q = None
+    if js != 0:
+        q = qualities[js - 1]
+        correct = list(correct)
+        for i in range(n):
+            vote = profile.votes[i][js - 1]
+            realized[i] = reward(vote, q, schedule, weights[i])
+            p = beliefs[i][js - 1]
+            approve, reject = _expected_branches(p, schedule)
+            expected = approve if vote == 1 else reject
+            subjective[i] = weights[i] * expected + p * external[i][js - 1]
+            if vote == q:
+                correct[i] += 1
+        correct = tuple(correct)
+        revealed_rounds += 1
+    weights = tuple(
+        delayed_update(weights[i], correct_fraction(correct[i], revealed_rounds), zeta)
+        for i in range(n)
+    )
+    return _Round(profile, js, q, tuple(realized), tuple(subjective),
+                  (weights, correct, revealed_rounds))
+
+
+def _initial_state(n):
+    return (INITIAL_WEIGHT,) * n, (0,) * n, 0
 
 
 def _simulate(world, schedule, draws, policy):
     """Deterministic core of a run over pre-drawn rounds."""
-    n, k = world.n, world.proposals_per_round
-    weights = [INITIAL_WEIGHT] * n
-    weight_rows = [tuple(weights)]
+    state = _initial_state(world.n)
+    plan = policy.plan if isinstance(policy, SingleDeviatorPolicy) else ()
     profiles, winners_, revealed = [], [], []
     realized_rows, subjective_rows = [], []
-    correct = [0] * n
-    revealed_rounds = 0
-    deviator = policy.expert if isinstance(policy, SingleDeviatorPolicy) else None
+    weight_rows = [state[0]]
+    for t, draw in enumerate(draws):
+        deviation = (policy.expert, plan[t]) if t < len(plan) else None
+        step = _play_round(schedule, world.zeta, draw, state, deviation)
+        state = step.state
+        profiles.append(step.profile)
+        winners_.append(step.winner)
+        revealed.append(step.revealed)
+        realized_rows.append(step.realized)
+        subjective_rows.append(step.subjective)
+        weight_rows.append(state[0])
 
-    for t, (qualities, beliefs, external) in enumerate(draws):
-        instance = Instance(weights=tuple(weights), beliefs=beliefs, external=external)
-        profile = honest_profile(instance, schedule.T)
-        if deviator is not None and t < len(policy.plan):
-            profile = profile.replace_row(deviator, policy.plan[t])
-        outcome = winner(instance, profile)
-        js = outcome.winner
-        realized = [0.0] * n
-        subjective = [0.0] * n
-        if js != 0:
-            q = qualities[js - 1]
-            for i in range(n):
-                vote = profile.votes[i][js - 1]
-                realized[i] = reward(vote, q, schedule, weights[i])
-                p = beliefs[i][js - 1]
-                approve, reject = _expected_branches(p, schedule)
-                expected = approve if vote == 1 else reject
-                subjective[i] = weights[i] * expected + p * external[i][js - 1]
-                if vote == q:
-                    correct[i] += 1
-            revealed_rounds += 1
-            revealed.append(q)
-        else:
-            revealed.append(None)
-        omega = [correct_fraction(correct[i], revealed_rounds) for i in range(n)]
-        weights = [delayed_update(weights[i], omega[i], world.zeta) for i in range(n)]
-        weight_rows.append(tuple(weights))
-        profiles.append(profile)
-        winners_.append(js)
-        realized_rows.append(tuple(realized))
-        subjective_rows.append(tuple(subjective))
-
+    _, correct, revealed_rounds = state
     gamma_warning = world.gamma >= max_discount(schedule.epsilon, world.zeta)
     return RepeatedTrace(
         profiles=tuple(profiles),
@@ -243,7 +296,7 @@ def _simulate(world, schedule, draws, policy):
         discounted_subjective=tuple(
             discounted_total(column, world.gamma) for column in zip(*subjective_rows)
         ),
-        correct=tuple(correct),
+        correct=correct,
         revealed_rounds=revealed_rounds,
         gamma_warning=gamma_warning,
     )
@@ -271,7 +324,11 @@ def run(world: WorldConfig, schedule: RewardSchedule,
 @dataclass(frozen=True)
 class DeviationGapResult:
     """Best single-deviator discounted subjective total relative to honest
-    play, over an exhaustively searched plan space."""
+    play, over the whole plan space of a truncated horizon.
+
+    ``plan_count`` is the size of that space, (2^k)^H; ``best_plan`` is the
+    first plan in ``itertools.product`` order that reaches ``best_total``.
+    """
 
     ratio: float
     honest_total: float
@@ -282,23 +339,33 @@ class DeviationGapResult:
 
 def deviation_gap(world: WorldConfig, schedule: RewardSchedule, expert_i: int,
                   horizon_H: int) -> DeviationGapResult:
-    """Exhaustively search expert_i's per-round vote plans over a truncated
+    """Search all of expert_i's per-round vote plans over a truncated
     horizon, everyone else honest, and return the ratio of the best
     deviation's discounted subjective total to the honest one.
 
-    All plans replay identical round draws.  Refuses plan spaces larger
-    than PLAN_GUARD.
+    The search is exact without replaying each plan.  Round draws do not
+    depend on play, so plan prefixes that reach the same game state
+    (weights, correct counts and revealed rounds, compared exactly) have
+    the same future.  Each round expands every live state by the
+    deviator's 2^k vote vectors, visiting prefixes in product order, and a
+    state keeps a prefix only if its total is strictly greater than every
+    earlier prefix kept there.  A dropped prefix p has an earlier kept p'
+    with total(p') >= total(p); float addition is monotone, so p' followed
+    by any suffix does at least as well as p followed by it and comes
+    earlier in product order.  The first maximal plan therefore survives.
+    Keeping only each state's best prefix would not do: rounding can absorb
+    the gap between two prefixes once the same suffix is added, and then
+    the earlier, smaller prefix leads to the first maximal plan.
+    Totals accumulate in ``discounted_total``'s order, so each one is
+    bit-identical to a replay of its plan.
+
+    Refuses (GuardRefusal) as soon as a round reaches more than STATE_GUARD
+    distinct states.
     """
     if not 0 <= expert_i < world.n:
         raise ContractViolation(f"expert index {expert_i} out of range")
     if horizon_H < 1:
         raise ContractViolation("horizon_H must be >= 1")
-    k = world.proposals_per_round
-    plan_count = (2 ** k) ** horizon_H
-    if plan_count > PLAN_GUARD:
-        raise GuardRefusal(
-            f"deviation search space has {plan_count} plans; capped at {PLAN_GUARD}"
-        )
     if world.gamma > max_discount(schedule.epsilon, world.zeta):
         raise ContractViolation(
             f"gamma = {world.gamma} exceeds max_discount = "
@@ -310,19 +377,42 @@ def deviation_gap(world: WorldConfig, schedule: RewardSchedule, expert_i: int,
         short_world, schedule, draws, HonestPolicy()
     ).discounted_subjective[expert_i]
 
-    vectors = tuple(itertools.product((0, 1), repeat=k))
-    best_total = -np.inf
-    best_plan = None
-    for plan in itertools.product(vectors, repeat=horizon_H):
-        policy = SingleDeviatorPolicy(expert=expert_i, plan=plan)
-        total = _simulate(short_world, schedule, draws, policy).discounted_subjective[expert_i]
+    vectors = tuple(itertools.product((0, 1), repeat=world.proposals_per_round))
+    # (state, plan prefix, discounted total) in product order of prefixes.
+    frontier = [(_initial_state(world.n), (), 0.0)]
+    factor = 1.0
+    for t, draw in enumerate(draws):
+        moves = {}
+        best = {}
+        kept = []
+        for state, prefix, total in frontier:
+            if state not in moves:
+                steps = [_play_round(schedule, world.zeta, draw, state, (expert_i, v))
+                         for v in vectors]
+                moves[state] = [(step.state, step.subjective[expert_i]) for step in steps]
+            for v, (child, value) in zip(vectors, moves[state]):
+                child_total = total + factor * value
+                if child not in best:
+                    if len(best) == STATE_GUARD:
+                        raise GuardRefusal(
+                            f"deviation search passed {STATE_GUARD} live states "
+                            f"in round {t + 1} of {horizon_H}"
+                        )
+                elif child_total <= best[child]:
+                    continue
+                best[child] = child_total
+                kept.append((child, prefix + (v,), child_total))
+        frontier = kept
+        factor *= world.gamma
+
+    best_total, best_plan = -np.inf, None
+    for _, plan, total in frontier:
         if total > best_total:
-            best_total = total
-            best_plan = plan
+            best_total, best_plan = total, plan
     ratio = best_total / honest_total if honest_total > 0.0 else float("inf")
     return DeviationGapResult(
         ratio=ratio, honest_total=honest_total, best_total=best_total,
-        best_plan=best_plan, plan_count=plan_count,
+        best_plan=best_plan, plan_count=(2 ** world.proposals_per_round) ** horizon_H,
     )
 
 

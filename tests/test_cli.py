@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from avgov import cli, params
+from avgov import cli, params, repeated
 
 PROP4_SCENARIO = {
     "experts": [
@@ -487,7 +487,8 @@ def test_csv_byte_determinism(scenario_file, tmp_path, capsys):
     assert first.read_bytes() == second.read_bytes()
 
 
-def test_deviation_gap_guard_exits_3(capsys, scenario_file):
+def test_deviation_gap_guard_exits_3(capsys, scenario_file, monkeypatch):
+    monkeypatch.setattr(repeated, "STATE_GUARD", 64)
     data = dict(PROP4_SCENARIO)
     data["world"] = {"expertise": [0.9, 0.6], "good_prior": 0.5, "k": 2,
                      "zeta": 0.05, "gamma": 0.0, "horizon": 12, "seed": 0}

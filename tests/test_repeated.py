@@ -1,12 +1,17 @@
-"""Delayed weight updates, round sampling, full runs and the exhaustive
-single-deviator search."""
+"""Delayed weight updates, round sampling, full runs and the exact
+single-deviator search, checked against a replay of every plan."""
+
+import dataclasses
+import itertools
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from avgov import (
     ContractViolation,
+    DeviationGapResult,
     GuardRefusal,
     HonestPolicy,
     SingleDeviatorPolicy,
@@ -21,6 +26,7 @@ from avgov import (
     run_repeated,
     sample_round,
 )
+from avgov import repeated
 
 SCHED = derive_schedule(0.9, 19.0, 1.0)
 
@@ -105,6 +111,15 @@ def test_sample_round_prior_extremes():
     all_bad = world(good_prior=0.0)
     q, _, _ = sample_round(all_bad, rng)
     assert q == (0, 0)
+
+
+@pytest.mark.parametrize("n, k, horizon", [(5, 3, 1000), (3, 2, 500), (1, 1, 50)])
+def test_presample_equals_successive_sample_rounds(n, k, horizon):
+    expertise = tuple(np.linspace(0.5, 1.0, n))
+    w = world(expertise=expertise, proposals_per_round=k, horizon=horizon, seed=31)
+    rng = np.random.default_rng(w.seed)
+    expected = tuple(sample_round(w, rng) for _ in range(horizon))
+    assert repeated._presample(w) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +253,96 @@ def test_deviation_gap_gamma_zero_single_shot_bound():
             assert result.ratio <= (1.0 + SCHED.epsilon) * (1.0 + SCHED.delta) + 1e-9
 
 
-def test_deviation_gap_guard():
+def brute_force_gap(w, schedule, expert, horizon):
+    """Replay every plan in itertools.product order and keep the first one
+    with the largest discounted subjective total: the independent route
+    that deviation_gap's state search must agree with."""
+    short = dataclasses.replace(w, horizon=horizon)
+    honest = run_repeated(short, schedule).discounted_subjective[expert]
+    vectors = tuple(itertools.product((0, 1), repeat=w.proposals_per_round))
+    best_total, best_plan = -np.inf, None
+    for plan in itertools.product(vectors, repeat=horizon):
+        policy = SingleDeviatorPolicy(expert=expert, plan=plan)
+        total = run_repeated(short, schedule, policy).discounted_subjective[expert]
+        if total > best_total:
+            best_total, best_plan = total, plan
+    return DeviationGapResult(
+        ratio=best_total / honest if honest > 0.0 else float("inf"),
+        honest_total=honest, best_total=best_total, best_plan=best_plan,
+        plan_count=len(vectors) ** horizon,
+    )
+
+
+@st.composite
+def small_searches(draw):
+    # Expertise and priors partly at 0.5 and 1.0, and gamma at 0 and at the
+    # cap, make many plans reach equal states and equal totals.
+    T, eps = draw(st.sampled_from(((0.75, 4.0), (0.9, 19.0), (0.95, 39.0))))
+    schedule = derive_schedule(T, eps, 1.0)
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 2))
+    horizon = draw(st.integers(1, 6))
+    level = st.sampled_from((0.5, 1.0)) | st.floats(0.0, 1.0)
+    zeta = draw(st.floats(0.01, 0.3))
+    cap = max_discount(schedule.epsilon, zeta)
+    gamma = draw(st.sampled_from((0.0, None, cap)))
+    if gamma is None:
+        gamma = draw(st.floats(0.01, 0.99)) * cap
+    w = WorldConfig(
+        expertise=tuple(draw(level) for _ in range(n)),
+        good_prior=draw(level), proposals_per_round=k, zeta=zeta,
+        gamma=gamma, horizon=horizon, seed=draw(st.integers(0, 1 << 16)),
+    )
+    return w, schedule, draw(st.integers(0, n - 1)), horizon
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(small_searches())
+def test_deviation_gap_equals_replay_of_every_plan(search):
+    w, schedule, expert, horizon = search
+    assert deviation_gap(w, schedule, expert, horizon) == \
+        brute_force_gap(w, schedule, expert, horizon)
+
+
+def test_deviation_gap_equals_replay_at_benchmark_shape():
+    gamma = 0.9 * max_discount(SCHED.epsilon, 0.05)
+    w = world(expertise=(0.9, 0.8, 0.7), gamma=gamma, horizon=6, seed=4)
+    assert deviation_gap(w, SCHED, 2, 6) == brute_force_gap(w, SCHED, 2, 6)
+
+
+@pytest.mark.parametrize("horizon, gamma", [(10, 0.5), (12, 0.0)])
+def test_deviation_gap_answers_beyond_old_plan_cap(horizon, gamma):
+    # 4^10 and 4^12 plans: far too many to replay, few distinct states.
+    w = world(gamma=gamma, horizon=horizon)
+    result = deviation_gap(w, SCHED, 0, horizon)
+    assert result.plan_count == 4 ** horizon
+    assert len(result.best_plan) == horizon
+    replay = run_repeated(w, SCHED, SingleDeviatorPolicy(expert=0, plan=result.best_plan))
+    assert replay.discounted_subjective[0] == result.best_total
+    assert result.best_total >= result.honest_total
+
+
+def test_deviation_gap_keeps_earlier_prefix_when_rounding_absorbs_the_gap(monkeypatch):
+    # Both first-round votes reach one state, vote 1 by one ulp more.  The
+    # second round adds 1.0, which absorbs that ulp, so plans 0,0 and 1,0
+    # both total 2.0 and the first in product order must be reported.
+    def fake_round(schedule, zeta, draw, state, deviation=None):
+        t = state[2]
+        vote = deviation[1][0] if deviation else 0
+        value = ((1.0, math.nextafter(1.0, 2.0)), (2.0, 0.0))[t][vote]
+        return repeated._Round(None, 0, None, (0.0,), (value,), ((0.5,), (0,), t + 1))
+
+    monkeypatch.setattr(repeated, "_play_round", fake_round)
+    w = world(expertise=(0.9,), proposals_per_round=1, gamma=0.5, horizon=2)
+    result = deviation_gap(w, SCHED, 0, 2)
+    assert result.best_total == 2.0
+    assert result.best_plan == ((0,), (0,))
+
+
+def test_deviation_gap_guard(monkeypatch):
+    monkeypatch.setattr(repeated, "STATE_GUARD", 64)
     w = world(proposals_per_round=2, horizon=10)
-    with pytest.raises(GuardRefusal):
+    with pytest.raises(GuardRefusal, match="64 live states"):
         deviation_gap(w, SCHED, 0, 10)
 
 
