@@ -13,7 +13,7 @@ one round's rules; full runs and the single-deviator search both call it.
 The search (``deviation_gap``) walks states forward instead of replaying
 every plan: plan prefixes that reach the same state share their future, so
 each state keeps only the prefixes that could still end a first maximal
-plan, and live states per round are capped by STATE_GUARD.
+plan, and the states it expands over all rounds are capped by STATE_GUARD.
 
 A single run is sequential by nature; independent runs (different seeds or
 deviation plans) are pure functions of their arguments and can execute
@@ -42,9 +42,9 @@ from .params import max_discount
 
 INITIAL_WEIGHT = 0.5
 
-# The deviation search is refused as soon as one round reaches more than
-# this many distinct game states.
-STATE_GUARD = 1 << 15
+# The deviation search is refused as soon as it would expand more than this
+# many game states, counted over all rounds; each costs 2^k round plays.
+STATE_GUARD = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -168,18 +168,7 @@ def sample_round(world: WorldConfig, rng: np.random.Generator) -> tuple:
     probability ``expertise[i]`` and is inverted otherwise.
     """
     n, k = world.n, world.proposals_per_round
-    qualities = tuple(int(x) for x in (rng.random(k) < world.good_prior))
-    hit = rng.random((n, k))
-    beliefs = tuple(
-        tuple(
-            float(qualities[j]) if hit[i, j] < world.expertise[i]
-            else float(1 - qualities[j])
-            for j in range(k)
-        )
-        for i in range(n)
-    )
-    external = tuple((0.0,) * k for _ in range(n))
-    return qualities, beliefs, external
+    return _rounds_from_uniforms(world, rng.random((1, k + n * k)))[0]
 
 
 def discounted_total(values, gamma: float) -> float:
@@ -192,23 +181,34 @@ def discounted_total(values, gamma: float) -> float:
     return total
 
 
-def _presample(world):
-    """All rounds' draws from one ``rng.random((H, k + n*k))`` call.
+def _rounds_from_uniforms(world, u):
+    """Threshold an (m, k + n*k) array of uniforms into m round draws.
 
-    Row t holds the same doubles, in the same order, as round t's
-    ``rng.random(k)`` and ``rng.random((n, k))`` in ``sample_round``, so
-    the draws equal ``horizon`` successive ``sample_round`` calls.
+    Row t's first k entries decide the qualities and the rest, read as an
+    (n, k) block, decide whether each expert's signal keeps or inverts the
+    truth; this is the sampling rule ``sample_round`` documents.
     """
-    n, k, horizon = world.n, world.proposals_per_round, world.horizon
-    u = np.random.default_rng(world.seed).random((horizon, k + n * k))
+    n, k = world.n, world.proposals_per_round
     good = u[:, :k] < world.good_prior
-    hit = u[:, k:].reshape(horizon, n, k) < np.array(world.expertise)[:, None]
+    hit = u[:, k:].reshape(-1, n, k) < np.array(world.expertise)[:, None]
     beliefs = np.where(hit, good[:, None, :], ~good[:, None, :]).astype(float)
     external = tuple((0.0,) * k for _ in range(n))
     return tuple(
         (tuple(q), tuple(map(tuple, b)), external)
         for q, b in zip(good.astype(int).tolist(), beliefs.tolist())
     )
+
+
+def _presample(world):
+    """All rounds' draws from one ``rng.random((H, k + n*k))`` call.
+
+    The generator yields the same doubles whether they are asked for one
+    round at a time or all at once, so the draws equal ``horizon``
+    successive ``sample_round`` calls on a generator seeded alike.
+    """
+    n, k = world.n, world.proposals_per_round
+    u = np.random.default_rng(world.seed).random((world.horizon, k + n * k))
+    return _rounds_from_uniforms(world, u)
 
 
 class _Round(NamedTuple):
@@ -359,8 +359,10 @@ def deviation_gap(world: WorldConfig, schedule: RewardSchedule, expert_i: int,
     Totals accumulate in ``discounted_total``'s order, so each one is
     bit-identical to a replay of its plan.
 
-    Refuses (GuardRefusal) as soon as a round reaches more than STATE_GUARD
-    distinct states.
+    Refuses (GuardRefusal) as soon as it would expand more than STATE_GUARD
+    states, counted over all rounds, so the work done before an answer or a
+    refusal is bounded.  Whether a horizon passes the cap is known only by
+    searching, so a refusal comes after that work.
     """
     if not 0 <= expert_i < world.n:
         raise ContractViolation(f"expert index {expert_i} out of range")
@@ -381,24 +383,25 @@ def deviation_gap(world: WorldConfig, schedule: RewardSchedule, expert_i: int,
     # (state, plan prefix, discounted total) in product order of prefixes.
     frontier = [(_initial_state(world.n), (), 0.0)]
     factor = 1.0
+    expanded = 0
     for t, draw in enumerate(draws):
         moves = {}
         best = {}
         kept = []
         for state, prefix, total in frontier:
             if state not in moves:
+                expanded += 1
+                if expanded > STATE_GUARD:
+                    raise GuardRefusal(
+                        f"deviation search passed {STATE_GUARD} game states "
+                        f"in round {t + 1} of {horizon_H}"
+                    )
                 steps = [_play_round(schedule, world.zeta, draw, state, (expert_i, v))
                          for v in vectors]
                 moves[state] = [(step.state, step.subjective[expert_i]) for step in steps]
             for v, (child, value) in zip(vectors, moves[state]):
                 child_total = total + factor * value
-                if child not in best:
-                    if len(best) == STATE_GUARD:
-                        raise GuardRefusal(
-                            f"deviation search passed {STATE_GUARD} live states "
-                            f"in round {t + 1} of {horizon_H}"
-                        )
-                elif child_total <= best[child]:
+                if child in best and child_total <= best[child]:
                     continue
                 best[child] = child_total
                 kept.append((child, prefix + (v,), child_total))

@@ -113,12 +113,31 @@ def test_sample_round_prior_extremes():
     assert q == (0, 0)
 
 
+def scalar_round(w, rng):
+    """The per-round sampling rule drawn and thresholded one value at a
+    time: k quality uniforms, then an (n, k) block of signal uniforms."""
+    n, k = w.n, w.proposals_per_round
+    qualities = tuple(int(x < w.good_prior) for x in rng.random(k))
+    hit = rng.random((n, k))
+    beliefs = tuple(
+        tuple(
+            float(qualities[j]) if hit[i, j] < w.expertise[i]
+            else float(1 - qualities[j])
+            for j in range(k)
+        )
+        for i in range(n)
+    )
+    return qualities, beliefs, tuple((0.0,) * k for _ in range(n))
+
+
 @pytest.mark.parametrize("n, k, horizon", [(5, 3, 1000), (3, 2, 500), (1, 1, 50)])
 def test_presample_equals_successive_sample_rounds(n, k, horizon):
     expertise = tuple(np.linspace(0.5, 1.0, n))
     w = world(expertise=expertise, proposals_per_round=k, horizon=horizon, seed=31)
+    scalar_rng = np.random.default_rng(w.seed)
+    expected = tuple(scalar_round(w, scalar_rng) for _ in range(horizon))
     rng = np.random.default_rng(w.seed)
-    expected = tuple(sample_round(w, rng) for _ in range(horizon))
+    assert tuple(sample_round(w, rng) for _ in range(horizon)) == expected
     assert repeated._presample(w) == expected
 
 
@@ -342,7 +361,25 @@ def test_deviation_gap_keeps_earlier_prefix_when_rounding_absorbs_the_gap(monkey
 def test_deviation_gap_guard(monkeypatch):
     monkeypatch.setattr(repeated, "STATE_GUARD", 64)
     w = world(proposals_per_round=2, horizon=10)
-    with pytest.raises(GuardRefusal, match="64 live states"):
+    with pytest.raises(GuardRefusal, match="64 game states"):
+        deviation_gap(w, SCHED, 0, 10)
+
+
+def test_deviation_gap_guard_counts_states_over_all_rounds(monkeypatch):
+    # Each expanded state plays its round once per vote vector; the honest
+    # run plays the other H rounds.
+    calls = []
+    play_round = repeated._play_round
+    monkeypatch.setattr(repeated, "_play_round",
+                        lambda *args: calls.append(1) or play_round(*args))
+    w = world(proposals_per_round=2, horizon=10)
+    answer = deviation_gap(w, SCHED, 0, 10)
+    expanded = (len(calls) - 10) // 4
+    monkeypatch.setattr(repeated, "_play_round", play_round)
+    monkeypatch.setattr(repeated, "STATE_GUARD", expanded)
+    assert deviation_gap(w, SCHED, 0, 10) == answer
+    monkeypatch.setattr(repeated, "STATE_GUARD", expanded - 1)
+    with pytest.raises(GuardRefusal, match="in round 10 of 10"):
         deviation_gap(w, SCHED, 0, 10)
 
 
