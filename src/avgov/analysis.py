@@ -35,7 +35,6 @@ profile.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -49,6 +48,9 @@ from .core import (
     _check_dims,
     _expected_branches,
     _normalized_external,
+    _ratio,
+    _vote_vectors,
+    honest_profile,
     opt_quality,
     qual,
     utility,
@@ -62,6 +64,11 @@ ENUMERATION_GUARD_BITS = 24
 MODES = ("strategic", "semi")
 
 
+def _check_mode(mode):
+    if mode not in MODES:
+        raise ContractViolation(f"mode must be one of {MODES}, got {mode!r}")
+
+
 @dataclass(frozen=True)
 class EquilibriumQuery:
     """What to enumerate: expert model and multiplicative slack.  The
@@ -71,8 +78,7 @@ class EquilibriumQuery:
     epsilon: float = 0.0
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ContractViolation(f"mode must be one of {MODES}, got {self.mode!r}")
+        _check_mode(self.mode)
         if not 0.0 <= self.epsilon < math.inf:
             raise ContractViolation(f"epsilon = {self.epsilon} must be finite and >= 0")
 
@@ -127,16 +133,6 @@ class SafetyCertificate:
     eligible: bool
 
 
-def _vote_vectors(k):
-    return tuple(itertools.product((0, 1), repeat=k))
-
-
-def _honest_row(instance, schedule, expert_i):
-    return tuple(
-        1 if p >= schedule.T else 0 for p in instance.beliefs[expert_i]
-    )
-
-
 def _responses(instance, schedule, profile, expert_i):
     """Expert i's utility table: ``core.utility`` of the profile with her
     row replaced by each of her 2^k vote vectors, keyed in ascending
@@ -173,9 +169,9 @@ def _optima(values, honest, mode):
 def is_admissible(instance: Instance, schedule: RewardSchedule,
                   profile: VotingProfile) -> tuple:
     """Per-expert semi-strategic admissibility flags for a profile."""
+    honest = honest_profile(instance, schedule.T).votes
     return tuple(
-        _admissible(_responses(instance, schedule, profile, i), profile.votes[i],
-                    _honest_row(instance, schedule, i))
+        _admissible(_responses(instance, schedule, profile, i), profile.votes[i], honest[i])
         for i in range(instance.n)
     )
 
@@ -191,10 +187,9 @@ def best_response(instance: Instance, schedule: RewardSchedule,
     returned in ascending binary order with coordinate 1 as the most
     significant bit.
     """
-    if mode not in MODES:
-        raise ContractViolation(f"mode must be one of {MODES}, got {mode!r}")
+    _check_mode(mode)
     values = _responses(instance, schedule, profile, expert_i)
-    return _optima(values, _honest_row(instance, schedule, expert_i), mode)
+    return _optima(values, honest_profile(instance, schedule.T).votes[expert_i], mode)
 
 
 def is_approx_pne(instance: Instance, schedule: RewardSchedule,
@@ -203,15 +198,14 @@ def is_approx_pne(instance: Instance, schedule: RewardSchedule,
     (1 + epsilon) times her current utility; in semi mode every expert
     must additionally be admissible."""
     factor = 1.0 + query.epsilon
+    honest = honest_profile(instance, schedule.T).votes
     for i in range(instance.n):
         values = _responses(instance, schedule, profile, i)
         current = profile.votes[i]
         bound = factor * values[current] + TOL
         if any(u > bound for vec, u in values.items() if vec != current):
             return False
-        if query.mode == "semi" and not _admissible(
-            values, current, _honest_row(instance, schedule, i)
-        ):
+        if query.mode == "semi" and not _admissible(values, current, honest[i]):
             return False
     return True
 
@@ -358,8 +352,7 @@ def enumerate_equilibria(instance: Instance, schedule: RewardSchedule,
     poa = pos = None
     if found:
         qualities = [e.winner_quality for e in found]
-        poa = opt[1] / min(qualities) if min(qualities) > 0.0 else math.inf
-        pos = opt[1] / max(qualities) if max(qualities) > 0.0 else math.inf
+        poa, pos = _ratio(opt[1], min(qualities)), _ratio(opt[1], max(qualities))
     return EquilibriumReport(
         equilibria=tuple(found), opt=opt, poa=poa, pos=pos, query=query
     )
@@ -409,11 +402,10 @@ def best_response_dynamics(instance: Instance, schedule: RewardSchedule,
     lowest-binary-value optimum.  Terminates at a fixed point, on state
     recurrence (cycle, with its length), or at the step limit.
     """
-    if mode not in MODES:
-        raise ContractViolation(f"mode must be one of {MODES}, got {mode!r}")
+    _check_mode(mode)
     if max_steps < 1:
         raise ContractViolation("max_steps must be >= 1")
-    honest = [_honest_row(instance, schedule, i) for i in range(instance.n)]
+    honest = honest_profile(instance, schedule.T).votes
     profile = start_profile
     seen = {profile.votes: 0}
     path = []

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -47,9 +48,8 @@ def _canonical(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def emit(payload, stream=None):
-    print(json.dumps(_canonical(payload), sort_keys=True, indent=2),
-          file=stream or sys.stdout)
+def emit(payload):
+    print(json.dumps(_canonical(payload), sort_keys=True, indent=2))
 
 
 def _cell(value):
@@ -80,7 +80,7 @@ def _flatten(payload, prefix=""):
         elif isinstance(value, (list, tuple)):
             rows.append((name, json.dumps(_canonical(value))))
         else:
-            rows.append((name, _cell(value) if not isinstance(value, str) else value))
+            rows.append((name, _cell(value)))
     return rows
 
 
@@ -111,7 +111,6 @@ class Scenario:
     schedule: core.RewardSchedule
     query: analysis.EquilibriumQuery
     world: repeated.WorldConfig | None
-    diagnostics: params.ScheduleDiagnostics
     schedule_form: str  # "explicit" | "derived"
 
 
@@ -243,7 +242,7 @@ def scenario_from_dict(data) -> Scenario:
             raise ScenarioError(f"world: {exc}") from exc
     return Scenario(
         instance=instance, schedule=schedule, query=query, world=world,
-        diagnostics=params.validate_schedule(schedule), schedule_form=form,
+        schedule_form=form,
     )
 
 
@@ -258,36 +257,6 @@ def load_scenario(path) -> Scenario:
     return scenario_from_dict(data)
 
 
-def scenario_to_dict(scenario: Scenario) -> dict:
-    sched = scenario.schedule
-    if scenario.schedule_form == "derived":
-        schedule = {"T": sched.T, "epsilon": sched.epsilon, "a_prime": sched.a_prime}
-    else:
-        schedule = {"a": sched.a, "a_prime": sched.a_prime, "s": sched.s, "T": sched.T}
-    if sched.delta > 0.0:
-        schedule["delta"] = sched.delta
-    data = {
-        "experts": [
-            {
-                "weight": scenario.instance.weights[i],
-                "beliefs": list(scenario.instance.beliefs[i]),
-                "external": list(scenario.instance.external[i]),
-            }
-            for i in range(scenario.instance.n)
-        ],
-        "schedule": schedule,
-        "query": {"mode": scenario.query.mode, "epsilon": scenario.query.epsilon},
-    }
-    if scenario.world is not None:
-        w = scenario.world
-        data["world"] = {
-            "expertise": list(w.expertise), "good_prior": w.good_prior,
-            "k": w.proposals_per_round, "zeta": w.zeta, "gamma": w.gamma,
-            "horizon": w.horizon, "seed": w.seed,
-        }
-    return data
-
-
 # ---------------------------------------------------------------------------
 # Built-in instances
 # ---------------------------------------------------------------------------
@@ -296,16 +265,11 @@ BUILTIN_T = 0.9
 BUILTIN_EPSILON = 19.0
 
 
-def _builtin_schedule():
-    return params.derive_schedule(BUILTIN_T, BUILTIN_EPSILON, 1.0)
-
-
-def _scenario(instance, world=None, mode="semi", epsilon=0.0):
-    schedule = _builtin_schedule()
+def _scenario(instance, mode="semi"):
     return Scenario(
-        instance=instance, schedule=schedule,
-        query=analysis.EquilibriumQuery(mode=mode, epsilon=epsilon),
-        world=world, diagnostics=params.validate_schedule(schedule),
+        instance=instance,
+        schedule=params.derive_schedule(BUILTIN_T, BUILTIN_EPSILON, 1.0),
+        query=analysis.EquilibriumQuery(mode=mode), world=None,
         schedule_form="derived",
     )
 
@@ -320,7 +284,7 @@ def prop4_scenario() -> Scenario:
     return _scenario(instance)
 
 
-def thm6_scenario(weight_slack: float = 0.1) -> Scenario:
+def thm6_scenario(weight_slack: float) -> Scenario:
     """Two experts whose weights differ by a small slack; the unique-ish
     semi-strategic equilibrium elects the lower-quality proposal, pushing
     the anarchy ratio toward 2 as the slack shrinks."""
@@ -333,7 +297,7 @@ def thm6_scenario(weight_slack: float = 0.1) -> Scenario:
     return _scenario(instance)
 
 
-def prop3_scenario(n: int = 4) -> Scenario:
+def prop3_scenario(n: int) -> Scenario:
     """n+1 experts, two proposals: the constructive equilibrium elects a
     proposal whose quality is a 1/n fraction of the optimum."""
     if n < 1:
@@ -351,21 +315,23 @@ def prop3_scenario(n: int = 4) -> Scenario:
 
 
 def _need_scenario(args):
-    if getattr(args, "scenario", None) is None:
+    if args.scenario is None:
         raise ScenarioError(f"{args.command} requires --scenario FILE")
     return load_scenario(args.scenario)
 
 
 def _query_override(scenario, args):
-    mode = getattr(args, "mode", None) or scenario.query.mode
-    epsilon = getattr(args, "epsilon", None)
-    if epsilon is None:
-        epsilon = scenario.query.epsilon
-    return analysis.EquilibriumQuery(mode=mode, epsilon=epsilon)
+    epsilon = scenario.query.epsilon if args.epsilon is None else args.epsilon
+    return analysis.EquilibriumQuery(mode=args.mode or scenario.query.mode, epsilon=epsilon)
 
 
 def cmd_derive_params(args):
-    if args.T is None or args.epsilon is None or args.a_prime is None:
+    flags = {"--T": args.T, "--epsilon": args.epsilon, "--a-prime": args.a_prime}
+    missing = [flag for flag, value in flags.items() if value is None]
+    if 0 < len(missing) < len(flags):
+        raise ScenarioError("derive-params takes all of --T, --epsilon and --a-prime "
+                            f"or none; missing {', '.join(missing)}")
+    if missing:
         scenario = _need_scenario(args)
         if scenario.schedule_form != "derived":
             raise ScenarioError(
@@ -386,7 +352,7 @@ def cmd_validate(args):
     scenario = _need_scenario(args)
     payload = {
         "schedule": dataclasses.asdict(scenario.schedule),
-        "diagnostics": dataclasses.asdict(scenario.diagnostics),
+        "diagnostics": dataclasses.asdict(params.validate_schedule(scenario.schedule)),
         "schedule_form": scenario.schedule_form,
     }
     return payload, None, None
@@ -397,13 +363,7 @@ def _resolve_profile(scenario, text):
         return core.honest_profile(scenario.instance, scenario.schedule.T)
     if text == "zeros":
         return core.VotingProfile.zeros(scenario.instance.n, scenario.instance.k)
-    profile = parse_profile(text)
-    if profile.n != scenario.instance.n or profile.k != scenario.instance.k:
-        raise ScenarioError(
-            f"profile is {profile.n}x{profile.k}, instance is "
-            f"{scenario.instance.n}x{scenario.instance.k}"
-        )
-    return profile
+    return parse_profile(text)
 
 
 def cmd_winner(args):
@@ -600,10 +560,6 @@ def cmd_deviation_gap(args):
     result = repeated.deviation_gap(world, scenario.schedule, args.expert, horizon)
     sched = scenario.schedule
     tail = repeated.deviation_tail_bound(sched, world.zeta, world.gamma, horizon)
-    ratio_with_tail = (
-        (result.best_total + tail) / result.honest_total
-        if result.honest_total > 0.0 else float("inf")
-    )
     payload = {
         "expert": args.expert,
         "horizon": horizon,
@@ -614,7 +570,7 @@ def cmd_deviation_gap(args):
         "best_total": result.best_total,
         "ratio": result.ratio,
         "tail_bound": tail,
-        "ratio_with_tail": ratio_with_tail,
+        "ratio_with_tail": core._ratio(result.best_total + tail, result.honest_total),
         "deviation_bound": (1.0 + 3.0 * sched.epsilon) * (1.0 + sched.delta),
         "single_shot_bound": (1.0 + sched.epsilon) * (1.0 + sched.delta),
         "best_plan": [_bits(row) for row in result.best_plan],
@@ -622,8 +578,8 @@ def cmd_deviation_gap(args):
     return payload, None, None
 
 
-def _approx_equal(x, y, tol=1e-9):
-    return abs(x - y) <= tol
+def _approx_equal(x, y):
+    return abs(x - y) <= 1e-9
 
 
 def _ratio_to_opt(scenario, profile):
@@ -632,7 +588,7 @@ def _ratio_to_opt(scenario, profile):
     instance, T = scenario.instance, scenario.schedule.T
     quality = core.qual(instance, T, core.winner(instance, profile).winner)
     opt = core.opt_quality(instance, T)[1]
-    return quality, opt, opt / quality if quality > 0.0 else float("inf")
+    return quality, opt, core._ratio(opt, quality)
 
 
 # Built-in reproductions.  Each returns (payload, claims); cmd_reproduce
@@ -747,6 +703,7 @@ HANDLERS = {
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="avgov",
@@ -754,9 +711,10 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.add_argument("--scenario", help="scenario JSON file")
+    def add(name, help, scenario=True):
+        p = sub.add_parser(name, help=help)
+        if scenario:
+            p.add_argument("--scenario", help="scenario JSON file")
         p.add_argument("--out", help="write CSV/flattened output here")
         return p
 
@@ -803,7 +761,8 @@ def build_parser():
     p.add_argument("--horizon", type=int)
     p.add_argument("--seed", type=int, help="override world seed")
 
-    p = add("reproduce", help="reproduce a built-in instance and check its claims")
+    p = add("reproduce", help="reproduce a built-in instance and check its claims",
+            scenario=False)
     p.add_argument("name", choices=BUILTINS)
     p.add_argument("--mode", choices=analysis.MODES)
     p.add_argument("--epsilon", type=float)

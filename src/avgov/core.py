@@ -19,6 +19,7 @@ concurrent callers.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -191,6 +192,17 @@ class Outcome:
 
     winner: int
     approval_mass: tuple
+
+
+def _vote_vectors(k):
+    """All 2^k vote vectors in ascending binary order, coordinate 1 the most
+    significant bit: the order of utility tables and of deviation plans."""
+    return tuple(itertools.product((0, 1), repeat=k))
+
+
+def _ratio(x, y):
+    """x / y, infinite when y <= 0."""
+    return x / y if y > 0.0 else math.inf
 
 
 def _check_dims(instance, profile):

@@ -23,7 +23,6 @@ concurrently.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -33,6 +32,8 @@ from .core import (
     Instance,
     RewardSchedule,
     _expected_branches,
+    _ratio,
+    _vote_vectors,
     honest_profile,
     reward,
     winner,
@@ -379,7 +380,7 @@ def deviation_gap(world: WorldConfig, schedule: RewardSchedule, expert_i: int,
         short_world, schedule, draws, HonestPolicy()
     ).discounted_subjective[expert_i]
 
-    vectors = tuple(itertools.product((0, 1), repeat=world.proposals_per_round))
+    vectors = _vote_vectors(world.proposals_per_round)
     # (state, plan prefix, discounted total) in product order of prefixes.
     frontier = [(_initial_state(world.n), (), 0.0)]
     factor = 1.0
@@ -412,10 +413,10 @@ def deviation_gap(world: WorldConfig, schedule: RewardSchedule, expert_i: int,
     for _, plan, total in frontier:
         if total > best_total:
             best_total, best_plan = total, plan
-    ratio = best_total / honest_total if honest_total > 0.0 else float("inf")
     return DeviationGapResult(
-        ratio=ratio, honest_total=honest_total, best_total=best_total,
-        best_plan=best_plan, plan_count=(2 ** world.proposals_per_round) ** horizon_H,
+        ratio=_ratio(best_total, honest_total), honest_total=honest_total,
+        best_total=best_total, best_plan=best_plan,
+        plan_count=(2 ** world.proposals_per_round) ** horizon_H,
     )
 
 

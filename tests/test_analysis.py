@@ -122,10 +122,15 @@ def test_per_profile_route_rejects_a_profile_of_the_wrong_shape(call):
         call(instance, derive_schedule(0.9, 19.0, 1.0), VotingProfile(((0, 1),)))
 
 
-def test_best_response_rejects_unknown_mode(prop4):
+@pytest.mark.parametrize("call", [
+    lambda i, s, p: best_response(i, s, p, 0, "greedy"),
+    lambda i, s, p: best_response_dynamics(i, s, p, "greedy", 8),
+    lambda i, s, p: EquilibriumQuery(mode="greedy"),
+], ids=["best_response", "dynamics", "query"])
+def test_unknown_mode_is_rejected(prop4, call):
     instance, schedule = prop4
-    with pytest.raises(ContractViolation):
-        best_response(instance, schedule, honest_profile(instance, 0.9), 0, "greedy")
+    with pytest.raises(ContractViolation, match="mode must be one of"):
+        call(instance, schedule, honest_profile(instance, 0.9))
 
 
 # ---------------------------------------------------------------------------

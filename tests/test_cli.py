@@ -3,6 +3,8 @@
 import argparse
 import csv
 import json
+import math
+import re
 
 import pytest
 
@@ -39,7 +41,7 @@ def test_load_derivable_schedule(scenario_file):
     assert sc.schedule.a == pytest.approx(2.0)
     assert sc.schedule.s == pytest.approx(17.0)
     assert sc.schedule_form == "derived"
-    assert sc.diagnostics.all_ok
+    assert params.validate_schedule(sc.schedule).all_ok
 
 
 def test_load_explicit_schedule(scenario_file):
@@ -78,15 +80,6 @@ def test_load_rejects_parse_error(tmp_path):
     path.write_text("{not json")
     with pytest.raises(cli.ScenarioError, match="parse error"):
         cli.load_scenario(str(path))
-
-
-def test_scenario_round_trip(scenario_file):
-    data = dict(PROP4_SCENARIO)
-    data["world"] = {"expertise": [0.9, 0.6, 0.7], "good_prior": 0.5, "k": 2,
-                     "zeta": 0.05, "gamma": 0.5, "horizon": 10, "seed": 4}
-    first = cli.load_scenario(scenario_file(data))
-    second = cli.scenario_from_dict(cli.scenario_to_dict(first))
-    assert first == second
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +346,75 @@ def test_derive_params_rejects_bad_epsilon(capsys):
     assert "1/(epsilon+1)" in err
 
 
+@pytest.mark.parametrize("flags, missing", [
+    (["--T", "0.8"], "--epsilon, --a-prime"),
+    (["--epsilon", "19", "--a-prime", "1"], "--T"),
+], ids=["T-only", "no-T"])
+@pytest.mark.parametrize("with_scenario", [False, True], ids=["bare", "scenario"])
+def test_derive_params_refuses_some_flags(capsys, scenario_file, flags, missing,
+                                          with_scenario):
+    if with_scenario:
+        flags = flags + ["--scenario", scenario_file(PROP4_SCENARIO)]
+    code, out, err = run_cli(capsys, "derive-params", *flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and f"missing {missing}" in err
+
+
+def test_reproduce_refuses_scenario(capsys, scenario_file):
+    code, out, _ = run_cli(capsys, "reproduce", "prop3", "--scenario",
+                           scenario_file(PROP4_SCENARIO))
+    assert code == 64
+    assert out == ""
+
+
+EXPLICIT_SCHEDULE = {"a": 2.0, "a_prime": 1.0, "s": 17.0, "T": 0.9}
+
+
+@pytest.mark.parametrize("data, argv, match", [
+    pytest.param([PROP4_SCENARIO], ["validate"], "scenario must be a JSON object",
+                 id="not-object"),
+    pytest.param(dict(PROP4_SCENARIO, experts=[{"beliefs": [0.5, 0.5]}]), ["validate"],
+                 "experts: missing or malformed", id="experts"),
+    pytest.param({"experts": PROP4_SCENARIO["experts"]}, ["validate"], "no schedule",
+                 id="no-schedule"),
+    pytest.param(dict(PROP4_SCENARIO, schedule={"T": 0.9}), ["validate"],
+                 "unrecognized key set", id="schedule-keys"),
+    pytest.param(dict(PROP4_SCENARIO, schedule={"T": 0.9, "epsilon": 0.05, "a_prime": 1}),
+                 ["validate"], r"schedule: condition 1/\(epsilon\+1\)", id="derivation"),
+    pytest.param(dict(PROP4_SCENARIO, schedule=dict(EXPLICIT_SCHEDULE, a=-2.0)),
+                 ["validate"], "schedule: a = -2.0", id="explicit-negative-a"),
+    pytest.param(dict(PROP4_SCENARIO, query={"epsilon": -1}), ["validate"],
+                 "query: epsilon = -1.0", id="query-epsilon"),
+    pytest.param(None, ["validate", "--scenario", "."], "cannot read", id="unreadable"),
+    pytest.param(None, ["qual"], "requires --scenario FILE", id="no-scenario"),
+    pytest.param(dict(PROP4_SCENARIO, schedule=EXPLICIT_SCHEDULE), ["derive-params"],
+                 "derivable schedule", id="derive-explicit"),
+    pytest.param(PROP4_SCENARIO, ["repeat"], "world section", id="repeat-no-world"),
+    pytest.param(None, ["reproduce", "thm6", "--eps-weight", "1.5"], "weight_slack",
+                 id="thm6-slack"),
+    pytest.param(None, ["reproduce", "prop3", "--n", "0"], "n = 0", id="prop3-n"),
+])
+def test_input_errors_exit_2(capsys, scenario_file, data, argv, match):
+    if data is not None:
+        argv = argv + ["--scenario", scenario_file(data)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert re.search(match, err)
+
+
+PROP3_SCENARIO = {
+    "experts": [{"weight": 0.26, "beliefs": [1.0, 0.0]}]
+    + [{"weight": 0.25, "beliefs": [0.0, 1.0]}] * 4,
+    "schedule": {"T": 0.9, "epsilon": 19, "a_prime": 1},
+    "query": {"mode": "strategic", "epsilon": 0},
+}
+
+
 def test_construct_pne_command(capsys, scenario_file):
-    path = scenario_file(cli.scenario_to_dict(cli.prop3_scenario(4)))
+    path = scenario_file(PROP3_SCENARIO)
     code, out, _ = run_cli(capsys, "construct-pne", "--scenario", path)
     payload = json.loads(out)
     assert payload["profile"] == "10|00|00|00|00"
@@ -385,6 +445,13 @@ def test_canonical_float_formatting():
     assert payload["x"] == 2.0
     assert payload["y"] == "inf"
     assert payload["z"][0] == 0.3
+
+
+@pytest.mark.parametrize("value, error", [(math.nan, ValueError), (object(), TypeError)],
+                         ids=["nan", "object"])
+def test_canonical_refuses_values_without_a_form(value, error):
+    with pytest.raises(error):
+        cli._canonical({"x": [value]})
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +505,6 @@ def test_delta_computed_from_instance(scenario_file):
     ]
     sc = cli.load_scenario(scenario_file(data))
     assert sc.schedule.delta == pytest.approx((0.2 / 0.5) / sc.schedule.a)
-    second = cli.scenario_from_dict(cli.scenario_to_dict(sc))
-    assert second == sc
 
 
 def test_delta_supplied_below_computed_rejected(scenario_file):

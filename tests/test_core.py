@@ -100,6 +100,37 @@ def test_profile_validation():
     assert profile.flip(1, 2).votes == ((0, 1), (1, 1))
 
 
+ONE_EXPERT = Instance(weights=(1.0,), beliefs=((0.5,),))
+
+
+@pytest.mark.parametrize("build, match", [
+    pytest.param(lambda: Instance(weights=(1.0, 1.0), beliefs=((0.5, 0.5), (0.5,))),
+                 "unequal lengths", id="ragged-beliefs"),
+    pytest.param(lambda: Instance(weights=(1.0,), beliefs=((0.5, 0.5),),
+                                  external=((0.0,),)),
+                 "must have 2 columns", id="external-columns"),
+    pytest.param(lambda: Instance(weights=(1.0,), beliefs=((),)),
+                 "at least one proposal", id="no-proposals"),
+    pytest.param(lambda: dataclasses.replace(SCHED, s=-1.0), "s = -1.0", id="negative-s"),
+    pytest.param(lambda: dataclasses.replace(SCHED, epsilon=-1.0), "epsilon = -1.0",
+                 id="negative-epsilon"),
+    pytest.param(lambda: dataclasses.replace(SCHED, delta=-1.0), "delta = -1.0",
+                 id="negative-delta"),
+    pytest.param(lambda: VotingProfile(()), "non-empty", id="empty-profile"),
+    pytest.param(lambda: expected_reward(2, 0.5, SCHED), "must be a bit",
+                 id="expected-reward-vote"),
+    pytest.param(lambda: expected_reward(1, 1.5, SCHED), r"outside \[0, 1\]",
+                 id="expected-reward-belief"),
+    pytest.param(lambda: honest_profile(ONE_EXPERT, 0.0), "strictly inside",
+                 id="honest-T-0"),
+    pytest.param(lambda: honest_profile(ONE_EXPERT, 1.0), "strictly inside",
+                 id="honest-T-1"),
+])
+def test_input_checks_raise(build, match):
+    with pytest.raises(ContractViolation, match=match):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # winner
 # ---------------------------------------------------------------------------

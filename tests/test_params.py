@@ -229,3 +229,23 @@ def test_max_discount_rejects_bad_inputs():
         max_discount(-1.0, 0.1)
     with pytest.raises(ContractViolation):
         max_discount(1.0, 1.0)
+
+
+def test_max_discount_is_zero_without_slack_or_step():
+    assert max_discount(0.0, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda: derive_schedule(1.5, 19.0, 1.0), DerivationError,
+                 r"outside \(0, 1\)", id="T-above-1"),
+    pytest.param(lambda: derive_schedule(0.9, -1.0, 1.0), DerivationError,
+                 "epsilon = -1.0", id="negative-epsilon"),
+    pytest.param(lambda: derive_schedule(0.9, 19.0, 0.0), DerivationError,
+                 "a_prime = 0.0", id="zero-a-prime"),
+    pytest.param(lambda: deviation_safety_threshold(derive_schedule(0.9, 19.0, 1.0), 0.0,
+                                                    variant="lemma"),
+                 ContractViolation, "unknown variant", id="unknown-variant"),
+])
+def test_input_checks_raise(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -252,6 +252,27 @@ def test_world_config_validation():
         world(expertise=(1.5,))
 
 
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: world(expertise=()), "at least one expert", id="no-experts"),
+    pytest.param(lambda: world(good_prior=1.5), "good_prior", id="good-prior"),
+    pytest.param(lambda: world(proposals_per_round=0), "proposals_per_round",
+                 id="no-proposals"),
+    pytest.param(lambda: delayed_update(0.0, 0.5, 0.1), "w = 0.0", id="update-w"),
+    pytest.param(lambda: delayed_update(0.5, 1.5, 0.1), "omega = 1.5", id="update-omega"),
+    pytest.param(lambda: delayed_update(0.5, 0.5, 0.0), "zeta = 0.0", id="update-zeta"),
+    pytest.param(lambda: run_repeated(world(), SCHED, policy="greedy"),
+                 "unsupported policy", id="run-policy"),
+    pytest.param(lambda: deviation_gap(world(), SCHED, 2, 3), "expert index 2",
+                 id="gap-expert"),
+    pytest.param(lambda: deviation_gap(world(), SCHED, 0, 0), "horizon_H", id="gap-H"),
+    pytest.param(lambda: deviation_tail_bound(SCHED, 0.5, 0.9, 4), "must be < 1",
+                 id="tail-growth"),
+])
+def test_input_checks_raise(call, match):
+    with pytest.raises(ContractViolation, match=match):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # deviation_gap
 # ---------------------------------------------------------------------------
