@@ -47,10 +47,11 @@ from .core import (
     VotingProfile,
     _check_dims,
     _expected_branches,
+    _honest_votes,
     _normalized_external,
     _ratio,
+    _utility,
     _vote_vectors,
-    honest_profile,
     opt_quality,
     qual,
     utility,
@@ -138,8 +139,9 @@ def _responses(instance, schedule, profile, expert_i):
     row replaced by each of her 2^k vote vectors, keyed in ascending
     binary order with coordinate 1 as the most significant bit."""
     _check_dims(instance, profile)
+    head, tail = profile.votes[:expert_i], profile.votes[expert_i + 1:]
     return {
-        vec: utility(instance, schedule, profile.replace_row(expert_i, vec), expert_i)
+        vec: _utility(instance, schedule, head + (vec,) + tail, expert_i)
         for vec in _vote_vectors(instance.k)
     }
 
@@ -169,7 +171,7 @@ def _optima(values, honest, mode):
 def is_admissible(instance: Instance, schedule: RewardSchedule,
                   profile: VotingProfile) -> tuple:
     """Per-expert semi-strategic admissibility flags for a profile."""
-    honest = honest_profile(instance, schedule.T).votes
+    honest = _honest_votes(instance.beliefs, schedule.T)
     return tuple(
         _admissible(_responses(instance, schedule, profile, i), profile.votes[i], honest[i])
         for i in range(instance.n)
@@ -188,8 +190,10 @@ def best_response(instance: Instance, schedule: RewardSchedule,
     significant bit.
     """
     _check_mode(mode)
+    if not 0 <= expert_i < instance.n:
+        raise ContractViolation(f"expert index {expert_i} out of range")
     values = _responses(instance, schedule, profile, expert_i)
-    return _optima(values, honest_profile(instance, schedule.T).votes[expert_i], mode)
+    return _optima(values, _honest_votes(instance.beliefs, schedule.T)[expert_i], mode)
 
 
 def is_approx_pne(instance: Instance, schedule: RewardSchedule,
@@ -198,7 +202,7 @@ def is_approx_pne(instance: Instance, schedule: RewardSchedule,
     (1 + epsilon) times her current utility; in semi mode every expert
     must additionally be admissible."""
     factor = 1.0 + query.epsilon
-    honest = honest_profile(instance, schedule.T).votes
+    honest = _honest_votes(instance.beliefs, schedule.T)
     for i in range(instance.n):
         values = _responses(instance, schedule, profile, i)
         current = profile.votes[i]
@@ -405,7 +409,7 @@ def best_response_dynamics(instance: Instance, schedule: RewardSchedule,
     _check_mode(mode)
     if max_steps < 1:
         raise ContractViolation("max_steps must be >= 1")
-    honest = honest_profile(instance, schedule.T).votes
+    honest = _honest_votes(instance.beliefs, schedule.T)
     profile = start_profile
     seen = {profile.votes: 0}
     path = []

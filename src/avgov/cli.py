@@ -157,16 +157,12 @@ def _schedule_from_dict(data):
             )
         except ContractViolation as exc:
             raise ScenarioError(f"schedule: {exc}") from exc
+        # The inflection residual is this one times (a+a'+s): not checked.
         diag = params.validate_schedule(schedule)
         if diag.threshold_identity_residual > params.IDENTITY_TOL:
             raise ScenarioError(
                 "schedule: threshold identity T = (a'+s)/(a'+s+a) fails, residual "
                 f"{diag.threshold_identity_residual}"
-            )
-        if diag.inflection_residual > params.IDENTITY_TOL:
-            raise ScenarioError(
-                "schedule: inflection identity T*a - (1-T)*s = a'*(1-T) fails, "
-                f"residual {diag.inflection_residual}"
             )
         return schedule, "explicit", supplied_delta
     if EXPLICIT_KEYS < keys or (keys > DERIVABLE_KEYS):
@@ -331,6 +327,8 @@ def cmd_derive_params(args):
     if 0 < len(missing) < len(flags):
         raise ScenarioError("derive-params takes all of --T, --epsilon and --a-prime "
                             f"or none; missing {', '.join(missing)}")
+    if not missing and args.scenario is not None:
+        raise ScenarioError("derive-params: --T/--epsilon/--a-prime or --scenario, not both")
     if missing:
         scenario = _need_scenario(args)
         if scenario.schedule_form != "derived":

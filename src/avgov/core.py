@@ -12,6 +12,9 @@ Conventions used throughout the package:
   is selected when no proposal receives any approving weight.  The dummy
   implements nothing and pays nobody.
 
+Public names check every argument.  The kernels ``_elect``, ``_honest_votes``
+and ``_utility`` take rows the caller has checked and never check again.
+
 All values are immutable after construction and every operation is a pure
 function of its inputs, so everything here is safe to share between
 concurrent callers.
@@ -212,6 +215,17 @@ def _check_dims(instance, profile):
         )
 
 
+def _elect(weights, votes):
+    """The winner and masses for weight and vote rows: the one mass sum and tie rule."""
+    masses = [0.0] * len(votes[0])
+    for w, row in zip(weights, votes):
+        for j, v in enumerate(row):
+            if v:
+                masses[j] += w
+    best = max(masses)
+    return (DUMMY if best <= 0.0 else masses.index(best) + 1), tuple(masses)
+
+
 def winner(instance: Instance, profile: VotingProfile) -> Outcome:
     """Select the proposal with the highest weighted approval.
 
@@ -220,16 +234,7 @@ def winner(instance: Instance, profile: VotingProfile) -> Outcome:
     weight.
     """
     _check_dims(instance, profile)
-    masses = [0.0] * instance.k
-    for i, row in enumerate(profile.votes):
-        w = instance.weights[i]
-        for j, v in enumerate(row):
-            if v:
-                masses[j] += w
-    best = max(masses)
-    if best <= 0.0:
-        return Outcome(DUMMY, tuple(masses))
-    return Outcome(masses.index(best) + 1, tuple(masses))
+    return Outcome(*_elect(instance.weights, profile.votes))
 
 
 def reward(vote_bit: int, quality_bit: int, schedule: RewardSchedule, weight: float) -> float:
@@ -289,14 +294,22 @@ def utility(instance: Instance, schedule: RewardSchedule, profile: VotingProfile
     _check_dims(instance, profile)
     if not 0 <= expert_i < instance.n:
         raise ContractViolation(f"expert index {expert_i} out of range")
-    outcome = winner(instance, profile)
-    if outcome.winner == DUMMY:
+    return _utility(instance, schedule, profile.votes, expert_i)
+
+
+def _utility(instance, schedule, votes, expert_i):
+    """``utility`` on vote rows that already match the instance."""
+    j = _elect(instance.weights, votes)[0]
+    if j == DUMMY:
         return 0.0
-    j = outcome.winner
     p = instance.beliefs[expert_i][j - 1]
     ghat = _normalized_external(instance, expert_i, j)
     approve, reject = _expected_branches(p, schedule)
-    return p * ghat + (approve if profile.votes[expert_i][j - 1] == 1 else reject)
+    return p * ghat + (approve if votes[expert_i][j - 1] == 1 else reject)
+
+
+def _honest_votes(beliefs, T):
+    return tuple(tuple(1 if p >= T else 0 for p in row) for row in beliefs)
 
 
 def honest_profile(instance: Instance, T: float) -> VotingProfile:
@@ -304,9 +317,7 @@ def honest_profile(instance: Instance, T: float) -> VotingProfile:
     belief is at or above the threshold."""
     if not 0.0 < T < 1.0:
         raise ContractViolation(f"T = {T} must lie strictly inside (0, 1)")
-    return VotingProfile(
-        tuple(tuple(1 if p >= T else 0 for p in row) for row in instance.beliefs)
-    )
+    return VotingProfile(_honest_votes(instance.beliefs, T))
 
 
 def qual(instance: Instance, T: float, proposal_j: int) -> float:

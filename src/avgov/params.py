@@ -19,8 +19,8 @@ IDENTITY_TOL = 1e-9
 @dataclass(frozen=True)
 class ScheduleDiagnostics:
     """Residuals of the two schedule identities plus the derivation-side
-    conditions; ``all_ok`` iff both residuals are within tolerance and both
-    flags hold."""
+    conditions.  ``all_ok`` iff the threshold residual is within tolerance
+    and both flags hold; the inflection residual is it times (a+a'+s)."""
 
     threshold_identity_residual: float
     inflection_residual: float
@@ -93,12 +93,7 @@ def validate_schedule(schedule: RewardSchedule) -> ScheduleDiagnostics:
     inflection_residual = abs(T * a - (1.0 - T) * s - ap * (1.0 - T))
     a_dominates = a >= ap
     epsilon_condition = 1.0 / (schedule.epsilon + 1.0) < T
-    all_ok = (
-        threshold_residual <= IDENTITY_TOL
-        and inflection_residual <= IDENTITY_TOL
-        and a_dominates
-        and epsilon_condition
-    )
+    all_ok = threshold_residual <= IDENTITY_TOL and a_dominates and epsilon_condition
     return ScheduleDiagnostics(
         threshold_identity_residual=threshold_residual,
         inflection_residual=inflection_residual,

@@ -29,12 +29,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
-    Instance,
+    Instance,  # unused here; bench/tracing.py wraps it and winner in this module
     RewardSchedule,
+    VotingProfile,
+    _elect,
     _expected_branches,
+    _honest_votes,
     _ratio,
     _vote_vectors,
-    honest_profile,
     reward,
     winner,
 )
@@ -216,7 +218,7 @@ class _Round(NamedTuple):
     """What one round produced, and the state it left: ``state`` is
     ``(weights, correct, revealed_rounds)`` entering the next round."""
 
-    profile: object
+    votes: tuple
     winner: int
     revealed: object
     realized: tuple
@@ -225,16 +227,16 @@ class _Round(NamedTuple):
 
 
 def _play_round(schedule, zeta, draw, state, deviation=None):
-    """One round from ``state`` over a pre-drawn ``draw``; everyone votes
-    honestly except ``deviation = (expert, votes)``, if given."""
+    """One round on plain, already checked rows from ``state`` over ``draw``;
+    everyone votes honestly except ``deviation = (expert, votes)``, if given."""
     qualities, beliefs, external = draw
     weights, correct, revealed_rounds = state
     n = len(weights)
-    instance = Instance(weights=weights, beliefs=beliefs, external=external)
-    profile = honest_profile(instance, schedule.T)
+    votes = _honest_votes(beliefs, schedule.T)
     if deviation is not None:
-        profile = profile.replace_row(*deviation)
-    js = winner(instance, profile).winner
+        i, row = deviation
+        votes = votes[:i] + (row,) + votes[i + 1:]
+    js = _elect(weights, votes)[0]
     realized = [0.0] * n
     subjective = [0.0] * n
     q = None
@@ -242,7 +244,7 @@ def _play_round(schedule, zeta, draw, state, deviation=None):
         q = qualities[js - 1]
         correct = list(correct)
         for i in range(n):
-            vote = profile.votes[i][js - 1]
+            vote = votes[i][js - 1]
             realized[i] = reward(vote, q, schedule, weights[i])
             p = beliefs[i][js - 1]
             approve, reject = _expected_branches(p, schedule)
@@ -256,7 +258,7 @@ def _play_round(schedule, zeta, draw, state, deviation=None):
         delayed_update(weights[i], correct_fraction(correct[i], revealed_rounds), zeta)
         for i in range(n)
     )
-    return _Round(profile, js, q, tuple(realized), tuple(subjective),
+    return _Round(votes, js, q, tuple(realized), tuple(subjective),
                   (weights, correct, revealed_rounds))
 
 
@@ -268,14 +270,14 @@ def _simulate(world, schedule, draws, policy):
     """Deterministic core of a run over pre-drawn rounds."""
     state = _initial_state(world.n)
     plan = policy.plan if isinstance(policy, SingleDeviatorPolicy) else ()
-    profiles, winners_, revealed = [], [], []
+    vote_rows, winners_, revealed = [], [], []
     realized_rows, subjective_rows = [], []
     weight_rows = [state[0]]
     for t, draw in enumerate(draws):
         deviation = (policy.expert, plan[t]) if t < len(plan) else None
         step = _play_round(schedule, world.zeta, draw, state, deviation)
         state = step.state
-        profiles.append(step.profile)
+        vote_rows.append(step.votes)
         winners_.append(step.winner)
         revealed.append(step.revealed)
         realized_rows.append(step.realized)
@@ -285,7 +287,7 @@ def _simulate(world, schedule, draws, policy):
     _, correct, revealed_rounds = state
     gamma_warning = world.gamma >= max_discount(schedule.epsilon, world.zeta)
     return RepeatedTrace(
-        profiles=tuple(profiles),
+        profiles=tuple(VotingProfile(votes) for votes in vote_rows),
         winners=tuple(winners_),
         revealed=tuple(revealed),
         realized=tuple(realized_rows),

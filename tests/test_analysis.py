@@ -133,6 +133,13 @@ def test_unknown_mode_is_rejected(prop4, call):
         call(instance, schedule, honest_profile(instance, 0.9))
 
 
+@pytest.mark.parametrize("expert", [-1, 3])
+def test_best_response_rejects_expert_out_of_range(prop4, expert):
+    instance, schedule = prop4
+    with pytest.raises(ContractViolation, match="out of range"):
+        best_response(instance, schedule, honest_profile(instance, 0.9), expert, "semi")
+
+
 # ---------------------------------------------------------------------------
 # is_admissible
 # ---------------------------------------------------------------------------
@@ -358,6 +365,26 @@ def tie_prone_instances(draw, pool=(0.0, 0.5, 0.92, 0.95, 1.0), near_tie_externa
         external = tuple(tuple(w * (1.0 - draw(gap) * TOL) for _ in range(k))
                          for w in weights)
     return Instance(weights=weights, beliefs=beliefs, external=external)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_utility_table_equals_public_utility(data):
+    # The table splices vote rows into the unchecked kernel; every entry must
+    # equal core.utility on a validated profile, bit for bit.
+    sched = derive_schedule(0.9, 19.0, 1.0)
+    instance = data.draw(tie_prone_instances(
+        near_tie_external=data.draw(st.booleans()),
+    ))
+    row = st.tuples(*[st.integers(0, 1)] * instance.k)
+    profile = VotingProfile(data.draw(st.tuples(*[row] * instance.n)))
+    for i in range(instance.n):
+        table = analysis._responses(instance, sched, profile, i)
+        expected = [
+            (vec, utility(instance, sched, profile.replace_row(i, vec), i).hex())
+            for vec in itertools.product((0, 1), repeat=instance.k)
+        ]
+        assert [(vec, u.hex()) for vec, u in table.items()] == expected
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)

@@ -390,6 +390,9 @@ EXPLICIT_SCHEDULE = {"a": 2.0, "a_prime": 1.0, "s": 17.0, "T": 0.9}
     pytest.param(None, ["qual"], "requires --scenario FILE", id="no-scenario"),
     pytest.param(dict(PROP4_SCENARIO, schedule=EXPLICIT_SCHEDULE), ["derive-params"],
                  "derivable schedule", id="derive-explicit"),
+    pytest.param(PROP4_SCENARIO, ["derive-params", "--T", "0.9", "--epsilon", "19",
+                                  "--a-prime", "1"], "or --scenario, not both",
+                 id="derive-flags-and-scenario"),
     pytest.param(PROP4_SCENARIO, ["repeat"], "world section", id="repeat-no-world"),
     pytest.param(None, ["reproduce", "thm6", "--eps-weight", "1.5"], "weight_slack",
                  id="thm6-slack"),
@@ -403,6 +406,21 @@ def test_input_errors_exit_2(capsys, scenario_file, data, argv, match):
     assert out == ""
     assert err.startswith("error: ")
     assert re.search(match, err)
+
+
+@pytest.mark.parametrize("offset, code", [(1e-10, 0), (1e-6, 2)], ids=["near", "far"])
+def test_explicit_schedule_is_held_to_the_scale_free_identity(capsys, scenario_file,
+                                                              offset, code):
+    # At s = 17 the inflection residual is 20 times the threshold residual,
+    # 2e-9 at T = 0.9 + 1e-10, which an absolute 1e-9 bound on it refused.
+    schedule = dict(EXPLICIT_SCHEDULE, T=0.9 + offset)
+    got, out, err = run_cli(capsys, "validate", "--scenario",
+                            scenario_file(dict(PROP4_SCENARIO, schedule=schedule)))
+    assert got == code
+    if code == 0:
+        assert json.loads(out)["diagnostics"]["all_ok"] is True
+    else:
+        assert "threshold identity" in err
 
 
 PROP3_SCENARIO = {

@@ -14,6 +14,7 @@ from avgov import (
     DeviationGapResult,
     GuardRefusal,
     HonestPolicy,
+    Instance,
     SingleDeviatorPolicy,
     WorldConfig,
     correct_fraction,
@@ -22,9 +23,13 @@ from avgov import (
     deviation_gap,
     deviation_tail_bound,
     discounted_total,
+    expected_reward,
+    honest_profile,
     max_discount,
+    reward,
     run_repeated,
     sample_round,
+    winner,
 )
 from avgov import repeated
 
@@ -233,6 +238,77 @@ def test_run_single_deviator_plan_respected():
         assert trace.profiles[t].votes[1] == plan[t]
 
 
+def reference_play_round(schedule, zeta, draw, state, deviation=None):
+    """One round through the checked public route: a validated Instance
+    and VotingProfile every round, then winner and reward.  The independent
+    route that repeated._play_round's work on plain rows must agree with."""
+    qualities, beliefs, external = draw
+    weights, correct, revealed_rounds = state
+    n = len(weights)
+    instance = Instance(weights=weights, beliefs=beliefs, external=external)
+    profile = honest_profile(instance, schedule.T)
+    if deviation is not None:
+        profile = profile.replace_row(*deviation)
+    js = winner(instance, profile).winner
+    realized = [0.0] * n
+    subjective = [0.0] * n
+    q = None
+    if js != 0:
+        q = qualities[js - 1]
+        correct = list(correct)
+        for i in range(n):
+            vote = profile.votes[i][js - 1]
+            realized[i] = reward(vote, q, schedule, weights[i])
+            p = beliefs[i][js - 1]
+            subjective[i] = (weights[i] * expected_reward(vote, p, schedule)
+                             + p * external[i][js - 1])
+            if vote == q:
+                correct[i] += 1
+        correct = tuple(correct)
+        revealed_rounds += 1
+    weights = tuple(
+        delayed_update(weights[i], correct_fraction(correct[i], revealed_rounds), zeta)
+        for i in range(n)
+    )
+    return repeated._Round(profile.votes, js, q, tuple(realized), tuple(subjective),
+                           (weights, correct, revealed_rounds))
+
+
+@st.composite
+def small_runs(draw):
+    T, eps = draw(st.sampled_from(((0.75, 4.0), (0.9, 19.0), (0.95, 39.0))))
+    schedule = derive_schedule(T, eps, 1.0)
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 3))
+    level = st.sampled_from((0.5, 1.0)) | st.floats(0.0, 1.0)
+    w = WorldConfig(
+        expertise=tuple(draw(level) for _ in range(n)),
+        good_prior=draw(level), proposals_per_round=k,
+        zeta=draw(st.floats(0.01, 0.3)), gamma=draw(st.floats(0.0, 0.99)),
+        horizon=draw(st.integers(1, 40)), seed=draw(st.integers(0, 1 << 16)),
+    )
+    policy = HonestPolicy()
+    if draw(st.booleans()):
+        row = st.tuples(*[st.integers(0, 1)] * k)
+        plan = draw(st.lists(row, max_size=w.horizon + 2))
+        policy = SingleDeviatorPolicy(expert=draw(st.integers(0, n - 1)), plan=plan)
+    return w, schedule, policy
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(small_runs())
+def test_run_equals_reference_round_on_public_route(case):
+    w, schedule, policy = case
+    trace = run_repeated(w, schedule, policy)
+    play_round = repeated._play_round
+    repeated._play_round = reference_play_round
+    try:
+        reference = run_repeated(w, schedule, policy)
+    finally:
+        repeated._play_round = play_round
+    assert repr(trace) == repr(reference)
+
+
 def test_run_rejects_bad_policy():
     w = world()
     with pytest.raises(ContractViolation):
@@ -370,7 +446,7 @@ def test_deviation_gap_keeps_earlier_prefix_when_rounding_absorbs_the_gap(monkey
         t = state[2]
         vote = deviation[1][0] if deviation else 0
         value = ((1.0, math.nextafter(1.0, 2.0)), (2.0, 0.0))[t][vote]
-        return repeated._Round(None, 0, None, (0.0,), (value,), ((0.5,), (0,), t + 1))
+        return repeated._Round(((0,),), 0, None, (0.0,), (value,), ((0.5,), (0,), t + 1))
 
     monkeypatch.setattr(repeated, "_play_round", fake_round)
     w = world(expertise=(0.9,), proposals_per_round=1, gamma=0.5, horizon=2)
