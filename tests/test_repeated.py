@@ -2,7 +2,9 @@
 single-deviator search, checked against a replay of every plan."""
 
 import dataclasses
+import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -31,7 +33,7 @@ from avgov import (
     sample_round,
     winner,
 )
-from avgov import repeated
+from avgov import cli, repeated
 
 SCHED = derive_schedule(0.9, 19.0, 1.0)
 
@@ -529,3 +531,44 @@ def test_deviator_playing_honest_plan_reproduces_honest_run():
     mirrored = run_repeated(w, SCHED, SingleDeviatorPolicy(expert=0, plan=plan))
     assert mirrored == honest_trace
     assert mirrored.discounted_subjective[0] == honest_trace.discounted_subjective[0]
+
+
+# ---------------------------------------------------------------------------
+# byte pins
+# ---------------------------------------------------------------------------
+
+# Recorded before the repeated game moved onto arrays; every byte of these
+# outputs must stay the same.
+PIN_WORLD = {"expertise": [0.93, 0.88, 0.91, 0.86, 0.95], "good_prior": 0.5,
+             "k": 3, "zeta": 0.05, "gamma": 0.8, "horizon": 2000, "seed": 12345}
+PIN_STDOUT_SHA256 = "66f998a7bf2acc57a0a421e38d2d0bb3f92145412ded9314607af9c26d490b1d"
+PIN_CSV_SHA256 = "63bdacb52ddd6d90283894172c3354b74afd201ebb3bd2a39c380edc80ac60b9"
+PIN_DEVIATOR_SHA256 = "d6f05bb022c83052b36cb0334c600faa2e9e40ff2dde1938ebb0ea879a79b594"
+
+
+def trace_fields(trace):
+    """Every field of a trace, the vote rows first, as plain tuples."""
+    votes = tuple(profile.votes for profile in trace.profiles)
+    return (votes,) + dataclasses.astuple(trace)[1:]
+
+
+def test_repeat_command_bytes_pinned(tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({
+        "experts": [{"weight": 1.0, "beliefs": [0.5] * 3}] * 5,
+        "schedule": {"T": 0.9, "epsilon": 19, "a_prime": 1},
+        "world": PIN_WORLD,
+    }))
+    out = tmp_path / "trace.csv"
+    assert cli.main(["repeat", "--scenario", str(scenario), "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out.encode()
+    assert hashlib.sha256(stdout).hexdigest() == PIN_STDOUT_SHA256
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PIN_CSV_SHA256
+
+
+def test_deviator_run_repr_pinned():
+    w = world(expertise=(0.9, 0.8, 0.7), proposals_per_round=2, horizon=300, seed=8)
+    plan = tuple(itertools.islice(itertools.cycle(((1, 1), (0, 1), (0, 0), (1, 0))), 120))
+    trace = run_repeated(w, SCHED, SingleDeviatorPolicy(expert=1, plan=plan))
+    digest = hashlib.sha256(repr(trace_fields(trace)).encode()).hexdigest()
+    assert digest == PIN_DEVIATOR_SHA256
