@@ -52,22 +52,30 @@ def emit(payload):
     print(json.dumps(_canonical(payload), sort_keys=True, indent=2))
 
 
+_real = "{:.12g}".format
+
+
 def _cell(value):
     if isinstance(value, bool):
         return str(int(value))
     if isinstance(value, float):
-        return format(value, ".12g")
+        return _real(value)
     if value is None:
         return ""
     return str(value)
 
 
+def _cells(rows):
+    """Rows of values as rows of CSV cells, made as they are written."""
+    return ([_cell(v) for v in row] for row in rows)
+
+
 def _write_csv(path, header, rows):
+    """Write the header and the rows, whose cells are already text."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+        writer.writerows(rows)
 
 
 def _flatten(payload, prefix=""):
@@ -431,7 +439,7 @@ def cmd_enumerate(args):
         (profile_to_str(e.profile), e.winner, e.winner_quality)
         for e in report.equilibria
     ]
-    return _report_payload(report), ("profile", "winner", "winner_quality"), rows
+    return _report_payload(report), ("profile", "winner", "winner_quality"), _cells(rows)
 
 
 def cmd_poa(args):
@@ -482,7 +490,7 @@ def cmd_dynamics(args):
         (idx, m.expert, _bits(m.old_votes), _bits(m.new_votes), m.winner)
         for idx, m in enumerate(trace.path)
     ]
-    return payload, ("step", "expert", "old_votes", "new_votes", "winner"), rows
+    return payload, ("step", "expert", "old_votes", "new_votes", "winner"), _cells(rows)
 
 
 def cmd_safety(args):
@@ -507,7 +515,7 @@ def cmd_reward_curve(args):
         "threshold": scenario.schedule.T,
         "min_gap_p": rows[gaps.index(min(gaps))][0],
     }
-    return payload, ("p", "approve_value", "reject_value"), rows
+    return payload, ("p", "approve_value", "reject_value"), _cells(rows)
 
 
 def _world_for(args, scenario):
@@ -537,18 +545,28 @@ def cmd_repeat(args):
         "discounted_subjective": list(trace.discounted_subjective),
         "gamma_warning": trace.gamma_warning,
     }
-    rows = []
-    for t in range(world.horizon):
-        for i in range(world.n):
-            rows.append((
-                t, i, _bits(trace.profiles[t].votes[i]),
-                trace.winners[t], trace.revealed[t],
-                trace.realized[t][i], trace.subjective[t][i],
-                trace.weights[t][i], trace.weights[t + 1][i],
-            ))
     header = ("round", "expert", "votes", "winner", "revealed_quality",
               "realized_reward", "subjective_reward", "weight", "weight_next")
-    return payload, header, rows
+    return payload, header, _repeat_rows(trace)
+
+
+def _repeat_rows(trace):
+    """The trace's CSV rows, one per round and expert, made as they are
+    written.  Each weight is formatted once: round t's ``weight_next`` is
+    round t+1's ``weight``."""
+    bits = {v: _bits(v) for v in core._vote_vectors(len(trace.votes[0][0]))}
+    experts = [str(i) for i in range(len(trace.correct))]
+    weights = iter(trace.weights)
+    now = list(map(_real, next(weights)))
+    for t, (votes, js, q, realized, subjective, following) in enumerate(zip(
+            trace.votes, trace.winners, trace.revealed, trace.realized,
+            trace.subjective, weights)):
+        after = list(map(_real, following))
+        round_, winner, revealed = str(t), str(js), _cell(q)
+        for i, v, r, s, w, w_next in zip(experts, votes, map(_real, realized),
+                                         map(_real, subjective), now, after):
+            yield round_, i, bits[v], winner, revealed, r, s, w, w_next
+        now = after
 
 
 def cmd_deviation_gap(args):
@@ -669,7 +687,6 @@ REPRODUCTIONS = {
     "prop4": _reproduce_prop4,
     "thm6": _reproduce_thm6,
 }
-BUILTINS = tuple(REPRODUCTIONS)
 
 
 def cmd_reproduce(args):
@@ -709,8 +726,8 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help, scenario=True):
-        p = sub.add_parser(name, help=help)
+    def add(name, help, scenario=True, within=sub):
+        p = within.add_parser(name, help=help)
         if scenario:
             p.add_argument("--scenario", help="scenario JSON file")
         p.add_argument("--out", help="write CSV/flattened output here")
@@ -759,13 +776,20 @@ def build_parser():
     p.add_argument("--horizon", type=int)
     p.add_argument("--seed", type=int, help="override world seed")
 
-    p = add("reproduce", help="reproduce a built-in instance and check its claims",
-            scenario=False)
-    p.add_argument("name", choices=BUILTINS)
+    # Each built-in claim takes only the options its reproduction reads.
+    claims = sub.add_parser(
+        "reproduce", help="reproduce a built-in instance and check its claims",
+    ).add_subparsers(dest="name", required=True, metavar="NAME")
+    p = add("prop3", help="constructive strategic equilibrium and its quality ratio",
+            scenario=False, within=claims)
+    p.add_argument("--n", type=int, default=4)
+    p = add("prop4", help="no pure equilibrium, a best-response cycle of length 4",
+            scenario=False, within=claims)
     p.add_argument("--mode", choices=analysis.MODES)
     p.add_argument("--epsilon", type=float)
+    p = add("thm6", help="semi-strategic equilibrium with quality ratio 2/(1+eps-weight)",
+            scenario=False, within=claims)
     p.add_argument("--eps-weight", dest="eps_weight", type=float, default=0.1)
-    p.add_argument("--n", type=int, default=4)
 
     return parser
 

@@ -12,8 +12,9 @@ Conventions used throughout the package:
   is selected when no proposal receives any approving weight.  The dummy
   implements nothing and pays nobody.
 
-Public names check every argument.  The kernels ``_elect``, ``_honest_votes``
-and ``_utility`` take rows the caller has checked and never check again.
+Public names check every argument.  The kernels ``_elect``, ``_honest_votes``,
+``_reward`` and ``_utility`` take rows the caller has checked and never check
+again; ``_honest_votes`` and ``_reward`` also take numpy arrays.
 
 All values are immutable after construction and every operation is a pure
 function of its inputs, so everything here is safe to share between
@@ -25,6 +26,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ContractViolation, NormalizationError
 
@@ -244,10 +247,14 @@ def reward(vote_bit: int, quality_bit: int, schedule: RewardSchedule, weight: fl
         raise ContractViolation("vote_bit and quality_bit must be bits")
     if not weight >= 0.0:
         raise ContractViolation(f"weight = {weight} must be >= 0")
-    if vote_bit == 1:
-        base = schedule.a if quality_bit == 1 else -schedule.s
-    else:
-        base = schedule.a_prime if quality_bit == 0 else 0.0
+    return float(_reward(vote_bit, quality_bit, schedule, weight))
+
+
+def _reward(vote, quality, schedule, weight):
+    """``reward`` unchecked, elementwise on bits and weights that may be
+    numpy arrays; they broadcast against each other."""
+    base = np.where(vote == 1, np.where(quality == 1, schedule.a, -schedule.s),
+                    np.where(quality == 0, schedule.a_prime, 0.0))
     return weight * base
 
 
@@ -309,6 +316,10 @@ def _utility(instance, schedule, votes, expert_i):
 
 
 def _honest_votes(beliefs, T):
+    """Approve exactly the beliefs at or above T: vote rows for belief rows,
+    or an int8 array of the same shape for a numpy array of beliefs."""
+    if isinstance(beliefs, np.ndarray):
+        return (beliefs >= T).astype(np.int8)
     return tuple(tuple(1 if p >= T else 0 for p in row) for row in beliefs)
 
 

@@ -8,12 +8,15 @@ correct-prediction rate under a multiplicative step cap.
 
 Round draws do not depend on play, so everything the rest of a run depends
 on after round t is one game state: the weight vector, the correct counts
-and the number of revealed rounds.  ``_play_round`` is the single home of
-one round's rules; full runs and the single-deviator search both call it.
-The search (``deviation_gap``) walks states forward instead of replaying
-every plan: plan prefixes that reach the same state share their future, so
-each state keeps only the prefixes that could still end a first maximal
-plan, and the states it expands over all rounds are capped by STATE_GUARD.
+and the number of revealed rounds.  A run draws every round and builds
+every vote at once as arrays, loops in Python only over ``_step``, the one
+home of a round's transition (winner, correct counts, capped weight step),
+and computes the payouts as arrays afterwards in ``_payouts``.  The
+single-deviator search (``deviation_gap``) uses the same two functions.  It
+walks states forward instead of replaying every plan: plan prefixes that
+reach the same state share their future, so each state keeps only the
+prefixes that could still end a first maximal plan, and the states it
+expands over all rounds are capped by STATE_GUARD.
 
 A single run is sequential by nature; independent runs (different seeds or
 deviation plans) are pure functions of their arguments and can execute
@@ -24,20 +27,19 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .core import (
+    DUMMY,
     Instance,  # unused here; bench/tracing.py wraps it and winner in this module
     RewardSchedule,
-    VotingProfile,
     _elect,
     _expected_branches,
     _honest_votes,
     _ratio,
+    _reward,
     _vote_vectors,
-    reward,
     winner,
 )
 from .errors import ContractViolation, GuardRefusal
@@ -117,13 +119,13 @@ class SingleDeviatorPolicy:
 class RepeatedTrace:
     """Per-round record of a run plus cumulative discounted totals.
 
-    ``weights[t]`` holds the weight vector entering round t, so the array
-    has horizon+1 rows; ``revealed[t]`` is the winner's quality bit or None
-    on dummy rounds.  Correctness counters only advance on rounds with a
-    revealed winner.
+    ``votes[t][i]`` is expert i's vote row in round t; ``weights[t]`` holds
+    the weight vector entering round t, so it has horizon+1 rows;
+    ``revealed[t]`` is the winner's quality bit or None on dummy rounds.
+    Correctness counters only advance on rounds with a revealed winner.
     """
 
-    profiles: tuple
+    votes: tuple
     winners: tuple
     revealed: tuple
     realized: tuple
@@ -143,9 +145,11 @@ def correct_fraction(correct_count: int, revealed_rounds: int) -> float:
         raise ContractViolation(
             f"need 0 <= correct ({correct_count}) <= revealed ({revealed_rounds})"
         )
-    if revealed_rounds == 0:
-        return INITIAL_WEIGHT
-    return correct_count / revealed_rounds
+    return _correct_fraction(correct_count, revealed_rounds)
+
+
+def _correct_fraction(correct_count, revealed_rounds):
+    return correct_count / revealed_rounds if revealed_rounds else INITIAL_WEIGHT
 
 
 def delayed_update(w: float, omega: float, zeta: float) -> float:
@@ -157,6 +161,12 @@ def delayed_update(w: float, omega: float, zeta: float) -> float:
         raise ContractViolation(f"omega = {omega} outside [0, 1]")
     if not 0.0 < zeta < 1.0:
         raise ContractViolation(f"zeta = {zeta} outside (0, 1)")
+    return _delayed_update(w, omega, zeta)
+
+
+def _delayed_update(w, omega, zeta):
+    """``delayed_update`` unchecked.  A weight of 0, which (1 - zeta) * w
+    reaches by underflow toward a target of 0 once zeta >= 1/2, stays 0."""
     if w <= omega:
         return min(omega, (1.0 + zeta) * w)
     return max(omega, (1.0 - zeta) * w)
@@ -171,7 +181,9 @@ def sample_round(world: WorldConfig, rng: np.random.Generator) -> tuple:
     probability ``expertise[i]`` and is inverted otherwise.
     """
     n, k = world.n, world.proposals_per_round
-    return _rounds_from_uniforms(world, rng.random((1, k + n * k)))[0]
+    qualities, beliefs = _draw(world, rng.random((1, k + n * k)))
+    return (tuple(qualities[0].tolist()), tuple(map(tuple, beliefs[0].tolist())),
+            tuple((0.0,) * k for _ in range(n)))
 
 
 def discounted_total(values, gamma: float) -> float:
@@ -184,26 +196,25 @@ def discounted_total(values, gamma: float) -> float:
     return total
 
 
-def _rounds_from_uniforms(world, u):
-    """Threshold an (m, k + n*k) array of uniforms into m round draws.
+def _draw(world, u):
+    """Threshold an (m, k + n*k) array of uniforms into m rounds' (m, k)
+    quality bits and (m, n, k) beliefs.
 
     Row t's first k entries decide the qualities and the rest, read as an
     (n, k) block, decide whether each expert's signal keeps or inverts the
-    truth; this is the sampling rule ``sample_round`` documents.
+    truth; this is the sampling rule ``sample_round`` documents.  External
+    rewards are 0 in every round.
     """
     n, k = world.n, world.proposals_per_round
     good = u[:, :k] < world.good_prior
     hit = u[:, k:].reshape(-1, n, k) < np.array(world.expertise)[:, None]
     beliefs = np.where(hit, good[:, None, :], ~good[:, None, :]).astype(float)
-    external = tuple((0.0,) * k for _ in range(n))
-    return tuple(
-        (tuple(q), tuple(map(tuple, b)), external)
-        for q, b in zip(good.astype(int).tolist(), beliefs.tolist())
-    )
+    return good.astype(int), beliefs
 
 
 def _presample(world):
-    """All rounds' draws from one ``rng.random((H, k + n*k))`` call.
+    """All rounds' qualities and beliefs from one ``rng.random((H, k + n*k))``
+    call.
 
     The generator yields the same doubles whether they are asked for one
     round at a time or all at once, so the draws equal ``horizon``
@@ -211,93 +222,80 @@ def _presample(world):
     """
     n, k = world.n, world.proposals_per_round
     u = np.random.default_rng(world.seed).random((world.horizon, k + n * k))
-    return _rounds_from_uniforms(world, u)
+    return _draw(world, u)
 
 
-class _Round(NamedTuple):
-    """What one round produced, and the state it left: ``state`` is
-    ``(weights, correct, revealed_rounds)`` entering the next round."""
-
-    votes: tuple
-    winner: int
-    revealed: object
-    realized: tuple
-    subjective: tuple
-    state: tuple
-
-
-def _play_round(schedule, zeta, draw, state, deviation=None):
-    """One round on plain, already checked rows from ``state`` over ``draw``;
-    everyone votes honestly except ``deviation = (expert, votes)``, if given."""
-    qualities, beliefs, external = draw
+def _step(zeta, state, votes, qualities):
+    """One round's transition on checked rows: the winner, then the correct
+    counts against its revealed quality, then every weight's capped step.
+    Returns the winner and the state entering the next round."""
     weights, correct, revealed_rounds = state
-    n = len(weights)
-    votes = _honest_votes(beliefs, schedule.T)
-    if deviation is not None:
-        i, row = deviation
-        votes = votes[:i] + (row,) + votes[i + 1:]
     js = _elect(weights, votes)[0]
-    realized = [0.0] * n
-    subjective = [0.0] * n
-    q = None
-    if js != 0:
+    if js != DUMMY:
         q = qualities[js - 1]
-        correct = list(correct)
-        for i in range(n):
-            vote = votes[i][js - 1]
-            realized[i] = reward(vote, q, schedule, weights[i])
-            p = beliefs[i][js - 1]
-            approve, reject = _expected_branches(p, schedule)
-            expected = approve if vote == 1 else reject
-            subjective[i] = weights[i] * expected + p * external[i][js - 1]
-            if vote == q:
-                correct[i] += 1
-        correct = tuple(correct)
+        correct = tuple([c + (row[js - 1] == q) for c, row in zip(correct, votes)])
         revealed_rounds += 1
-    weights = tuple(
-        delayed_update(weights[i], correct_fraction(correct[i], revealed_rounds), zeta)
-        for i in range(n)
-    )
-    return _Round(votes, js, q, tuple(realized), tuple(subjective),
-                  (weights, correct, revealed_rounds))
+    weights = tuple([_delayed_update(w, _correct_fraction(c, revealed_rounds), zeta)
+                     for w, c in zip(weights, correct)])
+    return js, (weights, correct, revealed_rounds)
+
+
+def _payouts(schedule, winners, weights, votes, beliefs, qualities):
+    """Realized and subjective payouts of m rounds as (m, n) arrays, from
+    the winners (m,), the weights entering each round (m, n), the votes and
+    beliefs (m, n, k) and the qualities (m, k).  Dummy rounds pay 0.0.
+
+    Every draw's external rewards are 0.  The subjective payout keeps its
+    external term p * 0.0, which turns a zero weight's -0.0 into 0.0.
+    """
+    won = (winners != DUMMY)[:, None]
+    col = np.maximum(winners - 1, 0)
+    vote = np.take_along_axis(votes, col[:, None, None], axis=2)[:, :, 0]
+    p = np.take_along_axis(beliefs, col[:, None, None], axis=2)[:, :, 0]
+    q = np.take_along_axis(qualities, col[:, None], axis=1)
+    approve, reject = _expected_branches(p, schedule)
+    realized = _reward(vote, q, schedule, weights)
+    subjective = weights * np.where(vote == 1, approve, reject) + p * 0.0
+    return np.where(won, realized, 0.0), np.where(won, subjective, 0.0)
 
 
 def _initial_state(n):
     return (INITIAL_WEIGHT,) * n, (0,) * n, 0
 
 
-def _simulate(world, schedule, draws, policy):
-    """Deterministic core of a run over pre-drawn rounds."""
+def _simulate(world, schedule, qualities, beliefs, policy):
+    """Deterministic core of a run over pre-drawn rounds.  A deviator's plan
+    is fixed in advance, so it is written into the vote array up front."""
+    votes = _honest_votes(beliefs, schedule.T)
+    plan = policy.plan[:world.horizon] if isinstance(policy, SingleDeviatorPolicy) else ()
+    if plan:
+        votes[:len(plan), policy.expert] = plan
+    vote_rows = votes.tolist()
+    quality_rows = qualities.tolist()
     state = _initial_state(world.n)
-    plan = policy.plan if isinstance(policy, SingleDeviatorPolicy) else ()
-    vote_rows, winners_, revealed = [], [], []
-    realized_rows, subjective_rows = [], []
-    weight_rows = [state[0]]
-    for t, draw in enumerate(draws):
-        deviation = (policy.expert, plan[t]) if t < len(plan) else None
-        step = _play_round(schedule, world.zeta, draw, state, deviation)
-        state = step.state
-        vote_rows.append(step.votes)
-        winners_.append(step.winner)
-        revealed.append(step.revealed)
-        realized_rows.append(step.realized)
-        subjective_rows.append(step.subjective)
+    winners, weight_rows = [], [state[0]]
+    for votes_t, qualities_t in zip(vote_rows, quality_rows):
+        js, state = _step(world.zeta, state, votes_t, qualities_t)
+        winners.append(js)
         weight_rows.append(state[0])
+    realized, subjective = _payouts(schedule, np.array(winners),
+                                    np.array(weight_rows[:-1]), votes, beliefs, qualities)
 
     _, correct, revealed_rounds = state
     gamma_warning = world.gamma >= max_discount(schedule.epsilon, world.zeta)
     return RepeatedTrace(
-        profiles=tuple(VotingProfile(votes) for votes in vote_rows),
-        winners=tuple(winners_),
-        revealed=tuple(revealed),
-        realized=tuple(realized_rows),
-        subjective=tuple(subjective_rows),
+        votes=tuple(tuple(map(tuple, rows)) for rows in vote_rows),
+        winners=tuple(winners),
+        revealed=tuple(q[js - 1] if js != DUMMY else None
+                       for js, q in zip(winners, quality_rows)),
+        realized=tuple(map(tuple, realized.tolist())),
+        subjective=tuple(map(tuple, subjective.tolist())),
         weights=tuple(weight_rows),
         discounted_realized=tuple(
-            discounted_total(column, world.gamma) for column in zip(*realized_rows)
+            discounted_total(column, world.gamma) for column in realized.T.tolist()
         ),
         discounted_subjective=tuple(
-            discounted_total(column, world.gamma) for column in zip(*subjective_rows)
+            discounted_total(column, world.gamma) for column in subjective.T.tolist()
         ),
         correct=correct,
         revealed_rounds=revealed_rounds,
@@ -321,7 +319,31 @@ def run(world: WorldConfig, schedule: RewardSchedule,
                 raise ContractViolation("deviation plan rows must be k-bit vectors")
     elif not isinstance(policy, HonestPolicy):
         raise ContractViolation(f"unsupported policy {policy!r}")
-    return _simulate(world, schedule, _presample(world), policy)
+    return _simulate(world, schedule, *_presample(world), policy)
+
+
+def _expand(schedule, zeta, expert, states, votes, beliefs, qualities, vectors):
+    """Play one round from each state once per vote vector of the deviator,
+    the others voting ``votes``: for each state, the (child state, the
+    deviator's subjective payout) of each vector in order."""
+    winners, weights, children = [], [], []
+    for state in states:
+        weight = state[0][expert]
+        for v in vectors:
+            js, child = _step(zeta, state, votes[:expert] + [v] + votes[expert + 1:],
+                              qualities)
+            winners.append(js)
+            weights.append(weight)
+            children.append(child)
+    m, k, width = len(children), len(qualities), len(vectors)
+    _, subjective = _payouts(
+        schedule, np.array(winners), np.array(weights)[:, None],
+        np.array(vectors * len(states))[:, None, :],
+        np.broadcast_to(beliefs[expert], (m, 1, k)), np.broadcast_to(qualities, (m, k)),
+    )
+    values = subjective[:, 0].tolist()
+    return [list(zip(children[a:a + width], values[a:a + width]))
+            for a in range(0, m, width)]
 
 
 @dataclass(frozen=True)
@@ -377,31 +399,31 @@ def deviation_gap(world: WorldConfig, schedule: RewardSchedule, expert_i: int,
             f"{max_discount(schedule.epsilon, world.zeta)}"
         )
     short_world = dataclasses.replace(world, horizon=horizon_H)
-    draws = _presample(short_world)
+    qualities, beliefs = _presample(short_world)
     honest_total = _simulate(
-        short_world, schedule, draws, HonestPolicy()
+        short_world, schedule, qualities, beliefs, HonestPolicy()
     ).discounted_subjective[expert_i]
+    votes = _honest_votes(beliefs, schedule.T).tolist()
+    quality_rows = qualities.tolist()
 
     vectors = _vote_vectors(world.proposals_per_round)
     # (state, plan prefix, discounted total) in product order of prefixes.
     frontier = [(_initial_state(world.n), (), 0.0)]
     factor = 1.0
     expanded = 0
-    for t, draw in enumerate(draws):
-        moves = {}
+    for t in range(horizon_H):
+        states = list(dict.fromkeys(state for state, _, _ in frontier))
+        expanded += len(states)
+        if expanded > STATE_GUARD:
+            raise GuardRefusal(
+                f"deviation search passed {STATE_GUARD} game states "
+                f"in round {t + 1} of {horizon_H}"
+            )
+        moves = dict(zip(states, _expand(schedule, world.zeta, expert_i, states,
+                                         votes[t], beliefs[t], quality_rows[t], vectors)))
         best = {}
         kept = []
         for state, prefix, total in frontier:
-            if state not in moves:
-                expanded += 1
-                if expanded > STATE_GUARD:
-                    raise GuardRefusal(
-                        f"deviation search passed {STATE_GUARD} game states "
-                        f"in round {t + 1} of {horizon_H}"
-                    )
-                steps = [_play_round(schedule, world.zeta, draw, state, (expert_i, v))
-                         for v in vectors]
-                moves[state] = [(step.state, step.subjective[expert_i]) for step in steps]
             for v, (child, value) in zip(vectors, moves[state]):
                 child_total = total + factor * value
                 if child in best and child_total <= best[child]:

@@ -305,6 +305,17 @@ def test_repeat_seed_and_horizon_flags(capsys, scenario_file):
     assert payload["seed"] == 9 and payload["horizon"] == 5
 
 
+def test_repeat_keeps_a_weight_that_underflows_to_zero(capsys, scenario_file):
+    # An expert who is always wrong has target 0, so with zeta > 1/2 her
+    # weight (1 - zeta)^t * 0.5 underflows to 0.0, which stays 0.0.
+    data = dict(PROP4_SCENARIO)
+    data["world"] = {"expertise": [0.0, 1.0], "good_prior": 0.5, "k": 2,
+                     "zeta": 0.6, "gamma": 0.5, "horizon": 3000, "seed": 1}
+    code, out, err = run_cli(capsys, "repeat", "--scenario", scenario_file(data))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["final_weights"] == [0.0, 1.0]
+
+
 @pytest.mark.parametrize("argv", [
     ["reproduce", "prop4"], ["enumerate"], ["winner"], ["validate"],
 ], ids=["reproduce", "enumerate", "winner", "validate"])
@@ -364,6 +375,21 @@ def test_derive_params_refuses_some_flags(capsys, scenario_file, flags, missing,
 def test_reproduce_refuses_scenario(capsys, scenario_file):
     code, out, _ = run_cli(capsys, "reproduce", "prop3", "--scenario",
                            scenario_file(PROP4_SCENARIO))
+    assert code == 64
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["thm6", "--n", "5", "--mode", "strategic"],
+    ["thm6", "--epsilon", "3"],
+    ["prop3", "--eps-weight", "0.5", "--epsilon", "3"],
+    ["prop3", "--mode", "semi"],
+    ["prop4", "--n", "5"],
+    ["prop4", "--eps-weight", "0.5"],
+], ids=["thm6-n-mode", "thm6-epsilon", "prop3-slack-epsilon", "prop3-mode",
+        "prop4-n", "prop4-slack"])
+def test_reproduce_refuses_options_its_claim_does_not_read(capsys, argv):
+    code, out, _ = run_cli(capsys, "reproduce", *argv)
     assert code == 64
     assert out == ""
 

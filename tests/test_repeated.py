@@ -145,7 +145,9 @@ def test_presample_equals_successive_sample_rounds(n, k, horizon):
     expected = tuple(scalar_round(w, scalar_rng) for _ in range(horizon))
     rng = np.random.default_rng(w.seed)
     assert tuple(sample_round(w, rng) for _ in range(horizon)) == expected
-    assert repeated._presample(w) == expected
+    qualities, beliefs = repeated._presample(w)
+    assert qualities.tolist() == [list(q) for q, _, _ in expected]
+    assert beliefs.tolist() == [[list(row) for row in b] for _, b, _ in expected]
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +216,7 @@ def test_run_realized_rewards_match_schedule_cases():
             continue
         js = trace.winners[t]
         for i in range(w.n):
-            vote = trace.profiles[t].votes[i][js - 1]
+            vote = trace.votes[t][i][js - 1]
             weight = trace.weights[t][i]
             expected = {
                 (1, 1): weight * SCHED.a,
@@ -237,43 +239,61 @@ def test_run_single_deviator_plan_respected():
     plan = ((1, 1), (0, 0), (1, 0), (0, 1))
     trace = run_repeated(w, SCHED, SingleDeviatorPolicy(expert=1, plan=plan))
     for t in range(4):
-        assert trace.profiles[t].votes[1] == plan[t]
+        assert trace.votes[t][1] == plan[t]
 
 
-def reference_play_round(schedule, zeta, draw, state, deviation=None):
-    """One round through the checked public route: a validated Instance
-    and VotingProfile every round, then winner and reward.  The independent
-    route that repeated._play_round's work on plain rows must agree with."""
-    qualities, beliefs, external = draw
-    weights, correct, revealed_rounds = state
-    n = len(weights)
-    instance = Instance(weights=weights, beliefs=beliefs, external=external)
-    profile = honest_profile(instance, schedule.T)
-    if deviation is not None:
-        profile = profile.replace_row(*deviation)
-    js = winner(instance, profile).winner
-    realized = [0.0] * n
-    subjective = [0.0] * n
-    q = None
-    if js != 0:
-        q = qualities[js - 1]
-        correct = list(correct)
-        for i in range(n):
-            vote = profile.votes[i][js - 1]
-            realized[i] = reward(vote, q, schedule, weights[i])
-            p = beliefs[i][js - 1]
-            subjective[i] = (weights[i] * expected_reward(vote, p, schedule)
-                             + p * external[i][js - 1])
-            if vote == q:
-                correct[i] += 1
-        correct = tuple(correct)
-        revealed_rounds += 1
-    weights = tuple(
-        delayed_update(weights[i], correct_fraction(correct[i], revealed_rounds), zeta)
-        for i in range(n)
+def reference_run(w, schedule, policy):
+    """A whole run on the checked public route: successive sample_round
+    draws, a validated Instance and VotingProfile every round, then winner,
+    reward, expected_reward, correct_fraction and delayed_update.  The
+    independent route that run's arrays must agree with."""
+    rng = np.random.default_rng(w.seed)
+    plan = policy.plan if isinstance(policy, SingleDeviatorPolicy) else ()
+    weights, correct, revealed_rounds = (0.5,) * w.n, (0,) * w.n, 0
+    votes, winners, revealed, realized, subjective = [], [], [], [], []
+    weight_rows = [weights]
+    for t in range(w.horizon):
+        qualities, beliefs, external = sample_round(w, rng)
+        instance = Instance(weights=weights, beliefs=beliefs, external=external)
+        profile = honest_profile(instance, schedule.T)
+        if t < len(plan):
+            profile = profile.replace_row(policy.expert, plan[t])
+        js = winner(instance, profile).winner
+        paid = [0.0] * w.n
+        expected = [0.0] * w.n
+        q = None
+        if js != 0:
+            q = qualities[js - 1]
+            correct = list(correct)
+            for i in range(w.n):
+                vote = profile.votes[i][js - 1]
+                paid[i] = reward(vote, q, schedule, weights[i])
+                p = beliefs[i][js - 1]
+                expected[i] = (weights[i] * expected_reward(vote, p, schedule)
+                               + p * external[i][js - 1])
+                if vote == q:
+                    correct[i] += 1
+            correct = tuple(correct)
+            revealed_rounds += 1
+        weights = tuple(
+            delayed_update(weights[i], correct_fraction(correct[i], revealed_rounds), w.zeta)
+            for i in range(w.n)
+        )
+        votes.append(profile.votes)
+        winners.append(js)
+        revealed.append(q)
+        realized.append(tuple(paid))
+        subjective.append(tuple(expected))
+        weight_rows.append(weights)
+    return repeated.RepeatedTrace(
+        votes=tuple(votes), winners=tuple(winners), revealed=tuple(revealed),
+        realized=tuple(realized), subjective=tuple(subjective),
+        weights=tuple(weight_rows),
+        discounted_realized=tuple(discounted_total(c, w.gamma) for c in zip(*realized)),
+        discounted_subjective=tuple(discounted_total(c, w.gamma) for c in zip(*subjective)),
+        correct=correct, revealed_rounds=revealed_rounds,
+        gamma_warning=w.gamma >= max_discount(schedule.epsilon, w.zeta),
     )
-    return repeated._Round(profile.votes, js, q, tuple(realized), tuple(subjective),
-                           (weights, correct, revealed_rounds))
 
 
 @st.composite
@@ -301,14 +321,7 @@ def small_runs(draw):
 @given(small_runs())
 def test_run_equals_reference_round_on_public_route(case):
     w, schedule, policy = case
-    trace = run_repeated(w, schedule, policy)
-    play_round = repeated._play_round
-    repeated._play_round = reference_play_round
-    try:
-        reference = run_repeated(w, schedule, policy)
-    finally:
-        repeated._play_round = play_round
-    assert repr(trace) == repr(reference)
+    assert repr(run_repeated(w, schedule, policy)) == repr(reference_run(w, schedule, policy))
 
 
 def test_run_rejects_bad_policy():
@@ -444,13 +457,12 @@ def test_deviation_gap_keeps_earlier_prefix_when_rounding_absorbs_the_gap(monkey
     # Both first-round votes reach one state, vote 1 by one ulp more.  The
     # second round adds 1.0, which absorbs that ulp, so plans 0,0 and 1,0
     # both total 2.0 and the first in product order must be reported.
-    def fake_round(schedule, zeta, draw, state, deviation=None):
-        t = state[2]
-        vote = deviation[1][0] if deviation else 0
-        value = ((1.0, math.nextafter(1.0, 2.0)), (2.0, 0.0))[t][vote]
-        return repeated._Round(((0,),), 0, None, (0.0,), (value,), ((0.5,), (0,), t + 1))
+    def fake_expand(schedule, zeta, expert, states, votes, beliefs, qualities, vectors):
+        values = ((1.0, math.nextafter(1.0, 2.0)), (2.0, 0.0))
+        return [[(((0.5,), (0,), t + 1), values[t][v[0]]) for v in vectors]
+                for t in (state[2] for state in states)]
 
-    monkeypatch.setattr(repeated, "_play_round", fake_round)
+    monkeypatch.setattr(repeated, "_expand", fake_expand)
     w = world(expertise=(0.9,), proposals_per_round=1, gamma=0.5, horizon=2)
     result = deviation_gap(w, SCHED, 0, 2)
     assert result.best_total == 2.0
@@ -465,16 +477,15 @@ def test_deviation_gap_guard(monkeypatch):
 
 
 def test_deviation_gap_guard_counts_states_over_all_rounds(monkeypatch):
-    # Each expanded state plays its round once per vote vector; the honest
-    # run plays the other H rounds.
+    # Each expanded state steps its round once per vote vector; the honest
+    # run steps the other H rounds.
     calls = []
-    play_round = repeated._play_round
-    monkeypatch.setattr(repeated, "_play_round",
-                        lambda *args: calls.append(1) or play_round(*args))
+    step = repeated._step
+    monkeypatch.setattr(repeated, "_step", lambda *args: calls.append(1) or step(*args))
     w = world(proposals_per_round=2, horizon=10)
     answer = deviation_gap(w, SCHED, 0, 10)
     expanded = (len(calls) - 10) // 4
-    monkeypatch.setattr(repeated, "_play_round", play_round)
+    monkeypatch.setattr(repeated, "_step", step)
     monkeypatch.setattr(repeated, "STATE_GUARD", expanded)
     assert deviation_gap(w, SCHED, 0, 10) == answer
     monkeypatch.setattr(repeated, "STATE_GUARD", expanded - 1)
@@ -527,7 +538,7 @@ def test_geometric_bounds_on_dummy_free_world():
 def test_deviator_playing_honest_plan_reproduces_honest_run():
     w = world(expertise=(0.9, 0.8), gamma=0.5, horizon=4, seed=19)
     honest_trace = run_repeated(w, SCHED)
-    plan = tuple(honest_trace.profiles[t].votes[0] for t in range(w.horizon))
+    plan = tuple(honest_trace.votes[t][0] for t in range(w.horizon))
     mirrored = run_repeated(w, SCHED, SingleDeviatorPolicy(expert=0, plan=plan))
     assert mirrored == honest_trace
     assert mirrored.discounted_subjective[0] == honest_trace.discounted_subjective[0]
@@ -544,12 +555,6 @@ PIN_WORLD = {"expertise": [0.93, 0.88, 0.91, 0.86, 0.95], "good_prior": 0.5,
 PIN_STDOUT_SHA256 = "66f998a7bf2acc57a0a421e38d2d0bb3f92145412ded9314607af9c26d490b1d"
 PIN_CSV_SHA256 = "63bdacb52ddd6d90283894172c3354b74afd201ebb3bd2a39c380edc80ac60b9"
 PIN_DEVIATOR_SHA256 = "d6f05bb022c83052b36cb0334c600faa2e9e40ff2dde1938ebb0ea879a79b594"
-
-
-def trace_fields(trace):
-    """Every field of a trace, the vote rows first, as plain tuples."""
-    votes = tuple(profile.votes for profile in trace.profiles)
-    return (votes,) + dataclasses.astuple(trace)[1:]
 
 
 def test_repeat_command_bytes_pinned(tmp_path, capsys):
@@ -570,5 +575,6 @@ def test_deviator_run_repr_pinned():
     w = world(expertise=(0.9, 0.8, 0.7), proposals_per_round=2, horizon=300, seed=8)
     plan = tuple(itertools.islice(itertools.cycle(((1, 1), (0, 1), (0, 0), (1, 0))), 120))
     trace = run_repeated(w, SCHED, SingleDeviatorPolicy(expert=1, plan=plan))
-    digest = hashlib.sha256(repr(trace_fields(trace)).encode()).hexdigest()
+    # Every field, the vote rows first, as plain tuples.
+    digest = hashlib.sha256(repr(dataclasses.astuple(trace)).encode()).hexdigest()
     assert digest == PIN_DEVIATOR_SHA256
