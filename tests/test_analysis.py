@@ -1,6 +1,7 @@
 """Best responses, admissibility, equilibrium checks and enumeration,
 the constructive equilibrium, dynamics and the safety certificate."""
 
+import hashlib
 import itertools
 import math
 
@@ -410,6 +411,32 @@ def test_enumerate_does_not_depend_on_block_size(monkeypatch, block_bits):
     monkeypatch.setattr(analysis, "_BLOCK_BITS", block_bits)
     assert [enumerate_equilibria(inst, sched, query)
             for inst, query in cases] == expected
+
+
+# sha256 of repr(enumerate_equilibria(...)) on 20-bit instances, recorded
+# before the enumerator swept only live rows; every byte must stay the same.
+# 2^20 profiles span several row blocks at the default block size.
+PIN_20BIT_SHA256 = {
+    (10, 2, "semi", 0.0): "e602d00e4bc379eee91f1f5ef7398d63b8fac9699e38de51a457dd3a29597adf",
+    (10, 2, "semi", 19.0): "c39e200f649541872a38426891303ec045d68d0fb1cf431700ee2b255372f3db",
+    (10, 2, "strategic", 0.0): "bac811dde49283db29f2fc482bec4baadba0991279ade0329eb97e3f457319da",
+    (10, 2, "strategic", 19.0): "18096d16b9a86b371f4fb55a886b4f1bcf1c11afc506507df2e92fa2ca3dce3f",
+    (5, 4, "semi", 0.0): "3cf8c1f19d272410561da2650d124d413e84de1a02610d420fa25f54ee30c3c1",
+    (5, 4, "semi", 19.0): "8f4514bfa2d86c1f2d584231f9a53848944479fbb5bc3c4dc42cc8ab7149a172",
+    (5, 4, "strategic", 0.0): "f137785af93bb80b160b1f2c386f5bbd42a42801528eca9e736ec8ca5f51f1c8",
+    (5, 4, "strategic", 19.0): "9e14a7c269bee21d8287886263bc9fa79000dd9738afc638e670755abf94e25d",
+}
+
+
+@pytest.mark.parametrize("n,k,seed", [(10, 2, 20), (5, 4, 21)])
+def test_enumerate_20_bit_reports_pinned(n, k, seed):
+    sched = derive_schedule(0.9, 19.0, 1.0)
+    instance = random_instance(np.random.default_rng(seed), n=n, k=k)
+    for mode in ("semi", "strategic"):
+        for eps in (0.0, sched.epsilon):
+            report = enumerate_equilibria(instance, sched, EquilibriumQuery(mode, eps))
+            digest = hashlib.sha256(repr(report).encode()).hexdigest()
+            assert digest == PIN_20BIT_SHA256[n, k, mode, eps]
 
 
 def test_enumerate_infinite_ratio_for_zero_quality_winner():
