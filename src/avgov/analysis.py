@@ -16,10 +16,13 @@ profiles still in the running, and makes one sweep per expert.  Expert i's
 sweep lays the profile space out as rows: a row is one context of the other
 experts' votes and its 2^k columns are her own vote vectors, so each of her
 deviations and admissibility flips from a profile is another column of the
-same row.  Rows are taken in fixed-size blocks, and rows with no profile
-left in the running are skipped.  Masses are summed in the order
-:func:`avgov.core.winner` sums them, so every utility the enumerator
-compares equals :func:`avgov.core.utility` bit for bit.
+same row.  Each sweep first marks the rows that still hold a profile in
+the running, then gathers only those rows, a chunk of the mark array at a
+time, and checks them in blocks of fixed size; so after the first sweep
+the work follows the survivors, and no index array spans the whole row
+space.  Masses are summed in the order :func:`avgov.core.winner` sums
+them, so every utility the enumerator compares equals
+:func:`avgov.core.utility` bit for bit.
 
 Semi-strategic semantics are coordinate-wise: an expert's reported vector
 is admissible iff every coordinate on which it disagrees with her honest
@@ -223,9 +226,10 @@ _BLOCK_BITS = 15
 
 
 def _winners(masses):
-    """Vectorized winner selection: ``masses[j]`` holds proposal j+1's
-    mass across many profiles.  Returns the 0-based argmax with
-    first-index ties, -1 where no proposal has positive mass."""
+    """Vectorized winner selection: ``masses`` is a sequence of arrays,
+    ``masses[j]`` holding proposal j+1's mass across many profiles.
+    Returns the 0-based argmax with first-index ties, -1 where no proposal
+    has positive mass."""
     best = masses[0]
     js = np.zeros(best.shape, dtype=np.int64)
     for j in range(1, len(masses)):
@@ -269,8 +273,10 @@ def _row_checks(i, ctx, w, table, honest_row, factor, semi):
     for e in range(i + 1, n):
         low += w[e] * others[e - 1]
         high += w[e] * others[e - 1]
-    masses = np.where(own.T[:, :, None], high[:, None, :], low[:, None, :])
-    u = table[cols[:, None], _winners(masses) + 1]
+    u = np.stack([
+        table[d, _winners([high[j] if own[d, j] else low[j] for j in range(k)]) + 1]
+        for d in cols
+    ])
 
     # The best deviation from d is the row's best value over the other
     # vectors: the row maximum, or the runner-up where d holds it.
@@ -289,6 +295,20 @@ def _row_checks(i, ctx, w, table, honest_row, factor, semi):
     return ok
 
 
+def _live_rows(live, block):
+    """The indices of ``live``'s True entries in ascending order, in blocks
+    of ``block`` (the last may be shorter).  The mask is read 2^_BLOCK_BITS
+    entries at a time, so no index array spans all of it."""
+    chunk = 1 << _BLOCK_BITS
+    rest = np.empty(0, dtype=np.int64)
+    for start in range(0, len(live), chunk):
+        rows = np.concatenate((rest, np.flatnonzero(live[start:start + chunk]) + start))
+        cut = len(rows) if start + chunk >= len(live) else len(rows) - len(rows) % block
+        for first in range(0, cut, block):
+            yield rows[first:first + block]
+        rest = rows[cut:]
+
+
 def enumerate_equilibria(instance: Instance, schedule: RewardSchedule,
                          query: EquilibriumQuery) -> EquilibriumReport:
     """Brute-force every profile in {0,1}^(n*k) and keep the equilibria,
@@ -296,8 +316,9 @@ def enumerate_equilibria(instance: Instance, schedule: RewardSchedule,
     expert i's vote on proposal j+1.
 
     Refuses instances with more than ENUMERATION_GUARD_BITS profile bits.
-    Makes one sweep of row blocks per expert, as the module docstring
-    describes; the result does not depend on the block size.
+    Makes one sweep per expert over the rows still in the running, in
+    blocks, as the module docstring describes; the result does not depend
+    on the block size.
     """
     n, k = instance.n, instance.k
     bits = n * k
@@ -320,24 +341,20 @@ def enumerate_equilibria(instance: Instance, schedule: RewardSchedule,
     n_rows = 1 << (bits - k)
     block = max(1, (1 << _BLOCK_BITS) >> k)
     cols = np.arange(1 << k, dtype=np.int64)
+    live = np.empty(n_rows, dtype=bool)
     for i in range(n):
         table = _utilities_for(p[i], ghat[i], schedule)
         below = (1 << (i * k)) - 1
-        for start in range(0, n_rows, block):
-            ctx = np.arange(start, min(start + block, n_rows), dtype=np.int64)
+        # Viewed as (hi, her vector, lo), ok holds each row's columns on
+        # axis 1, and the rows come out in context order hi * 2^(i*k) + lo.
+        # A row is live while one of its columns is in the running.
+        ok.reshape(-1, 1 << k, 1 << (i * k)).any(axis=1, out=live.reshape(-1, 1 << (i * k)))
+        for ctx in _live_rows(live, block):
             # A profile's index is its row's context with i's k bits
             # inserted at bit i*k.
             base = (ctx & below) | ((ctx >> (i * k)) << ((i + 1) * k))
             idx = (cols << (i * k))[:, None] | base
-            alive = ok[idx]
-            live = alive.any(axis=0)
-            if not live.all():
-                if not live.any():
-                    continue
-                ctx, idx, alive = ctx[live], idx[:, live], alive[:, live]
-            ok[idx] = alive & _row_checks(i, ctx, w, table, honest[i], factor, semi)
-        if not ok.any():
-            break
+            ok[idx] &= _row_checks(i, ctx, w, table, honest[i], factor, semi)
 
     found = []
     for idx in np.flatnonzero(ok).tolist():

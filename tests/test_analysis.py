@@ -413,6 +413,65 @@ def test_enumerate_does_not_depend_on_block_size(monkeypatch, block_bits):
             for inst, query in cases] == expected
 
 
+@pytest.mark.parametrize("block_bits", [analysis._BLOCK_BITS, 4])
+@pytest.mark.parametrize("mode", analysis.MODES)
+def test_enumerate_sweeps_only_rows_with_a_live_profile(monkeypatch, mode, block_bits):
+    # Replays each sweep's verdicts on the set of live profile indices.  A
+    # sweep must get exactly the contexts that still hold a live profile,
+    # each once and in ascending order, in full blocks but its last one;
+    # so sweep 0 gets every context, and a sweep with none makes no call.
+    calls = []
+    row_checks = analysis._row_checks
+
+    def counting(i, ctx, *args):
+        ok = row_checks(i, ctx, *args)
+        calls.append((i, ctx.tolist(), ok))
+        return ok
+
+    monkeypatch.setattr(analysis, "_row_checks", counting)
+    monkeypatch.setattr(analysis, "_BLOCK_BITS", block_bits)
+    rng = np.random.default_rng(23)
+    sched = derive_schedule(0.9, 19.0, 1.0)
+    cases = [(random_instance(rng, n=n, k=k), eps)
+             for n, k in ((6, 2), (4, 3), (3, 4)) for eps in (0.0, sched.epsilon)]
+    # Proposition 4's experts and three light bystanders: in semi mode no
+    # profile survives the sweep of expert 3, so sweeps 4 and 5 have none.
+    bystanders = Instance(weights=(0.49, 0.41, 0.10) + (0.01,) * 3,
+                          beliefs=((0.95, 1.0), (1.0, 0.95), (1.0, 0.0)) + ((0.5, 0.2),) * 3)
+    cases.append((bystanders, 0.0))
+    emptied = 0
+    for instance, eps in cases:
+        n, k = instance.n, instance.k
+        block = max(1, (1 << block_bits) >> k)
+        calls.clear()
+        report = enumerate_equilibria(instance, sched, EquilibriumQuery(mode, eps))
+        alive = set(range(1 << (n * k)))
+        for i in range(n):
+            # A profile's index is its context with i's k bits at bit i*k.
+            below, at = (1 << (i * k)) - 1, i * k
+            sweep = [call for call in calls if call[0] == i]
+            contexts = [ctx for _, rows, _ in sweep for ctx in rows]
+            if i == 0:
+                assert contexts == list(range(1 << ((n - 1) * k)))
+            assert len(contexts) <= len(alive)
+            assert contexts == sorted({(idx & below) | ((idx >> (at + k)) << at)
+                                       for idx in alive})
+            assert all(len(rows) == block for _, rows, _ in sweep[:-1])
+            assert all(0 < len(rows) <= block for _, rows, _ in sweep)
+            for _, rows, ok in sweep:
+                alive -= {(ctx & below) | (d << at) | ((ctx >> at) << (at + k))
+                          for col, ctx in enumerate(rows)
+                          for d in range(1 << k) if not ok[d, col]}
+            emptied += not alive and i < n - 1
+        assert alive == {
+            sum(v << (e * k + j) for e, row in enumerate(entry.profile.votes)
+                for j, v in enumerate(row))
+            for entry in report.equilibria
+        }
+    if mode == "semi":
+        assert emptied
+
+
 # sha256 of repr(enumerate_equilibria(...)) on 20-bit instances, recorded
 # before the enumerator swept only live rows; every byte must stay the same.
 # 2^20 profiles span several row blocks at the default block size.
