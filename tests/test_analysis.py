@@ -28,6 +28,7 @@ from avgov import (
     qual,
     safety_certificate,
     utility,
+    winner,
 )
 from avgov import analysis
 from avgov.core import TOL
@@ -300,17 +301,43 @@ def test_enumerate_epsilon_monotone():
             previous = profiles
 
 
+def _assert_entries_match_public(instance, schedule, report):
+    # Each entry's winner and quality are what the public winner and qual
+    # give on its profile, down to the repr (qual's int 0 included).
+    for e in report.equilibria:
+        j = winner(instance, e.profile).winner
+        assert (e.winner, repr(e.winner_quality)) == \
+            (j, repr(qual(instance, schedule.T, j)))
+
+
+# Expert 2's side payment makes her elect proposal 1, which nobody believes
+# in at or above T = 0.9, so every equilibrium's winner quality is qual's
+# int 0.
+UNAPPROVED_WINNER = Instance(
+    weights=(0.31, 0.59, 0.43),
+    beliefs=((0.72, 0.74), (0.35, 0.31), (0.89, 0.48)),
+    external=((0.0, 1.09), (0.0, 0.0), (2.99, 0.0)),
+)
+
+
 def test_enumerate_matches_per_profile_check():
     # Independent-route cross-check on small instances, both modes.
     rng = np.random.default_rng(5)
     sched = derive_schedule(0.9, 19.0, 1.0)
-    for trial in range(6):
-        instance = random_instance(rng, max_n=3, max_k=2)
-        query = EquilibriumQuery(
+    cases = [
+        (random_instance(rng, max_n=3, max_k=2), EquilibriumQuery(
             mode="semi" if trial % 2 else "strategic",
             epsilon=0.0 if trial < 3 else sched.epsilon,
-        )
+        ))
+        for trial in range(6)
+    ]
+    cases += [(UNAPPROVED_WINNER, EquilibriumQuery(mode, eps))
+              for mode in analysis.MODES for eps in (0.0, sched.epsilon)]
+    qualities = set()
+    for instance, query in cases:
         report = enumerate_equilibria(instance, sched, query)
+        _assert_entries_match_public(instance, sched, report)
+        qualities |= {repr(e.winner_quality) for e in report.equilibria}
         enumerated = {e.profile.votes for e in report.equilibria}
         n, k = instance.n, instance.k
         brute = set()
@@ -323,6 +350,7 @@ def test_enumerate_matches_per_profile_check():
             if is_approx_pne(instance, sched, profile, query):
                 brute.add(votes)
         assert enumerated == brute
+    assert "0" in qualities
 
 
 def _brute_force_equilibria(instance, schedule, query):
@@ -396,6 +424,7 @@ def test_enumerate_equals_per_profile_check_on_ties(instance):
         for eps in (0.0, sched.epsilon):
             query = EquilibriumQuery(mode, eps)
             report = enumerate_equilibria(instance, sched, query)
+            _assert_entries_match_public(instance, sched, report)
             assert {e.profile.votes for e in report.equilibria} == \
                 _brute_force_equilibria(instance, sched, query)
 

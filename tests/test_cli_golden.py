@@ -45,7 +45,12 @@ SIDE_PAYMENTS = {
     "schedule": {"T": 0.9, "epsilon": 19, "a_prime": 1},
 }
 
-SCENARIOS = {"prop4": PROP4, "external": SIDE_PAYMENTS}
+# The 24-bit example at the enumeration guard (12 experts, two proposals).
+ENUMERATE24 = json.loads(
+    (Path(__file__).parent.parent / "examples" / "enumerate24.json").read_text()
+)
+
+SCENARIOS = {"prop4": PROP4, "external": SIDE_PAYMENTS, "enumerate24": ENUMERATE24}
 
 # case name -> (scenario or None, argv without --scenario and --out)
 CASES = {
@@ -70,6 +75,14 @@ CASES = {
     "external-winner": ("external", ["winner"]),
     "external-enumerate": ("external", ["enumerate"]),
     "external-safety": ("external", ["safety"]),
+    "enumerate24-dynamics-semi": ("enumerate24", ["dynamics", "--start", "zeros",
+                                                  "--mode", "semi"]),
+    "enumerate24-dynamics-strategic": ("enumerate24", ["dynamics", "--start", "zeros",
+                                                       "--mode", "strategic"]),
+    "enumerate24-construct-pne": ("enumerate24", ["construct-pne"]),
+    # The report over 13,344 strategic equilibria, with little output.
+    "enumerate24-poa-strategic": ("enumerate24", ["poa", "--mode", "strategic",
+                                                  "--epsilon", "19"]),
     "reproduce-prop4": (None, ["reproduce", "prop4"]),
     "reproduce-thm6": (None, ["reproduce", "thm6", "--eps-weight", "0.05"]),
     "reproduce-prop3": (None, ["reproduce", "prop3", "--n", "3"]),
