@@ -6,6 +6,9 @@ price-of-anarchy/stability ratios, the constructive equilibrium for purely
 strategic experts, best-response dynamics with cycle detection, and the
 per-cell deviation-safety certificate.
 
+As in :mod:`avgov.core`, public functions check their arguments once and
+everything below them runs core's kernels on plain vote rows.
+
 Two independent routes compute equilibrium membership: the per-profile
 check (:func:`is_approx_pne`, plain Python) and the vectorized enumerator
 (:func:`enumerate_equilibria`, numpy).  They are cross-checked against each
@@ -49,6 +52,7 @@ from .core import (
     RewardSchedule,
     VotingProfile,
     _check_dims,
+    _elect,
     _expected_branches,
     _honest_votes,
     _normalized_external,
@@ -57,7 +61,7 @@ from .core import (
     _vote_vectors,
     opt_quality,
     qual,
-    utility,
+    utility,  # unused here; bench/tracing.py wraps it and winner in this module
     winner,
 )
 from .errors import ContractViolation, GuardRefusal
@@ -137,12 +141,11 @@ class SafetyCertificate:
     eligible: bool
 
 
-def _responses(instance, schedule, profile, expert_i):
-    """Expert i's utility table: ``core.utility`` of the profile with her
+def _responses(instance, schedule, votes, expert_i):
+    """Expert i's utility table: ``core.utility`` of the vote rows with her
     row replaced by each of her 2^k vote vectors, keyed in ascending
     binary order with coordinate 1 as the most significant bit."""
-    _check_dims(instance, profile)
-    head, tail = profile.votes[:expert_i], profile.votes[expert_i + 1:]
+    head, tail = votes[:expert_i], votes[expert_i + 1:]
     return {
         vec: _utility(instance, schedule, head + (vec,) + tail, expert_i)
         for vec in _vote_vectors(instance.k)
@@ -174,9 +177,11 @@ def _optima(values, honest, mode):
 def is_admissible(instance: Instance, schedule: RewardSchedule,
                   profile: VotingProfile) -> tuple:
     """Per-expert semi-strategic admissibility flags for a profile."""
+    _check_dims(instance, profile)
+    votes = profile.votes
     honest = _honest_votes(instance.beliefs, schedule.T)
     return tuple(
-        _admissible(_responses(instance, schedule, profile, i), profile.votes[i], honest[i])
+        _admissible(_responses(instance, schedule, votes, i), votes[i], honest[i])
         for i in range(instance.n)
     )
 
@@ -195,7 +200,8 @@ def best_response(instance: Instance, schedule: RewardSchedule,
     _check_mode(mode)
     if not 0 <= expert_i < instance.n:
         raise ContractViolation(f"expert index {expert_i} out of range")
-    values = _responses(instance, schedule, profile, expert_i)
+    _check_dims(instance, profile)
+    values = _responses(instance, schedule, profile.votes, expert_i)
     return _optima(values, _honest_votes(instance.beliefs, schedule.T)[expert_i], mode)
 
 
@@ -204,10 +210,11 @@ def is_approx_pne(instance: Instance, schedule: RewardSchedule,
     """Whether no expert has a unilateral deviation worth more than
     (1 + epsilon) times her current utility; in semi mode every expert
     must additionally be admissible."""
+    _check_dims(instance, profile)
     factor = 1.0 + query.epsilon
     honest = _honest_votes(instance.beliefs, schedule.T)
     for i in range(instance.n):
-        values = _responses(instance, schedule, profile, i)
+        values = _responses(instance, schedule, profile.votes, i)
         current = profile.votes[i]
         bound = factor * values[current] + TOL
         if any(u > bound for vec, u in values.items() if vec != current):
@@ -253,7 +260,7 @@ def _utilities_for(p_row, ghat_row, schedule):
 def _row_checks(i, ctx, w, table, honest_row, factor, semi):
     """Expert i's checks on a block of rows.  Returns one bool per (own
     vector d, row): True where she has no (1+eps)-improving deviation and,
-    in semi mode, is admissible.
+    in semi mode, is admissible.  ``honest_row`` is her 0/1 honest vote.
 
     ``ctx`` holds each row's context: the other experts' votes, with expert
     e's vote on proposal j+1 at bit e'*k + j, where e' skips expert i.  Her
@@ -333,7 +340,7 @@ def enumerate_equilibria(instance: Instance, schedule: RewardSchedule,
         [_normalized_external(instance, i, j) for j in range(1, k + 1)]
         for i in range(n)
     ])
-    honest = p >= schedule.T
+    honest = _honest_votes(p, schedule.T)
     factor = 1.0 + query.epsilon
     semi = query.mode == "semi"
 
@@ -356,18 +363,14 @@ def enumerate_equilibria(instance: Instance, schedule: RewardSchedule,
             idx = (cols << (i * k))[:, None] | base
             ok[idx] &= _row_checks(i, ctx, w, table, honest[i], factor, semi)
 
+    found_bits = (np.flatnonzero(ok)[:, None] >> np.arange(bits)) & 1
+    # qual's own values: in a float array its int 0 would print as 0.0.
+    quality = [qual(instance, schedule.T, j) for j in range(k + 1)]
     found = []
-    for idx in np.flatnonzero(ok).tolist():
-        votes = tuple(
-            tuple((idx >> (i * k + j)) & 1 for j in range(k)) for i in range(n)
-        )
-        prof = VotingProfile(votes)
-        out = winner(instance, prof)
-        found.append(EquilibriumEntry(
-            profile=prof,
-            winner=out.winner,
-            winner_quality=qual(instance, schedule.T, out.winner),
-        ))
+    for rows in found_bits.reshape(-1, n, k):
+        votes = tuple(map(tuple, rows.tolist()))
+        j = _elect(instance.weights, votes)[0]
+        found.append(EquilibriumEntry(VotingProfile(votes), j, quality[j]))
 
     opt = opt_quality(instance, schedule.T)
     poa = pos = None
@@ -384,12 +387,6 @@ def enumerate_equilibria(instance: Instance, schedule: RewardSchedule,
 # ---------------------------------------------------------------------------
 
 
-def _singleton_profile(n, k, expert_i, proposal_j):
-    votes = [[0] * k for _ in range(n)]
-    votes[expert_i][proposal_j - 1] = 1
-    return VotingProfile(tuple(tuple(row) for row in votes))
-
-
 def constructive_pne(instance: Instance, schedule: RewardSchedule) -> VotingProfile:
     """Build a pure Nash equilibrium for purely strategic experts.
 
@@ -398,19 +395,21 @@ def constructive_pne(instance: Instance, schedule: RewardSchedule) -> VotingProf
     expert approves her best proposal and everyone else votes no.
     """
     n, k = instance.n, instance.k
+    zeros = ((0,) * k,) * n
+
+    def alone(i, j):  # the rows where only expert i approves, and only proposal j
+        return zeros[:i] + ((0,) * (j - 1) + (1,) + (0,) * (k - j),) + zeros[i + 1:]
+
     best_for = {}
     for i in range(n):
-        options = [
-            (utility(instance, schedule, _singleton_profile(n, k, i, j), i), j)
-            for j in range(1, k + 1)
-        ]
+        options = [(_utility(instance, schedule, alone(i, j), i), j) for j in range(1, k + 1)]
         u, j = max(options, key=lambda t: (t[0], -t[1]))
         if u > TOL:
             best_for[i] = (u, j)
     if not best_for:
-        return VotingProfile.zeros(n, k)
+        return VotingProfile(zeros)
     i_star = max(best_for, key=lambda i: (instance.weights[i], -i))
-    return _singleton_profile(n, k, i_star, best_for[i_star][1])
+    return VotingProfile(alone(i_star, best_for[i_star][1]))
 
 
 def best_response_dynamics(instance: Instance, schedule: RewardSchedule,
@@ -426,15 +425,16 @@ def best_response_dynamics(instance: Instance, schedule: RewardSchedule,
     _check_mode(mode)
     if max_steps < 1:
         raise ContractViolation("max_steps must be >= 1")
+    _check_dims(instance, start_profile)
     honest = _honest_votes(instance.beliefs, schedule.T)
-    profile = start_profile
-    seen = {profile.votes: 0}
+    votes = start_profile.votes
+    seen = {votes: 0}
     path = []
     for step in range(1, max_steps + 1):
         move = None
         for i in range(instance.n):
-            values = _responses(instance, schedule, profile, i)
-            current = profile.votes[i]
+            values = _responses(instance, schedule, votes, i)
+            current = votes[i]
             target = _optima(values, honest[i], mode)[0]
             forced = mode == "semi" and not _admissible(values, current, honest[i])
             if (values[target] > values[current] + TOL or forced) and target != current:
@@ -443,18 +443,18 @@ def best_response_dynamics(instance: Instance, schedule: RewardSchedule,
         if move is None:
             return DynamicsTrace(path=tuple(path), terminal="fixed_point")
         i, target = move
-        old = profile.votes[i]
-        profile = profile.replace_row(i, target)
+        old = votes[i]
+        votes = votes[:i] + (target,) + votes[i + 1:]
         path.append(MoveRecord(
             expert=i, old_votes=old, new_votes=target,
-            winner=winner(instance, profile).winner,
+            winner=_elect(instance.weights, votes)[0],
         ))
-        if profile.votes in seen:
+        if votes in seen:
             return DynamicsTrace(
                 path=tuple(path), terminal="cycle",
-                cycle_length=step - seen[profile.votes],
+                cycle_length=step - seen[votes],
             )
-        seen[profile.votes] = step
+        seen[votes] = step
     return DynamicsTrace(path=tuple(path), terminal="step_limit")
 
 
@@ -466,6 +466,7 @@ def safety_certificate(instance: Instance, schedule: RewardSchedule, *,
     every below-threshold belief is safe."""
     from .params import deviation_safety_threshold
 
+    honest = _honest_votes(instance.beliefs, schedule.T)
     safe = []
     eligible = True
     for i in range(instance.n):
@@ -473,10 +474,9 @@ def safety_certificate(instance: Instance, schedule: RewardSchedule, *,
         for j in range(instance.k):
             ghat = _normalized_external(instance, i, j + 1)
             envelope = deviation_safety_threshold(schedule, ghat, variant=variant)
-            p = instance.beliefs[i][j]
-            cell_safe = p < envelope.effective_threshold
+            cell_safe = instance.beliefs[i][j] < envelope.effective_threshold
             row.append(cell_safe)
-            if p < schedule.T and not cell_safe:
+            if not honest[i][j] and not cell_safe:
                 eligible = False
         safe.append(tuple(row))
     return SafetyCertificate(safe=tuple(safe), eligible=eligible)

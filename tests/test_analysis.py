@@ -124,6 +124,46 @@ def test_per_profile_route_rejects_a_profile_of_the_wrong_shape(call):
         call(instance, derive_schedule(0.9, 19.0, 1.0), VotingProfile(((0, 1),)))
 
 
+def test_analysis_checks_each_input_once(monkeypatch, prop4):
+    # Public functions check their profile once, and everything below them
+    # runs on plain vote rows: a VotingProfile is built only for an answer.
+    instance, schedule = prop4
+    honest = honest_profile(instance, schedule.T)
+    counts = {}
+    check_dims, post_init = analysis._check_dims, VotingProfile.__post_init__
+
+    def counting_check_dims(inst, profile):
+        counts["dims"] += 1
+        check_dims(inst, profile)
+
+    def counting_post_init(self):
+        counts["profiles"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(analysis, "_check_dims", counting_check_dims)
+    monkeypatch.setattr(VotingProfile, "__post_init__", counting_post_init)
+
+    def counted(call):
+        counts.update(dims=0, profiles=0)
+        return call(), (counts["dims"], counts["profiles"])
+
+    for call in (
+        lambda: is_admissible(instance, schedule, honest),
+        lambda: best_response(instance, schedule, honest, 0, "semi"),
+        lambda: is_approx_pne(instance, schedule, honest, SEMI0),
+    ):
+        assert counted(call)[1] == (1, 0)
+    trace, checks = counted(
+        lambda: best_response_dynamics(instance, schedule, honest, "semi", 64)
+    )
+    assert len(trace.path) == 4 and checks == (1, 0)
+    assert counted(lambda: constructive_pne(instance, schedule))[1] == (0, 1)
+    report, checks = counted(lambda: enumerate_equilibria(
+        instance, schedule, EquilibriumQuery("strategic", schedule.epsilon)
+    ))
+    assert report.equilibria and checks == (0, len(report.equilibria))
+
+
 @pytest.mark.parametrize("call", [
     lambda i, s, p: best_response(i, s, p, 0, "greedy"),
     lambda i, s, p: best_response_dynamics(i, s, p, "greedy", 8),
@@ -408,7 +448,7 @@ def test_utility_table_equals_public_utility(data):
     row = st.tuples(*[st.integers(0, 1)] * instance.k)
     profile = VotingProfile(data.draw(st.tuples(*[row] * instance.n)))
     for i in range(instance.n):
-        table = analysis._responses(instance, sched, profile, i)
+        table = analysis._responses(instance, sched, profile.votes, i)
         expected = [
             (vec, utility(instance, sched, profile.replace_row(i, vec), i).hex())
             for vec in itertools.product((0, 1), repeat=instance.k)
