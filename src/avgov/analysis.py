@@ -93,7 +93,10 @@ class EquilibriumQuery:
 
 @dataclass(frozen=True)
 class EquilibriumEntry:
-    profile: VotingProfile
+    """An equilibrium's vote rows, its winner and ``qual``'s own value for
+    that winner: the int 0, not 0.0, if no belief in it reaches T."""
+
+    votes: tuple
     winner: int
     winner_quality: float
 
@@ -367,10 +370,10 @@ def enumerate_equilibria(instance: Instance, schedule: RewardSchedule,
     # qual's own values: in a float array its int 0 would print as 0.0.
     quality = [qual(instance, schedule.T, j) for j in range(k + 1)]
     found = []
-    for rows in found_bits.reshape(-1, n, k):
-        votes = tuple(map(tuple, rows.tolist()))
+    for rows in found_bits.reshape(-1, n, k).tolist():
+        votes = tuple(map(tuple, rows))
         j = _elect(instance.weights, votes)[0]
-        found.append(EquilibriumEntry(VotingProfile(votes), j, quality[j]))
+        found.append(EquilibriumEntry(votes, j, quality[j]))
 
     opt = opt_quality(instance, schedule.T)
     poa = pos = None

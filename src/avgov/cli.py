@@ -96,8 +96,8 @@ def _bits(row):
     return "".join(str(v) for v in row)
 
 
-def profile_to_str(profile):
-    return "|".join(_bits(row) for row in profile.votes)
+def votes_to_str(votes):
+    return "|".join(_bits(row) for row in votes)
 
 
 def parse_profile(text):
@@ -234,11 +234,11 @@ def scenario_from_dict(data) -> Scenario:
             world = repeated.WorldConfig(
                 expertise=tuple(wd["expertise"]),
                 good_prior=float(wd["good_prior"]),
-                proposals_per_round=int(wd["k"]),
+                proposals_per_round=wd["k"],
                 zeta=float(wd["zeta"]),
                 gamma=float(wd["gamma"]),
-                horizon=int(wd["horizon"]),
-                seed=int(wd.get("seed", 0)),
+                horizon=wd["horizon"],
+                seed=wd.get("seed", 0),
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ScenarioError(f"world: missing or malformed field ({exc})") from exc
@@ -381,7 +381,7 @@ def cmd_winner(args):
         for i in range(scenario.instance.n)
     ]
     payload = {
-        "profile": profile_to_str(profile),
+        "profile": votes_to_str(profile.votes),
         "winner": outcome.winner,
         "approval_mass": list(outcome.approval_mass),
         "utilities": utilities,
@@ -405,7 +405,7 @@ def cmd_qual(args):
 def cmd_honest(args):
     scenario = _need_scenario(args)
     profile = core.honest_profile(scenario.instance, scenario.schedule.T)
-    return {"profile": profile_to_str(profile)}, None, None
+    return {"profile": votes_to_str(profile.votes)}, None, None
 
 
 def _report_payload(report):
@@ -413,14 +413,6 @@ def _report_payload(report):
         "mode": report.query.mode,
         "epsilon": report.query.epsilon,
         "equilibrium_count": len(report.equilibria),
-        "equilibria": [
-            {
-                "profile": profile_to_str(e.profile),
-                "winner": e.winner,
-                "winner_quality": e.winner_quality,
-            }
-            for e in report.equilibria
-        ],
         "opt": {"proposal": report.opt[0], "quality": report.opt[1]},
         "poa": report.poa,
         "pos": report.pos,
@@ -435,17 +427,14 @@ def _enumerate(args):
 
 def cmd_enumerate(args):
     report = _enumerate(args)
-    rows = [
-        (profile_to_str(e.profile), e.winner, e.winner_quality)
-        for e in report.equilibria
-    ]
-    return _report_payload(report), ("profile", "winner", "winner_quality"), _cells(rows)
+    header = ("profile", "winner", "winner_quality")
+    rows = [(votes_to_str(e.votes), e.winner, e.winner_quality) for e in report.equilibria]
+    payload = dict(_report_payload(report), equilibria=[dict(zip(header, r)) for r in rows])
+    return payload, header, _cells(rows)
 
 
 def cmd_poa(args):
-    payload = _report_payload(_enumerate(args))
-    del payload["equilibria"]
-    return payload, None, None
+    return _report_payload(_enumerate(args)), None, None
 
 
 def cmd_construct_pne(args):
@@ -457,7 +446,7 @@ def cmd_construct_pne(args):
         analysis.EquilibriumQuery(mode="strategic", epsilon=0.0),
     )
     payload = {
-        "profile": profile_to_str(profile),
+        "profile": votes_to_str(profile.votes),
         "winner": outcome.winner,
         "winner_quality": core.qual(scenario.instance, scenario.schedule.T,
                                     outcome.winner),
@@ -479,7 +468,7 @@ def cmd_dynamics(args):
         for m in trace.path
     ]
     payload = {
-        "start": profile_to_str(start),
+        "start": votes_to_str(start.votes),
         "mode": mode,
         "moves": moves,
         "steps": len(trace.path),
@@ -622,7 +611,7 @@ def _reproduce_prop4(args):
     payload = {
         "mode": query.mode,
         "epsilon": query.epsilon,
-        "equilibria": [profile_to_str(e.profile) for e in report.equilibria],
+        "equilibria": [votes_to_str(e.votes) for e in report.equilibria],
         "cycle_length": trace.cycle_length,
         "moves": [
             {"expert": m.expert, "new": _bits(m.new_votes), "winner": m.winner}
@@ -643,7 +632,7 @@ def _reproduce_thm6(args):
     quality, opt, ratio = _ratio_to_opt(scenario, profile)
     payload = {
         "weight_slack": slack,
-        "profile": profile_to_str(profile),
+        "profile": votes_to_str(profile.votes),
         "pne_quality": quality,
         "opt": opt,
         "poa": ratio,
@@ -665,7 +654,7 @@ def _reproduce_prop3(args):
     quality, opt, ratio = _ratio_to_opt(scenario, profile)
     payload = {
         "n": n,
-        "profile": profile_to_str(profile),
+        "profile": votes_to_str(profile.votes),
         "pne_quality": quality,
         "opt": opt,
         "ratio": ratio,

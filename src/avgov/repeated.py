@@ -71,6 +71,11 @@ class WorldConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("proposals_per_round", "horizon", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not float(value).is_integer():
+                raise ContractViolation(f"{name} = {value!r} is not an integer")
+            object.__setattr__(self, name, int(value))
         expertise = tuple(float(x) for x in self.expertise)
         if not expertise:
             raise ContractViolation("need at least one expert")

@@ -285,7 +285,7 @@ def test_acceptance_9_enumeration_agrees_with_membership_check():
                 epsilon=0.0 if trial % 4 < 2 else schedule.epsilon,
             )
             report = enumerate_equilibria(instance, schedule, query)
-            enumerated = {e.profile.votes for e in report.equilibria}
+            enumerated = {e.votes for e in report.equilibria}
             brute = set()
             for bits in range(1 << (n * k)):
                 votes = tuple(

@@ -395,6 +395,12 @@ def test_reproduce_refuses_options_its_claim_does_not_read(capsys, argv):
 
 
 EXPLICIT_SCHEDULE = {"a": 2.0, "a_prime": 1.0, "s": 17.0, "T": 0.9}
+WORLD = {"expertise": [0.9, 0.6], "good_prior": 0.5, "k": 2, "zeta": 0.05,
+         "gamma": 0.5, "horizon": 4, "seed": 0}
+
+
+def _world(**fields):
+    return dict(PROP4_SCENARIO, world=dict(WORLD, **fields))
 
 
 @pytest.mark.parametrize("data, argv, match", [
@@ -423,6 +429,18 @@ EXPLICIT_SCHEDULE = {"a": 2.0, "a_prime": 1.0, "s": 17.0, "T": 0.9}
     pytest.param(None, ["reproduce", "thm6", "--eps-weight", "1.5"], "weight_slack",
                  id="thm6-slack"),
     pytest.param(None, ["reproduce", "prop3", "--n", "0"], "n = 0", id="prop3-n"),
+    pytest.param(_world(k=2.7, horizon=3.9), ["repeat"],
+                 r"world: proposals_per_round = 2\.7 is not", id="world-k-fraction"),
+    pytest.param(_world(horizon=3.9), ["repeat"], r"world: horizon = 3\.9 is not an integer",
+                 id="world-horizon-fraction"),
+    pytest.param(_world(seed=1.5), ["deviation-gap"], r"world: seed = 1\.5 is not an integer",
+                 id="world-seed-fraction"),
+    pytest.param(_world(k=True), ["repeat"], "world: proposals_per_round = True is not",
+                 id="world-k-bool"),
+    pytest.param(_world(horizon=True), ["repeat"], "world: horizon = True is not an integer",
+                 id="world-horizon-bool"),
+    pytest.param(_world(seed=False), ["repeat"], "world: seed = False is not an integer",
+                 id="world-seed-bool"),
 ])
 def test_input_errors_exit_2(capsys, scenario_file, data, argv, match):
     if data is not None:

@@ -341,6 +341,14 @@ def test_world_config_validation():
         world(horizon=0)
     with pytest.raises(ContractViolation):
         world(expertise=(1.5,))
+    for field in ("proposals_per_round", "horizon", "seed"):
+        for value in (2.5, True):
+            with pytest.raises(ContractViolation, match=f"{field} = {value} is not"):
+                world(**{field: value})
+    integral = world(proposals_per_round=2.0, horizon=4.0, seed=1.0)
+    assert (integral.proposals_per_round, integral.horizon, integral.seed) == (2, 4, 1)
+    assert {type(integral.proposals_per_round), type(integral.horizon),
+            type(integral.seed)} == {int}
 
 
 @pytest.mark.parametrize("call, match", [
