@@ -45,12 +45,16 @@ SIDE_PAYMENTS = {
     "schedule": {"T": 0.9, "epsilon": 19, "a_prime": 1},
 }
 
-# The 24-bit example at the enumeration guard (12 experts, two proposals).
-ENUMERATE24 = json.loads(
-    (Path(__file__).parent.parent / "examples" / "enumerate24.json").read_text()
-)
+EXAMPLES = Path(__file__).parent.parent / "examples"
 
-SCENARIOS = {"prop4": PROP4, "external": SIDE_PAYMENTS, "enumerate24": ENUMERATE24}
+# The 24-bit example at the enumeration guard (12 experts, two proposals).
+ENUMERATE24 = json.loads((EXAMPLES / "enumerate24.json").read_text())
+
+# The repeated-game example (three experts, two proposals, H=12).
+DEVIATION = json.loads((EXAMPLES / "deviation.json").read_text())
+
+SCENARIOS = {"prop4": PROP4, "external": SIDE_PAYMENTS, "enumerate24": ENUMERATE24,
+             "deviation": DEVIATION}
 
 # case name -> (scenario or None, argv without --scenario and --out)
 CASES = {
@@ -71,6 +75,8 @@ CASES = {
     "dynamics": ("prop4", ["dynamics", "--start", "zeros"]),
     "repeat": ("prop4", ["repeat", "--horizon", "6", "--seed", "4"]),
     "deviation-gap": ("prop4", ["deviation-gap", "--expert", "1", "--horizon", "3"]),
+    # 4^12 plans at the example's own horizon.
+    "deviation-example": ("deviation", ["deviation-gap", "--expert", "0"]),
     "external-validate": ("external", ["validate"]),
     "external-winner": ("external", ["winner"]),
     "external-enumerate": ("external", ["enumerate"]),
