@@ -16,7 +16,9 @@ single-deviator search (``deviation_gap``) uses the same two functions.  It
 walks states forward instead of replaying every plan: plan prefixes that
 reach the same state share their future, so each state keeps only the
 prefixes that could still end a first maximal plan, and the states it
-expands over all rounds are capped by STATE_GUARD.
+expands over all rounds are capped by STATE_GUARD.  It also drops every
+prefix that cannot beat honest play: a weight never exceeds 1 and grows by
+at most (1+zeta) per round, which bounds what any suffix can add.
 
 A single run is sequential by nature; independent runs (different seeds or
 deviation plans) are pure functions of their arguments and can execute
@@ -389,6 +391,45 @@ def deviation_gap(world: WorldConfig, schedule: RewardSchedule, expert_i: int,
     Totals accumulate in ``discounted_total``'s order, so each one is
     bit-identical to a replay of its plan.
 
+    The search also prunes against honest play.  The honest plan is one
+    complete plan, and its search total is bit-identical to
+    ``honest_total``, so best_total >= honest_total.  Before round t is
+    expanded, an entry with total x at a state where the deviator's weight
+    is w is dropped when x + b < honest_total - margin, where
+
+        b = sum over s = t..H-1 of gamma^s * min(1, w*(1+zeta)^(s-t)) * max(a, a').
+
+    Every completion of a dropped prefix totals less than honest_total, so
+    none is maximal.  The staircase argument is unaffected: it shows that
+    an earlier plan would be maximal, whether or not that plan survives.
+    b depends only on the state, so it is computed once per state and round.
+
+    Why b bounds every suffix, exactly in floats.  A round pays the
+    deviator w times p*a - (1-p)*s <= a or (1-p)*a' <= a', or 0 on a dummy
+    round, and the draws pay no external rewards.  ``_delayed_update``
+    never moves a weight past max(omega, w), and omega <= 1, so a weight
+    that starts at 0.5 stays <= 1; it grows by at most the factor
+    (1.0 + zeta) per round.  b is formed with the search's own float
+    operations, (1.0 + zeta) * w and gamma^s * (w * max(a, a')), and
+    rounding is monotone.  So each term of b is at least the search's term
+    for that round, whatever the plan.
+
+    Why the margin covers the rounding.  Let n = H - t, u = 2^-53,
+    g = n*u / (1 - n*u) and S = |x| + b + |honest_total|; the margin is
+    (n+1) * 2^-51 * S = 4(n+1)*u*S.  A float sum of m terms, in any order,
+    is off by at most g_(m-1) times the sum of their magnitudes, and
+    additions keep that bound through gradual underflow.  So the exact sum
+    of b's n terms is at most b / (1 - g), and a completion, x plus n terms
+    each no larger than b's, totals at most x + b + 3g*S.  The test rounds
+    x + b, the two additions of S, the product and honest_total - margin,
+    so a passing test means x + b < honest_total - (4(n+1)*u*(1-u)^4 - u)*S.
+    For every n < 2^50 that slack exceeds 3g*S, so every completion totals
+    less than honest_total.  The margin is relative: scaling all rewards by
+    a power of two scales x, b, honest_total and the margin exactly, so the
+    search prunes the same states at every scale.  The argument needs the
+    margin to be a normal float, S >= 2^-972; a non-finite total never
+    prunes.
+
     Refuses (GuardRefusal) as soon as it would expand more than STATE_GUARD
     states, counted over all rounds, so the work done before an answer or a
     refusal is bounded.  Whether a horizon passes the cap is known only by
@@ -411,12 +452,38 @@ def deviation_gap(world: WorldConfig, schedule: RewardSchedule, expert_i: int,
     votes = _honest_votes(beliefs, schedule.T).tolist()
     quality_rows = qualities.tolist()
 
+    # factors[t] is gamma^t as discounted_total forms it, and capped[t] the
+    # bound on rounds t..H-1 at weight 1.
+    top = max(schedule.a, schedule.a_prime)
+    factors = [1.0]
+    for _ in range(1, horizon_H):
+        factors.append(factors[-1] * world.gamma)
+    capped = [0.0] * (horizon_H + 1)
+    for t in reversed(range(horizon_H)):
+        capped[t] = factors[t] * top + capped[t + 1]
+
+    def suffix_bound(w, t):
+        bound = 0.0
+        while t < horizon_H and w < 1.0:
+            bound += factors[t] * (w * top)
+            w = min(1.0, (1.0 + world.zeta) * w)
+            t += 1
+        return bound + capped[t]
+
     vectors = _vote_vectors(world.proposals_per_round)
     # (state, plan prefix, discounted total) in product order of prefixes.
     frontier = [(_initial_state(world.n), (), 0.0)]
-    factor = 1.0
     expanded = 0
     for t in range(horizon_H):
+        bounds = {state: suffix_bound(state[0][expert_i], t)
+                  for state in dict.fromkeys(state for state, _, _ in frontier)}
+        # Drop the entries that cannot reach honest play (see the docstring).
+        rel_margin = (horizon_H - t + 1) * 2.0 ** -51
+        frontier = [
+            (state, prefix, total) for state, prefix, total in frontier
+            if not total + bounds[state] < honest_total - rel_margin * (
+                abs(total) + bounds[state] + abs(honest_total))
+        ]
         states = list(dict.fromkeys(state for state, _, _ in frontier))
         expanded += len(states)
         if expanded > STATE_GUARD:
@@ -430,13 +497,12 @@ def deviation_gap(world: WorldConfig, schedule: RewardSchedule, expert_i: int,
         kept = []
         for state, prefix, total in frontier:
             for v, (child, value) in zip(vectors, moves[state]):
-                child_total = total + factor * value
+                child_total = total + factors[t] * value
                 if child in best and child_total <= best[child]:
                     continue
                 best[child] = child_total
                 kept.append((child, prefix + (v,), child_total))
         frontier = kept
-        factor *= world.gamma
 
     best_total, best_plan = -np.inf, None
     for _, plan, total in frontier:

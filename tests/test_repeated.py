@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from avgov import (
 from avgov import cli, repeated
 
 SCHED = derive_schedule(0.9, 19.0, 1.0)
+EXAMPLES = Path(__file__).parent.parent / "examples"
 
 
 def world(**kw):
@@ -443,10 +445,42 @@ def test_deviation_gap_equals_replay_of_every_plan(search):
         brute_force_gap(w, schedule, expert, horizon)
 
 
-def test_deviation_gap_equals_replay_at_benchmark_shape():
-    gamma = 0.9 * max_discount(SCHED.epsilon, 0.05)
-    w = world(expertise=(0.9, 0.8, 0.7), gamma=gamma, horizon=6, seed=4)
-    assert deviation_gap(w, SCHED, 2, 6) == brute_force_gap(w, SCHED, 2, 6)
+# name -> (world overrides, deviator) for three experts at H=6.
+REPLAY_WORLDS = {
+    "benchmark": (dict(gamma=0.9 * max_discount(SCHED.epsilon, 0.05), seed=4), 2),
+    # Deviating pays here, so the best plan beats the honest incumbent.
+    "profitable": (dict(zeta=0.1, gamma=0.9 * max_discount(SCHED.epsilon, 0.1),
+                        seed=56), 1),
+    "gamma-at-cap": (dict(gamma=max_discount(SCHED.epsilon, 0.05), seed=4), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPLAY_WORLDS))
+def test_deviation_gap_equals_replay_at_benchmark_shape(name):
+    overrides, expert = REPLAY_WORLDS[name]
+    w = world(expertise=(0.9, 0.8, 0.7), horizon=6, **overrides)
+    result = deviation_gap(w, SCHED, expert, 6)
+    assert result == brute_force_gap(w, SCHED, expert, 6)
+    assert (result.ratio > 1.0) == (name == "profitable")
+
+
+def test_deviation_gap_prunes_alike_at_every_scale(monkeypatch):
+    # Rewards scaled by 2^m scale every payout and total exactly, and the
+    # pruning margin is relative to the totals, so the search expands the
+    # same states at every scale.
+    scenario = cli.load_scenario(EXAMPLES / "deviation.json")
+    calls = []
+    step = repeated._step
+    monkeypatch.setattr(repeated, "_step", lambda *args: calls.append(1) or step(*args))
+    seen = set()
+    for m in (-40, 0, 40):
+        calls.clear()
+        result = deviation_gap(scenario.world, derive_schedule(0.9, 19.0, 2.0 ** m), 0, 12)
+        expanded = (len(calls) - 12) // 4
+        seen.add((result.best_plan, result.best_total / 2.0 ** m, expanded))
+    assert len(seen) == 1
+    # Without pruning the search expands 1,860 states here.
+    assert expanded < 1860
 
 
 @pytest.mark.parametrize("horizon, gamma", [(10, 0.5), (12, 0.0)])
@@ -478,9 +512,11 @@ def test_deviation_gap_keeps_earlier_prefix_when_rounding_absorbs_the_gap(monkey
 
 
 def test_deviation_gap_guard(monkeypatch):
-    monkeypatch.setattr(repeated, "STATE_GUARD", 64)
+    # Pruning against honest play leaves one state per round in this world,
+    # so a guard of 8 is passed in round 9.
+    monkeypatch.setattr(repeated, "STATE_GUARD", 8)
     w = world(proposals_per_round=2, horizon=10)
-    with pytest.raises(GuardRefusal, match="64 game states"):
+    with pytest.raises(GuardRefusal, match="passed 8 game states in round 9 of 10"):
         deviation_gap(w, SCHED, 0, 10)
 
 
