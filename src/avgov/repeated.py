@@ -415,12 +415,14 @@ def deviation_gap(world: WorldConfig, schedule: RewardSchedule, expert_i: int,
     for that round, whatever the plan.
 
     Why the margin covers the rounding.  Let n = H - t, u = 2^-53,
-    g = n*u / (1 - n*u) and S = |x| + b + |honest_total|; the margin is
-    (n+1) * 2^-51 * S = 4(n+1)*u*S.  A float sum of m terms, in any order,
-    is off by at most g_(m-1) times the sum of their magnitudes, and
-    additions keep that bound through gradual underflow.  So the exact sum
-    of b's n terms is at most b / (1 - g), and a completion, x plus n terms
-    each no larger than b's, totals at most x + b + 3g*S.  The test rounds
+    g_m = m*u / (1 - m*u), g = g_n and S = |x| + b + |honest_total|; the
+    margin is (n+1) * 2^-51 * S = 4(n+1)*u*S.  A float sum of m terms, in
+    any order, is off by at most g_(m-1) times the sum of their magnitudes,
+    and additions keep that bound through gradual underflow.  So the exact
+    sum of b's n terms is at most b / (1 - g).  A completion adds to x, one
+    by one, n terms each no larger than b's; float addition is monotone, so
+    it totals at most the same float sum over b's terms, which is at most
+    x + b + 3g*S.  The test rounds
     x + b, the two additions of S, the product and honest_total - margin,
     so a passing test means x + b < honest_total - (4(n+1)*u*(1-u)^4 - u)*S.
     For every n < 2^50 that slack exceeds 3g*S, so every completion totals
