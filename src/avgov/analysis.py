@@ -46,6 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import params
 from .core import (
     TOL,
     Instance,
@@ -461,14 +462,11 @@ def best_response_dynamics(instance: Instance, schedule: RewardSchedule,
     return DynamicsTrace(path=tuple(path), terminal="step_limit")
 
 
-def safety_certificate(instance: Instance, schedule: RewardSchedule, *,
-                         variant: str = "proof") -> SafetyCertificate:
+def safety_certificate(instance: Instance, schedule: RewardSchedule) -> SafetyCertificate:
     """Flag each (expert, proposal) cell as safe iff the belief lies below
     the deviation-safety threshold for that cell's normalized external
     reward.  The instance is eligible for the 2-approximation guarantee iff
     every below-threshold belief is safe."""
-    from .params import deviation_safety_threshold
-
     honest = _honest_votes(instance.beliefs, schedule.T)
     safe = []
     eligible = True
@@ -476,7 +474,7 @@ def safety_certificate(instance: Instance, schedule: RewardSchedule, *,
         row = []
         for j in range(instance.k):
             ghat = _normalized_external(instance, i, j + 1)
-            envelope = deviation_safety_threshold(schedule, ghat, variant=variant)
+            envelope = params.deviation_safety_threshold(schedule, ghat)
             cell_safe = instance.beliefs[i][j] < envelope.effective_threshold
             row.append(cell_safe)
             if not honest[i][j] and not cell_safe:

@@ -12,6 +12,7 @@ import argparse
 import csv
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import sys
@@ -127,22 +128,32 @@ DERIVABLE_KEYS = {"T", "epsilon", "a_prime"}
 
 
 def _number(value, field):
-    """``float(value)``, or a ScenarioError naming the field."""
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{field} = {value!r} is not a number") from exc
+    """``value`` if it is a JSON number, an int or a float but not a bool;
+    else a ScenarioError naming the field.  An int is returned as it is, so
+    a world integer keeps every digit."""
+    if type(value) not in (int, float):
+        raise ScenarioError(f"{field} = {value!r} is not a number")
+    return value
+
+
+def _check_rows(rows, field):
+    """Read every value in the rows with ``_number``.  The set of their
+    types is checked first, because that loop runs in C."""
+    if not {*map(type, itertools.chain(*rows))} <= {int, float}:
+        for row in rows:
+            for value in row:
+                _number(value, field)
 
 
 def _schedule_from_dict(data):
     supplied_delta = None
     if "delta" in data:
         data = dict(data)
-        supplied_delta = _number(data.pop("delta"), "schedule: delta")
+        supplied_delta = float(_number(data.pop("delta"), "schedule: delta"))
     keys = set(data)
 
     def num(key):
-        return _number(data[key], f"schedule: {key}")
+        return float(_number(data[key], f"schedule: {key}"))
 
     if keys == DERIVABLE_KEYS:
         try:
@@ -196,10 +207,11 @@ def scenario_from_dict(data) -> Scenario:
         )
     except (KeyError, TypeError) as exc:
         raise ScenarioError(f"experts: missing or malformed field ({exc})") from exc
+    _check_rows((weights,), "experts: weight")
+    _check_rows(beliefs, "experts: beliefs")
+    _check_rows(external, "experts: external")
     try:
         instance = core.Instance(weights=weights, beliefs=beliefs, external=external)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"experts: missing or malformed field ({exc})") from exc
     except ContractViolation as exc:
         raise ScenarioError(str(exc)) from exc
     if "schedule" not in data:
@@ -223,7 +235,7 @@ def scenario_from_dict(data) -> Scenario:
     try:
         query = analysis.EquilibriumQuery(
             mode=query_data.get("mode", "semi"),
-            epsilon=_number(query_data.get("epsilon", 0.0), "query: epsilon"),
+            epsilon=float(_number(query_data.get("epsilon", 0.0), "query: epsilon")),
         )
     except ContractViolation as exc:
         raise ScenarioError(f"query: {exc}") from exc
@@ -231,16 +243,18 @@ def scenario_from_dict(data) -> Scenario:
     if "world" in data:
         wd = data["world"]
         try:
+            expertise = tuple(wd["expertise"])
+            _check_rows((expertise,), "world: expertise")
             world = repeated.WorldConfig(
-                expertise=tuple(wd["expertise"]),
-                good_prior=float(wd["good_prior"]),
-                proposals_per_round=wd["k"],
-                zeta=float(wd["zeta"]),
-                gamma=float(wd["gamma"]),
-                horizon=wd["horizon"],
-                seed=wd.get("seed", 0),
+                expertise=expertise,
+                good_prior=float(_number(wd["good_prior"], "world: good_prior")),
+                proposals_per_round=_number(wd["k"], "world: k"),
+                zeta=float(_number(wd["zeta"], "world: zeta")),
+                gamma=float(_number(wd["gamma"], "world: gamma")),
+                horizon=_number(wd["horizon"], "world: horizon"),
+                seed=_number(wd.get("seed", 0), "world: seed"),
             )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ScenarioError(f"world: missing or malformed field ({exc})") from exc
         except ContractViolation as exc:
             raise ScenarioError(f"world: {exc}") from exc
@@ -462,11 +476,12 @@ def cmd_dynamics(args):
     trace = analysis.best_response_dynamics(
         scenario.instance, scenario.schedule, start, mode, args.max_steps
     )
-    moves = [
-        {"expert": m.expert, "old": _bits(m.old_votes), "new": _bits(m.new_votes),
-         "winner": m.winner}
-        for m in trace.path
+    rows = [
+        (idx, m.expert, _bits(m.old_votes), _bits(m.new_votes), m.winner)
+        for idx, m in enumerate(trace.path)
     ]
+    moves = [{"expert": expert, "old": old, "new": new, "winner": winner}
+             for _, expert, old, new, winner in rows]
     payload = {
         "start": votes_to_str(start.votes),
         "mode": mode,
@@ -475,10 +490,6 @@ def cmd_dynamics(args):
         "terminal": trace.terminal,
         "cycle_length": trace.cycle_length,
     }
-    rows = [
-        (idx, m.expert, _bits(m.old_votes), _bits(m.new_votes), m.winner)
-        for idx, m in enumerate(trace.path)
-    ]
     return payload, ("step", "expert", "old_votes", "new_votes", "winner"), _cells(rows)
 
 
@@ -671,35 +682,10 @@ def _reproduce_prop3(args):
     return payload, claims
 
 
-REPRODUCTIONS = {
-    "prop3": _reproduce_prop3,
-    "prop4": _reproduce_prop4,
-    "thm6": _reproduce_thm6,
-}
-
-
 def cmd_reproduce(args):
-    payload, claims = REPRODUCTIONS[args.name](args)
+    payload, claims = args.claim(args)
     payload.update({"name": args.name, "claims": claims, "pass": all(claims.values())})
     return payload, None, None
-
-
-HANDLERS = {
-    "derive-params": cmd_derive_params,
-    "validate": cmd_validate,
-    "winner": cmd_winner,
-    "qual": cmd_qual,
-    "honest": cmd_honest,
-    "enumerate": cmd_enumerate,
-    "poa": cmd_poa,
-    "construct-pne": cmd_construct_pne,
-    "dynamics": cmd_dynamics,
-    "safety": cmd_safety,
-    "reward-curve": cmd_reward_curve,
-    "repeat": cmd_repeat,
-    "deviation-gap": cmd_deviation_gap,
-    "reproduce": cmd_reproduce,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -715,69 +701,81 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help, scenario=True, within=sub):
+    def add(name, help, scenario=True, within=sub, **defaults):
         p = within.add_parser(name, help=help)
         if scenario:
             p.add_argument("--scenario", help="scenario JSON file")
         p.add_argument("--out", help="write CSV/flattened output here")
+        p.set_defaults(**defaults)
         return p
 
-    p = add("derive-params", help="derive a reward schedule from (T, epsilon, a')")
+    p = add("derive-params", help="derive a reward schedule from (T, epsilon, a')",
+            handler=cmd_derive_params)
     p.add_argument("--T", type=float)
     p.add_argument("--epsilon", type=float)
     p.add_argument("--a-prime", dest="a_prime", type=float)
 
-    add("validate", help="schedule identity diagnostics")
+    add("validate", help="schedule identity diagnostics", handler=cmd_validate)
 
-    p = add("winner", help="winner and per-expert utilities for a profile")
+    p = add("winner", help="winner and per-expert utilities for a profile",
+            handler=cmd_winner)
     p.add_argument("--profile", help="votes like 11|10|10 (default: honest)")
 
-    add("qual", help="per-proposal estimated quality and the optimum")
-    add("honest", help="the honest voting profile")
+    add("qual", help="per-proposal estimated quality and the optimum", handler=cmd_qual)
+    add("honest", help="the honest voting profile", handler=cmd_honest)
 
-    for name in ("enumerate", "poa"):
-        p = add(name, help="exhaustive equilibrium search"
-                if name == "enumerate" else "price of anarchy / stability")
+    for name, help, handler in (
+            ("enumerate", "exhaustive equilibrium search", cmd_enumerate),
+            ("poa", "price of anarchy / stability", cmd_poa)):
+        p = add(name, help=help, handler=handler)
         p.add_argument("--mode", choices=analysis.MODES)
         p.add_argument("--epsilon", type=float)
 
-    add("construct-pne", help="constructive equilibrium for strategic experts")
+    add("construct-pne", help="constructive equilibrium for strategic experts",
+        handler=cmd_construct_pne)
 
-    p = add("dynamics", help="best-response dynamics with cycle detection")
+    p = add("dynamics", help="best-response dynamics with cycle detection",
+            handler=cmd_dynamics)
     p.add_argument("--start", default="honest",
                    help="honest, zeros, or an explicit profile")
     p.add_argument("--mode", choices=analysis.MODES)
     p.add_argument("--max-steps", dest="max_steps", type=int, default=64)
 
-    p = add("safety", help="deviation-safety thresholds and certificate")
+    p = add("safety", help="deviation-safety thresholds and certificate",
+            handler=cmd_safety)
     p.add_argument("--g", type=float, default=0.0,
                    help="normalized external reward for the envelope")
 
-    p = add("reward-curve", help="expected-reward branches over the belief grid")
+    p = add("reward-curve", help="expected-reward branches over the belief grid",
+            handler=cmd_reward_curve)
     p.add_argument("--samples", type=int, default=101)
 
-    p = add("repeat", help="simulate the repeated game")
+    p = add("repeat", help="simulate the repeated game", handler=cmd_repeat)
     p.add_argument("--horizon", type=int)
     p.add_argument("--seed", type=int, help="override world seed")
 
-    p = add("deviation-gap", help="exhaustive single-deviator search")
+    p = add("deviation-gap", help="exhaustive single-deviator search",
+            handler=cmd_deviation_gap)
     p.add_argument("--expert", type=int, default=0)
     p.add_argument("--horizon", type=int)
     p.add_argument("--seed", type=int, help="override world seed")
 
-    # Each built-in claim takes only the options its reproduction reads.
-    claims = sub.add_parser(
+    # Each built-in claim takes only the options its reproduction reads;
+    # ``reproduce`` itself takes none, not even --out.
+    p = sub.add_parser(
         "reproduce", help="reproduce a built-in instance and check its claims",
-    ).add_subparsers(dest="name", required=True, metavar="NAME")
+    )
+    p.set_defaults(handler=cmd_reproduce)
+    claims = p.add_subparsers(dest="name", required=True, metavar="NAME")
     p = add("prop3", help="constructive strategic equilibrium and its quality ratio",
-            scenario=False, within=claims)
+            scenario=False, within=claims, claim=_reproduce_prop3)
     p.add_argument("--n", type=int, default=4)
     p = add("prop4", help="no pure equilibrium, a best-response cycle of length 4",
-            scenario=False, within=claims)
+            scenario=False, within=claims, claim=_reproduce_prop4)
     p.add_argument("--mode", choices=analysis.MODES)
     p.add_argument("--epsilon", type=float)
     p = add("thm6", help="semi-strategic equilibrium with quality ratio 2/(1+eps-weight)",
-            scenario=False, within=claims)
+            scenario=False, within=claims, claim=_reproduce_thm6)
     p.add_argument("--eps-weight", dest="eps_weight", type=float, default=0.1)
 
     return parser
@@ -789,9 +787,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 64
-    handler = HANDLERS[args.command]
     try:
-        payload, header, rows = handler(args)
+        payload, header, rows = args.handler(args)
     except (ContractViolation, NormalizationError, DerivationError,
             ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)

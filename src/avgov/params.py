@@ -7,7 +7,7 @@ All functions are pure and safe for unrestricted concurrent use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import Instance, RewardSchedule, _normalized_external
 from .errors import ContractViolation, DerivationError
@@ -34,29 +34,27 @@ class SafetyEnvelope:
     """Belief thresholds below which no profitable vote-in-favour deviation
     exists, for a given external reward.
 
-    Two variants of the bound's second numerator are in circulation and
+    Two versions of the bound's second numerator are in circulation and
     disagree in general: ``statement_branch`` uses a'(1-T) + a, while
     ``proof_branch`` re-derives it as a'(1-T) + s, which coincides with
-    T(a+s) whenever the inflection identity holds.  Both are reported;
-    ``effective_threshold`` follows the configured variant, the re-derived
-    one by default.
+    T(a+s) whenever the inflection identity holds.  ``effective_threshold``
+    is always the re-derived one, named by ``variant``; the statement's
+    branch is reported next to it for comparison.
     """
 
     statement_branch: float
     proof_branch: float
     effective_threshold: float
-    variant: str = "proof"
+    variant: str = field(default="proof", init=False)
 
 
 def derive_schedule(T: float, epsilon: float, a_prime: float, *,
-                    delta: float = 0.0,
-                    require_a_dominance: bool = True) -> RewardSchedule:
+                    delta: float = 0.0) -> RewardSchedule:
     """Derive (a, s) from (T, epsilon, a_prime).
 
-    Requires 1/(epsilon+1) < T < 1 and a_prime > 0.  The derived reward
-    satisfies a >= a_prime iff (1+epsilon)(1-T) >= 1; set
-    ``require_a_dominance=False`` to accept schedules without that
-    property (diagnostics will flag them).
+    Requires 1/(epsilon+1) < T < 1, a_prime > 0 and a >= a_prime, which
+    holds iff (1+epsilon)(1-T) >= 1.  A schedule with a < a_prime can only
+    be given in explicit form, where ``validate_schedule`` flags it.
     """
     if T in (0.0, 1.0):
         raise DerivationError(f"T = {T} is degenerate; the threshold must be interior")
@@ -72,11 +70,10 @@ def derive_schedule(T: float, epsilon: float, a_prime: float, *,
             f"{1.0 / (epsilon + 1.0)} >= {T}"
         )
     a = (1.0 + epsilon) * a_prime * (1.0 - T)
-    if require_a_dominance and a < a_prime:
+    if a < a_prime:
         raise DerivationError(
             f"condition a >= a_prime violated: (1+epsilon)(1-T) = "
-            f"{(1.0 + epsilon) * (1.0 - T)} < 1; pass require_a_dominance=False "
-            "to derive anyway"
+            f"{(1.0 + epsilon) * (1.0 - T)} < 1"
         )
     s = a * (T * (epsilon + 1.0) - 1.0) / ((1.0 - T) * (epsilon + 1.0))
     return RewardSchedule(a=a, a_prime=a_prime, s=s, T=T, epsilon=epsilon, delta=delta)
@@ -103,8 +100,7 @@ def validate_schedule(schedule: RewardSchedule) -> ScheduleDiagnostics:
     )
 
 
-def deviation_safety_threshold(schedule: RewardSchedule, g: float, *,
-                               variant: str = "proof") -> SafetyEnvelope:
+def deviation_safety_threshold(schedule: RewardSchedule, g: float) -> SafetyEnvelope:
     """Belief level below which voting a proposal up can never pay off,
     given the (weight-normalized) external reward g attached to it.
 
@@ -114,24 +110,17 @@ def deviation_safety_threshold(schedule: RewardSchedule, g: float, *,
     """
     if not g >= 0.0:
         raise ContractViolation(f"g = {g} must be >= 0")
-    if variant not in ("proof", "statement"):
-        raise ContractViolation(f"unknown variant {variant!r}")
     a, ap, s, T = schedule.a, schedule.a_prime, schedule.s, schedule.T
     denom = a + s + g
     first = T * (a + s) / denom
     statement = (ap * (1.0 - T) + a) / denom
     proof_second = (ap * (1.0 - T) + s) / denom
-    proof = min(first, proof_second)
-    if variant == "proof":
-        effective = proof
-    else:
-        effective = min(first, statement)
     clamp = lambda x: min(max(x, 0.0), 1.0)
+    proof = clamp(min(first, proof_second))
     return SafetyEnvelope(
         statement_branch=clamp(statement),
-        proof_branch=clamp(proof),
-        effective_threshold=clamp(effective),
-        variant=variant,
+        proof_branch=proof,
+        effective_threshold=proof,
     )
 
 

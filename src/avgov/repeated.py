@@ -266,6 +266,12 @@ def _payouts(schedule, winners, weights, votes, beliefs, qualities):
     return np.where(won, realized, 0.0), np.where(won, subjective, 0.0)
 
 
+def _round_cap(schedule):
+    """The most one round pays an expert of weight 1 without external
+    rewards: p*a - (1-p)*s <= a for an approval, (1-p)*a' <= a' otherwise."""
+    return max(schedule.a, schedule.a_prime)
+
+
 def _initial_state(n):
     return (INITIAL_WEIGHT,) * n, (0,) * n, 0
 
@@ -456,7 +462,7 @@ def deviation_gap(world: WorldConfig, schedule: RewardSchedule, expert_i: int,
 
     # factors[t] is gamma^t as discounted_total forms it, and capped[t] the
     # bound on rounds t..H-1 at weight 1.
-    top = max(schedule.a, schedule.a_prime)
+    top = _round_cap(schedule)
     factors = [1.0]
     for _ in range(1, horizon_H):
         factors.append(factors[-1] * world.gamma)
@@ -520,11 +526,11 @@ def deviation_gap(world: WorldConfig, schedule: RewardSchedule, expert_i: int,
 def deviation_tail_bound(schedule: RewardSchedule, zeta: float, gamma: float,
                          horizon_H: int) -> float:
     """Analytic cap on any single deviator's discounted subjective total
-    beyond a truncated horizon: per round at most (1+delta) * weight * a,
-    with the weight starting at INITIAL_WEIGHT and growing at most (1+zeta)
-    per round."""
+    beyond a truncated horizon: per round at most (1+delta) * weight *
+    max(a, a'), with the weight starting at INITIAL_WEIGHT and growing at
+    most (1+zeta) per round."""
     growth = (1.0 + zeta) * gamma
     if growth >= 1.0:
         raise ContractViolation(f"(1+zeta)*gamma = {growth} must be < 1 for the tail sum")
-    per_round = (1.0 + schedule.delta) * INITIAL_WEIGHT * schedule.a
+    per_round = (1.0 + schedule.delta) * INITIAL_WEIGHT * _round_cap(schedule)
     return per_round * growth ** horizon_H / (1.0 - growth)

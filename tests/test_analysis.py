@@ -773,7 +773,6 @@ def test_anarchy_bound_fails_for_marginally_attached_pivotal_expert():
 
     # Eligibility does not exclude the instance, yet the ratio blows up.
     assert safety_certificate(instance, sched).eligible
-    assert safety_certificate(instance, sched, variant="statement").eligible
     quality = qual(instance, sched.T, 1)
     best = opt_quality(instance, sched.T)
     assert best[1] / quality > 2.0

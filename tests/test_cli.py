@@ -93,10 +93,21 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_parser_subcommands_equal_handlers():
-    sub = next(a for a in cli.build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    assert set(sub.choices) == set(cli.HANDLERS)
+def _subcommands(parser):
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_every_command_and_claim_parses_to_its_function():
+    parser = cli.build_parser()
+    commands = _subcommands(parser)
+    for name in commands.keys() - {"reproduce"}:
+        handler = parser.parse_args([name]).handler
+        assert handler is getattr(cli, "cmd_" + name.replace("-", "_"))
+    for name in _subcommands(commands["reproduce"]):
+        args = parser.parse_args(["reproduce", name])
+        assert args.handler is cli.cmd_reproduce
+        assert args.claim is getattr(cli, "_reproduce_" + name)
 
 
 def test_usage_errors_exit_64(capsys):
@@ -403,6 +414,19 @@ def _world(**fields):
     return dict(PROP4_SCENARIO, world=dict(WORLD, **fields))
 
 
+def _expert0(**fields):
+    experts = PROP4_SCENARIO["experts"]
+    return dict(PROP4_SCENARIO, experts=[dict(experts[0], **fields)] + experts[1:])
+
+
+def _schedule(**fields):
+    return dict(PROP4_SCENARIO, schedule=dict(PROP4_SCENARIO["schedule"], **fields))
+
+
+WORLD_WITHOUT_ZETA = dict(PROP4_SCENARIO, world={k: v for k, v in WORLD.items()
+                                                 if k != "zeta"})
+
+
 @pytest.mark.parametrize("data, argv, match", [
     pytest.param([PROP4_SCENARIO], ["validate"], "scenario must be a JSON object",
                  id="not-object"),
@@ -435,12 +459,39 @@ def _world(**fields):
                  id="world-horizon-fraction"),
     pytest.param(_world(seed=1.5), ["deviation-gap"], r"world: seed = 1\.5 is not an integer",
                  id="world-seed-fraction"),
-    pytest.param(_world(k=True), ["repeat"], "world: proposals_per_round = True is not",
+    pytest.param(_world(k=True), ["repeat"], "world: k = True is not a number",
                  id="world-k-bool"),
-    pytest.param(_world(horizon=True), ["repeat"], "world: horizon = True is not an integer",
+    pytest.param(_world(horizon=True), ["repeat"], "world: horizon = True is not a number",
                  id="world-horizon-bool"),
-    pytest.param(_world(seed=False), ["repeat"], "world: seed = False is not an integer",
+    pytest.param(_world(seed=False), ["repeat"], "world: seed = False is not a number",
                  id="world-seed-bool"),
+    pytest.param(WORLD_WITHOUT_ZETA, ["repeat"], "world: missing or malformed field",
+                 id="world-no-zeta"),
+    # A number given as a bool or a string is refused, not converted.
+    pytest.param(_expert0(weight=True), ["validate"],
+                 "experts: weight = True is not a number", id="weight-bool"),
+    pytest.param(_expert0(beliefs=["0.95", 1]), ["validate"],
+                 "experts: beliefs = '0.95' is not a number", id="beliefs-str"),
+    pytest.param(_expert0(external=["0.1", False]), ["validate"],
+                 "experts: external = '0.1' is not a number", id="external-str"),
+    pytest.param(_schedule(T="0.9"), ["validate"], "schedule: T = '0.9' is not a number",
+                 id="T-str"),
+    pytest.param(_schedule(a_prime=True), ["validate"],
+                 "schedule: a_prime = True is not a number", id="a-prime-bool"),
+    pytest.param(dict(PROP4_SCENARIO, query={"epsilon": False}), ["validate"],
+                 "query: epsilon = False is not a number", id="query-epsilon-bool"),
+    pytest.param(_world(expertise=[True, "0.6"]), ["repeat"],
+                 "world: expertise = True is not a number", id="world-expertise-bool"),
+    pytest.param(_world(good_prior="0.5"), ["repeat"],
+                 "world: good_prior = '0.5' is not a number", id="world-good-prior-str"),
+    pytest.param(_world(gamma="0.5"), ["repeat"], "world: gamma = '0.5' is not a number",
+                 id="world-gamma-str"),
+    pytest.param(_world(k="2"), ["repeat"], "world: k = '2' is not a number",
+                 id="world-k-str"),
+    pytest.param(_world(horizon="20"), ["repeat"], "world: horizon = '20' is not a number",
+                 id="world-horizon-str"),
+    pytest.param(_world(seed="7"), ["repeat"], "world: seed = '7' is not a number",
+                 id="world-seed-str"),
 ])
 def test_input_errors_exit_2(capsys, scenario_file, data, argv, match):
     if data is not None:

@@ -56,11 +56,12 @@ def test_derive_rejects_degenerate_threshold():
 
 
 def test_derive_a_dominance_opt_out():
-    # (1+eps)(1-T) < 1 here, so a < a'; refused unless opted out.
-    with pytest.raises(DerivationError, match="a >= a_prime"):
+    # (1+eps)(1-T) < 1 here, so a < a': derivation refuses it, and the
+    # diagnostics flag the same schedule given explicitly.
+    with pytest.raises(DerivationError, match="a >= a_prime") as info:
         derive_schedule(0.9, 2.0, 1.0)
-    sched = derive_schedule(0.9, 2.0, 1.0, require_a_dominance=False)
-    assert sched.a < sched.a_prime
+    assert "require_a_dominance" not in str(info.value)
+    sched = RewardSchedule(a=0.3, a_prime=1.0, s=1.7, T=0.9, epsilon=2.0)
     assert not validate_schedule(sched).a_dominates
 
 
@@ -69,7 +70,7 @@ def test_derived_s_sign_matches_threshold_position():
     # probe just above it.
     for eps in (1.5, 3.0, 9.0):
         edge = 1.0 / (1.0 + eps)
-        sched = derive_schedule(edge + 1e-6, eps, 1.0, require_a_dominance=False)
+        sched = derive_schedule(edge + 1e-6, eps, 1.0)
         assert sched.s >= 0.0
 
 
@@ -139,10 +140,12 @@ def test_safety_envelope_huge_external_goes_to_zero():
 
 
 def test_safety_envelope_statement_variant():
+    # The statement's branch is reported; the proof's branch is applied.
     sched = derive_schedule(0.9, 19.0, 1.0)
-    env = deviation_safety_threshold(sched, 0.0, variant="statement")
-    assert env.variant == "statement"
-    assert env.effective_threshold == pytest.approx(min(0.9, 2.1 / 19.0))
+    env = deviation_safety_threshold(sched, 0.0)
+    assert env.statement_branch == pytest.approx(2.1 / 19.0)
+    assert env.variant == "proof"
+    assert env.effective_threshold == env.proof_branch
 
 
 def test_proof_branch_terms_coincide_under_inflection():
@@ -242,9 +245,6 @@ def test_max_discount_is_zero_without_slack_or_step():
                  "epsilon = -1.0", id="negative-epsilon"),
     pytest.param(lambda: derive_schedule(0.9, 19.0, 0.0), DerivationError,
                  "a_prime = 0.0", id="zero-a-prime"),
-    pytest.param(lambda: deviation_safety_threshold(derive_schedule(0.9, 19.0, 1.0), 0.0,
-                                                    variant="lemma"),
-                 ContractViolation, "unknown variant", id="unknown-variant"),
 ])
 def test_input_checks_raise(call, error, match):
     with pytest.raises(error, match=match):

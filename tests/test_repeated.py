@@ -18,6 +18,7 @@ from avgov import (
     GuardRefusal,
     HonestPolicy,
     Instance,
+    RewardSchedule,
     SingleDeviatorPolicy,
     WorldConfig,
     correct_fraction,
@@ -552,6 +553,17 @@ def test_deviation_gap_profitable_case_stays_within_bound():
     tail = deviation_tail_bound(SCHED, w.zeta, gamma, 3)
     bound = (1.0 + 3.0 * SCHED.epsilon) * (1.0 + SCHED.delta)
     assert (result.best_total + tail) / result.honest_total <= bound
+
+
+def test_tail_bound_covers_honest_play_when_a_prime_exceeds_a():
+    # An explicit schedule may pay a' > a for a correct disapproval, so a
+    # round is capped by max(a, a'), not by a.
+    sched = RewardSchedule(a=1.0, a_prime=2.0, s=0.0, T=2.0 / 3.0, epsilon=0.5)
+    scenario = cli.load_scenario(str(EXAMPLES / "deviation.json"))
+    w = dataclasses.replace(scenario.world, gamma=0.75, horizon=200)
+    after = [row[0] for row in run_repeated(w, sched).subjective[8:]]
+    tail = discounted_total([0.0] * 8 + after, w.gamma)
+    assert tail <= deviation_tail_bound(sched, w.zeta, w.gamma, 8)
 
 
 def test_geometric_bounds_on_dummy_free_world():
