@@ -145,121 +145,113 @@ def _check_rows(rows, field):
                 _number(value, field)
 
 
-def _schedule_from_dict(data):
-    supplied_delta = None
-    if "delta" in data:
-        data = dict(data)
-        supplied_delta = float(_number(data.pop("delta"), "schedule: delta"))
-    keys = set(data)
+def _section(name, read, *args):
+    """``read(*args)``, with a missing or malformed field and a library
+    refusal turned into a ScenarioError that names the section."""
+    try:
+        return read(*args)
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ScenarioError(f"{name}: missing or malformed field ({exc})") from exc
+    except (ContractViolation, DerivationError) as exc:
+        raise ScenarioError(f"{name}: {exc}") from exc
+
+
+def _read_experts(data):
+    experts = data["experts"]
+    weights = tuple(e["weight"] for e in experts)
+    beliefs = tuple(tuple(e["beliefs"]) for e in experts)
+    external = tuple(
+        tuple(e.get("external", [0.0] * len(e["beliefs"]))) for e in experts
+    )
+    _check_rows((weights,), "experts: weight")
+    _check_rows(beliefs, "experts: beliefs")
+    _check_rows(external, "experts: external")
+    return core.Instance(weights=weights, beliefs=beliefs, external=external)
+
+
+def _read_schedule(data, instance):
+    """The schedule in either form, and the form's name.  Its delta is the
+    bound computed from the instance's external rewards; a supplied
+    ``delta`` may only widen it."""
+    if not isinstance(data, dict):
+        raise ScenarioError("schedule must be a JSON object")
+    keys = data.keys() - {"delta"}
 
     def num(key):
         return float(_number(data[key], f"schedule: {key}"))
 
     if keys == DERIVABLE_KEYS:
-        try:
-            schedule = params.derive_schedule(
-                num("T"), num("epsilon"), num("a_prime"),
-                delta=supplied_delta or 0.0,
-            )
-        except DerivationError as exc:
-            raise ScenarioError(f"schedule: {exc}") from exc
-        return schedule, "derived", supplied_delta
-    if keys == EXPLICIT_KEYS:
+        form = "derived"
+        schedule = params.derive_schedule(num("T"), num("epsilon"), num("a_prime"))
+    elif keys == EXPLICIT_KEYS:
+        form = "explicit"
         a, ap, T = num("a"), num("a_prime"), num("T")
         # Recover the slack the schedule was built for; downstream bounds
         # need it and the explicit form does not carry it.
         epsilon = max(a / (ap * (1.0 - T)) - 1.0, 0.0) if ap > 0.0 and T < 1.0 else 0.0
-        try:
-            schedule = core.RewardSchedule(
-                a=a, a_prime=ap, s=num("s"), T=T, epsilon=epsilon,
-                delta=supplied_delta or 0.0,
-            )
-        except ContractViolation as exc:
-            raise ScenarioError(f"schedule: {exc}") from exc
+        schedule = core.RewardSchedule(a=a, a_prime=ap, s=num("s"), T=T, epsilon=epsilon)
         # The inflection residual is this one times (a+a'+s): not checked.
-        diag = params.validate_schedule(schedule)
-        if diag.threshold_identity_residual > params.IDENTITY_TOL:
+        residual = params.validate_schedule(schedule).threshold_identity_residual
+        if residual > params.IDENTITY_TOL:
             raise ScenarioError(
                 "schedule: threshold identity T = (a'+s)/(a'+s+a) fails, residual "
-                f"{diag.threshold_identity_residual}"
+                f"{residual}"
             )
-        return schedule, "explicit", supplied_delta
-    if EXPLICIT_KEYS < keys or (keys > DERIVABLE_KEYS):
+    elif EXPLICIT_KEYS < keys or keys > DERIVABLE_KEYS:
         raise ScenarioError(
             "schedule: give exactly one of the explicit form {a, a_prime, s, T} "
             "or the derivable form {T, epsilon, a_prime}, not a mixture"
         )
-    raise ScenarioError(
-        f"schedule: unrecognized key set {sorted(keys)}; expected "
-        "{a, a_prime, s, T} or {T, epsilon, a_prime}"
+    else:
+        raise ScenarioError(
+            f"schedule: unrecognized key set {sorted(keys)}; expected "
+            "{a, a_prime, s, T} or {T, epsilon, a_prime}"
+        )
+    bound = params.external_bound_delta(instance, schedule)
+    delta = num("delta") if "delta" in data else bound
+    if delta < bound - 1e-12:
+        raise ScenarioError(
+            f"schedule: delta = {delta} is below the bound "
+            f"{bound} computed from the instance's external rewards"
+        )
+    # max(nan, bound) is nan: the constructor refuses it, as an infinite one.
+    return dataclasses.replace(schedule, delta=max(delta, bound)), form
+
+
+def _read_query(data):
+    if not isinstance(data, dict):
+        raise ScenarioError("query must be a JSON object")
+    return analysis.EquilibriumQuery(
+        mode=data.get("mode", "semi"),
+        epsilon=float(_number(data.get("epsilon", 0.0), "query: epsilon")),
+    )
+
+
+def _read_world(data):
+    def num(key):
+        return _number(data[key], f"world: {key}")
+
+    expertise = tuple(data["expertise"])
+    _check_rows((expertise,), "world: expertise")
+    return repeated.WorldConfig(
+        expertise=expertise, good_prior=float(num("good_prior")),
+        proposals_per_round=num("k"), zeta=float(num("zeta")),
+        gamma=float(num("gamma")), horizon=num("horizon"),
+        seed=_number(data.get("seed", 0), "world: seed"),
     )
 
 
 def scenario_from_dict(data) -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioError("scenario must be a JSON object")
-    try:
-        experts = data["experts"]
-        weights = tuple(e["weight"] for e in experts)
-        beliefs = tuple(tuple(e["beliefs"]) for e in experts)
-        external = tuple(
-            tuple(e.get("external", [0.0] * len(e["beliefs"]))) for e in experts
-        )
-    except (KeyError, TypeError) as exc:
-        raise ScenarioError(f"experts: missing or malformed field ({exc})") from exc
-    _check_rows((weights,), "experts: weight")
-    _check_rows(beliefs, "experts: beliefs")
-    _check_rows(external, "experts: external")
-    try:
-        instance = core.Instance(weights=weights, beliefs=beliefs, external=external)
-    except ContractViolation as exc:
-        raise ScenarioError(str(exc)) from exc
+    instance = _section("experts", _read_experts, data)
     if "schedule" not in data:
         raise ScenarioError("scenario has no schedule")
-    if not isinstance(data["schedule"], dict):
-        raise ScenarioError("schedule must be a JSON object")
-    schedule, form, supplied_delta = _schedule_from_dict(data["schedule"])
-    # The external-reward bound belongs to the instance; a supplied value
-    # may only widen it.
-    computed_delta = params.external_bound_delta(instance, schedule)
-    if supplied_delta is not None and supplied_delta < computed_delta - 1e-12:
-        raise ScenarioError(
-            f"schedule: delta = {supplied_delta} is below the bound "
-            f"{computed_delta} computed from the instance's external rewards"
-        )
-    if computed_delta > schedule.delta:
-        schedule = dataclasses.replace(schedule, delta=computed_delta)
-    query_data = data.get("query", {})
-    if not isinstance(query_data, dict):
-        raise ScenarioError("query must be a JSON object")
-    try:
-        query = analysis.EquilibriumQuery(
-            mode=query_data.get("mode", "semi"),
-            epsilon=float(_number(query_data.get("epsilon", 0.0), "query: epsilon")),
-        )
-    except ContractViolation as exc:
-        raise ScenarioError(f"query: {exc}") from exc
-    world = None
-    if "world" in data:
-        wd = data["world"]
-        try:
-            expertise = tuple(wd["expertise"])
-            _check_rows((expertise,), "world: expertise")
-            world = repeated.WorldConfig(
-                expertise=expertise,
-                good_prior=float(_number(wd["good_prior"], "world: good_prior")),
-                proposals_per_round=_number(wd["k"], "world: k"),
-                zeta=float(_number(wd["zeta"], "world: zeta")),
-                gamma=float(_number(wd["gamma"], "world: gamma")),
-                horizon=_number(wd["horizon"], "world: horizon"),
-                seed=_number(wd.get("seed", 0), "world: seed"),
-            )
-        except (KeyError, TypeError, OverflowError) as exc:
-            raise ScenarioError(f"world: missing or malformed field ({exc})") from exc
-        except ContractViolation as exc:
-            raise ScenarioError(f"world: {exc}") from exc
+    schedule, form = _section("schedule", _read_schedule, data["schedule"], instance)
     return Scenario(
-        instance=instance, schedule=schedule, query=query, world=world,
+        instance=instance, schedule=schedule,
+        query=_section("query", _read_query, data.get("query", {})),
+        world=_section("world", _read_world, data["world"]) if "world" in data else None,
         schedule_form=form,
     )
 
@@ -270,7 +262,7 @@ def load_scenario(path) -> Scenario:
             data = json.load(fh)
     except OSError as exc:
         raise ScenarioError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise ScenarioError(f"parse error in {path}: {exc}") from exc
     return scenario_from_dict(data)
 

@@ -440,8 +440,10 @@ def deviation_gap(world: WorldConfig, schedule: RewardSchedule, expert_i: int,
 
     Refuses (GuardRefusal) as soon as it would expand more than STATE_GUARD
     states, counted over all rounds, so the work done before an answer or a
-    refusal is bounded.  Whether a horizon passes the cap is known only by
-    searching, so a refusal comes after that work.
+    refusal is bounded.  Each round expands at least one state, because the
+    honest prefix, or an earlier prefix at its state, is never dropped; so
+    a horizon above STATE_GUARD is refused before anything is sampled.
+    Whether a shorter horizon passes the cap is known only by searching.
     """
     if not 0 <= expert_i < world.n:
         raise ContractViolation(f"expert index {expert_i} out of range")
@@ -451,6 +453,11 @@ def deviation_gap(world: WorldConfig, schedule: RewardSchedule, expert_i: int,
         raise ContractViolation(
             f"gamma = {world.gamma} exceeds max_discount = "
             f"{max_discount(schedule.epsilon, world.zeta)}"
+        )
+    if horizon_H > STATE_GUARD:
+        raise GuardRefusal(
+            f"deviation search would pass {STATE_GUARD} game states: "
+            f"horizon_H = {horizon_H} expands at least one per round"
         )
     short_world = dataclasses.replace(world, horizon=horizon_H)
     qualities, beliefs = _presample(short_world)

@@ -24,8 +24,9 @@ PROP4_SCENARIO = {
 @pytest.fixture
 def scenario_file(tmp_path):
     def write(data, name="scenario.json"):
+        """Write ``data`` as JSON, or as it is if it is already text."""
         path = tmp_path / name
-        path.write_text(json.dumps(data))
+        path.write_text(data if isinstance(data, str) else json.dumps(data))
         return str(path)
 
     return write
@@ -423,6 +424,12 @@ def _schedule(**fields):
     return dict(PROP4_SCENARIO, schedule=dict(PROP4_SCENARIO["schedule"], **fields))
 
 
+# 400 digits pass the JSON reader and _number but overflow float().
+BIG = int("9" * 400)
+# 5,000 digits pass Python's JSON reader only where it has no digit limit.
+SEED_5000_DIGITS = json.dumps(_world()).replace('"seed": 0', '"seed": ' + "9" * 5000)
+OVERFLOW = r"missing or malformed field \(int too large to convert to float\)"
+
 WORLD_WITHOUT_ZETA = dict(PROP4_SCENARIO, world={k: v for k, v in WORLD.items()
                                                  if k != "zeta"})
 
@@ -492,6 +499,30 @@ WORLD_WITHOUT_ZETA = dict(PROP4_SCENARIO, world={k: v for k, v in WORLD.items()
                  id="world-horizon-str"),
     pytest.param(_world(seed="7"), ["repeat"], "world: seed = '7' is not a number",
                  id="world-seed-str"),
+    # An integer too large for a float is refused in its section.
+    pytest.param(_expert0(weight=BIG), ["validate"], "experts: " + OVERFLOW,
+                 id="weight-overflow"),
+    pytest.param(_expert0(beliefs=[BIG, 1]), ["validate"], "experts: " + OVERFLOW,
+                 id="beliefs-overflow"),
+    pytest.param(_expert0(external=[BIG, 0]), ["validate"], "experts: " + OVERFLOW,
+                 id="external-overflow"),
+    pytest.param(_schedule(T=BIG), ["validate"], "schedule: " + OVERFLOW, id="T-overflow"),
+    pytest.param(_schedule(delta=BIG), ["validate"], "schedule: " + OVERFLOW,
+                 id="delta-overflow"),
+    pytest.param(dict(PROP4_SCENARIO, query={"epsilon": BIG}), ["validate"],
+                 "query: " + OVERFLOW, id="query-epsilon-overflow"),
+    pytest.param(_world(gamma=BIG), ["repeat"], "world: " + OVERFLOW,
+                 id="world-gamma-overflow"),
+    pytest.param(SEED_5000_DIGITS, ["repeat"],
+                 r"parse error in .*\(4300 digits\)|world: " + OVERFLOW,
+                 id="world-seed-5000-digits"),
+    # delta may only widen the bound from the external rewards, and must be finite.
+    pytest.param(_schedule(delta=-1), ["validate"], r"schedule: delta = -1\.0 is below",
+                 id="delta-negative"),
+    pytest.param(_schedule(delta=float("nan")), ["validate"],
+                 "schedule: delta = nan must be finite", id="delta-nan"),
+    pytest.param(_schedule(delta=float("inf")), ["validate"],
+                 "schedule: delta = inf must be finite", id="delta-inf"),
 ])
 def test_input_errors_exit_2(capsys, scenario_file, data, argv, match):
     if data is not None:

@@ -513,21 +513,32 @@ def test_deviation_gap_keeps_earlier_prefix_when_rounding_absorbs_the_gap(monkey
 
 
 def test_deviation_gap_guard(monkeypatch):
-    # Pruning against honest play leaves one state per round in this world,
-    # so a guard of 8 is passed in round 9.
-    monkeypatch.setattr(repeated, "STATE_GUARD", 8)
-    w = world(proposals_per_round=2, horizon=10)
-    with pytest.raises(GuardRefusal, match="passed 8 game states in round 9 of 10"):
+    # At gamma 0.9 pruning keeps several states in some rounds (26 over 10
+    # rounds), so a guard of 12 is passed in round 6.
+    monkeypatch.setattr(repeated, "STATE_GUARD", 12)
+    w = world(proposals_per_round=2, gamma=0.9, horizon=10)
+    with pytest.raises(GuardRefusal, match="passed 12 game states in round 6 of 10"):
         deviation_gap(w, SCHED, 0, 10)
+
+
+def test_deviation_gap_refuses_horizon_above_guard_before_sampling(monkeypatch):
+    # Each round expands at least one state, so such a horizon cannot pass.
+    def no_draws(world):
+        raise AssertionError("sampled before refusing")
+
+    monkeypatch.setattr(repeated, "_presample", no_draws)
+    with pytest.raises(GuardRefusal, match="expands at least one per round"):
+        deviation_gap(world(), SCHED, 0, repeated.STATE_GUARD + 1)
 
 
 def test_deviation_gap_guard_counts_states_over_all_rounds(monkeypatch):
     # Each expanded state steps its round once per vote vector; the honest
-    # run steps the other H rounds.
+    # run steps the other H rounds.  This world expands more states than it
+    # has rounds, so a guard one short of them is not refused up front.
     calls = []
     step = repeated._step
     monkeypatch.setattr(repeated, "_step", lambda *args: calls.append(1) or step(*args))
-    w = world(proposals_per_round=2, horizon=10)
+    w = world(proposals_per_round=2, gamma=0.9, horizon=10)
     answer = deviation_gap(w, SCHED, 0, 10)
     expanded = (len(calls) - 10) // 4
     monkeypatch.setattr(repeated, "_step", step)
