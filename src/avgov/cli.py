@@ -9,7 +9,6 @@ reproduction claim failed, 2 validation, 3 guard refusal, 64 usage.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
 import itertools
@@ -72,24 +71,37 @@ def _cells(rows):
 
 
 def _write_csv(path, header, rows):
-    """Write the header and the rows, whose cells are already text."""
+    """Write the header and the rows as CSV: cells joined by commas, each
+    line ended by CRLF, one line at a time.
+
+    Cells arrive as CSV text.  Only ``_flatten`` makes cells that can hold
+    a comma, a quote or a line break, and it quotes them with ``_quoted``;
+    every other producer yields cells that need no quotes."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.writelines(",".join(row) + "\r\n" for row in itertools.chain((header,), rows))
+
+
+def _quoted(cell):
+    """``cell`` as csv.writer's minimal rule writes it: in quotes, with
+    inner quotes doubled, when it holds a comma, a quote or a line break."""
+    if any(c in cell for c in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
 
 
 def _flatten(payload, prefix=""):
+    """The payload as quoted ``(key, value)`` cells, nested keys joined by
+    dots and lists written as JSON."""
     rows = []
     for key in sorted(payload):
         value = payload[key]
         name = f"{prefix}{key}"
         if isinstance(value, dict):
             rows.extend(_flatten(value, prefix=name + "."))
-        elif isinstance(value, (list, tuple)):
-            rows.append((name, json.dumps(_canonical(value))))
-        else:
-            rows.append((name, _cell(value)))
+            continue
+        if isinstance(value, (list, tuple)):
+            value = json.dumps(_canonical(value))
+        rows.append((_quoted(name), _quoted(_cell(value))))
     return rows
 
 
@@ -233,12 +245,16 @@ def _read_world(data):
 
     expertise = tuple(data["expertise"])
     _check_rows((expertise,), "world: expertise")
-    return repeated.WorldConfig(
-        expertise=expertise, good_prior=float(num("good_prior")),
-        proposals_per_round=num("k"), zeta=float(num("zeta")),
-        gamma=float(num("gamma")), horizon=num("horizon"),
-        seed=_number(data.get("seed", 0), "world: seed"),
-    )
+    try:
+        return repeated.WorldConfig(
+            expertise=expertise, good_prior=float(num("good_prior")),
+            proposals_per_round=num("k"), zeta=float(num("zeta")),
+            gamma=float(num("gamma")), horizon=num("horizon"),
+            seed=_number(data.get("seed", 0), "world: seed"),
+        )
+    except ContractViolation as exc:
+        # The scenario calls WorldConfig's proposals_per_round k.
+        raise ContractViolation(str(exc).replace("proposals_per_round", "k")) from exc
 
 
 def scenario_from_dict(data) -> Scenario:

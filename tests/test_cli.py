@@ -7,6 +7,7 @@ import math
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from avgov import cli, params, repeated
 
@@ -461,7 +462,8 @@ WORLD_WITHOUT_ZETA = dict(PROP4_SCENARIO, world={k: v for k, v in WORLD.items()
                  id="thm6-slack"),
     pytest.param(None, ["reproduce", "prop3", "--n", "0"], "n = 0", id="prop3-n"),
     pytest.param(_world(k=2.7, horizon=3.9), ["repeat"],
-                 r"world: proposals_per_round = 2\.7 is not", id="world-k-fraction"),
+                 r"world: k = 2\.7 is not an integer", id="world-k-fraction"),
+    pytest.param(_world(k=0), ["repeat"], "world: k must be >= 1", id="world-k-zero"),
     pytest.param(_world(horizon=3.9), ["repeat"], r"world: horizon = 3\.9 is not an integer",
                  id="world-horizon-fraction"),
     pytest.param(_world(seed=1.5), ["deviation-gap"], r"world: seed = 1\.5 is not an integer",
@@ -694,6 +696,33 @@ def test_csv_byte_determinism(scenario_file, tmp_path, capsys):
     run_cli(capsys, "repeat", "--scenario", path, "--out", str(first))
     run_cli(capsys, "repeat", "--scenario", path, "--out", str(second))
     assert first.read_bytes() == second.read_bytes()
+
+
+# Cells with every character csv.writer's minimal rule quotes for.
+CSV_CELLS = st.text(alphabet=st.sampled_from("a1 |.-é,\"\r\n"), max_size=6)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.lists(CSV_CELLS, min_size=2, max_size=4), max_size=6))
+def test_write_csv_matches_csv_writer(tmp_path_factory, rows):
+    # csv stays here as the reference dialect for the joined cells.
+    header = ("key", "value")
+    ours = tmp_path_factory.mktemp("csv") / "ours.csv"
+    theirs = ours.with_name("theirs.csv")
+    cli._write_csv(ours, header, ([cli._quoted(c) for c in row] for row in rows))
+    with open(theirs, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    assert ours.read_bytes() == theirs.read_bytes()
+
+
+def test_flattened_cells_round_trip_through_csv_reader(tmp_path):
+    payload = {"note": {"text": 'a, "quoted" word'}, "list": [1, "b,c"], "n": 2}
+    path = tmp_path / "flat.csv"
+    cli._write_csv(path, ("key", "value"), cli._flatten(payload))
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [["key", "value"], ["list", '[1, "b,c"]'], ["n", "2"],
+                    ["note.text", 'a, "quoted" word']]
 
 
 def test_deviation_gap_guard_exits_3(capsys, scenario_file, monkeypatch):
