@@ -561,7 +561,8 @@ def cmd_repeat(args):
 def _repeat_rows(trace):
     """The trace's CSV rows, one per round and expert, made as they are
     written.  Each weight is formatted once: round t's ``weight_next`` is
-    round t+1's ``weight``."""
+    round t+1's ``weight``.  A subjective reward equal to the realized one
+    reuses its cell, unless both are zeros, whose signs may differ."""
     bits = {v: _bits(v) for v in core._vote_vectors(len(trace.votes[0][0]))}
     experts = [str(i) for i in range(len(trace.correct))]
     weights = iter(trace.weights)
@@ -571,9 +572,10 @@ def _repeat_rows(trace):
             trace.subjective, weights)):
         after = list(map(_real, following))
         round_, winner, revealed = str(t), str(js), _cell(q)
-        for i, v, r, s, w, w_next in zip(experts, votes, map(_real, realized),
-                                         map(_real, subjective), now, after):
-            yield round_, i, bits[v], winner, revealed, r, s, w, w_next
+        for i, v, r, s, w, w_next in zip(experts, votes, realized, subjective, now, after):
+            cell = _real(r)
+            yield (round_, i, bits[v], winner, revealed, cell,
+                   cell if s == r != 0.0 else _real(s), w, w_next)
         now = after
 
 

@@ -219,12 +219,16 @@ def _check_dims(instance, profile):
 
 
 def _elect(weights, votes):
-    """The winner and masses for weight and vote rows: the one mass sum and tie rule."""
-    masses = [0.0] * len(votes[0])
-    for w, row in zip(weights, votes):
-        for j, v in enumerate(row):
+    """The winner and masses for weight and vote rows: the one mass sum and
+    tie rule.  Each mass adds its proposal's approving weights from 0.0,
+    left to right in expert order."""
+    masses = []
+    for column in zip(*votes):
+        mass = 0.0
+        for w, v in zip(weights, column):
             if v:
-                masses[j] += w
+                mass += w
+        masses.append(mass)
     best = max(masses)
     return (DUMMY if best <= 0.0 else masses.index(best) + 1), tuple(masses)
 

@@ -9,16 +9,23 @@ correct-prediction rate under a multiplicative step cap.
 Round draws do not depend on play, so everything the rest of a run depends
 on after round t is one game state: the weight vector, the correct counts
 and the number of revealed rounds.  A run draws every round and builds
-every vote at once as arrays, loops in Python only over ``_step``, the one
-home of a round's transition (winner, correct counts, capped weight step),
-and computes the payouts as arrays afterwards in ``_payouts``.  The
-single-deviator search (``deviation_gap``) uses the same two functions.  It
-walks states forward instead of replaying every plan: plan prefixes that
-reach the same state share their future, so each state keeps only the
-prefixes that could still end a first maximal plan, and the states it
-expands over all rounds are capped by STATE_GUARD.  It also drops every
-prefix that cannot beat honest play: a weight never exceeds 1 and grows by
-at most (1+zeta) per round, which bounds what any suffix can add.
+every vote at once as arrays, then turns the votes into interned rows
+(``_vote_rows``): round t is a tuple of n vote rows, equal rows are one
+tuple keyed by the row's binary code, and that one tuple of rounds is both
+what the loop reads and ``RepeatedTrace.votes``.  The loop runs in Python
+only over ``_step``, the one home of a round's transition: the winner
+(``core._elect``), the correct counts, one list of target rates and one
+row-wise capped step (``_delayed_update``).  The payouts are computed as
+arrays afterwards in ``_payouts``, and the discounted totals as array
+columns in ``discounted_total``.  The single-deviator search
+(``deviation_gap``) uses the same functions and reads the honest replay's
+vote rows.  It walks states forward instead of replaying every plan: plan
+prefixes that reach the same state share their future, so each state keeps
+only the prefixes that could still end a first maximal plan, and the
+states it expands over all rounds are capped by STATE_GUARD.  It also
+drops every prefix that cannot beat honest play: a weight never exceeds 1
+and grows by at most (1+zeta) per round, which bounds what any suffix can
+add.
 
 A single run is sequential by nature; independent runs (different seeds or
 deviation plans) are pure functions of their arguments and can execute
@@ -28,6 +35,7 @@ concurrently.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,11 +160,14 @@ def correct_fraction(correct_count: int, revealed_rounds: int) -> float:
         raise ContractViolation(
             f"need 0 <= correct ({correct_count}) <= revealed ({revealed_rounds})"
         )
-    return _correct_fraction(correct_count, revealed_rounds)
+    return _correct_fractions((correct_count,), revealed_rounds)[0]
 
 
-def _correct_fraction(correct_count, revealed_rounds):
-    return correct_count / revealed_rounds if revealed_rounds else INITIAL_WEIGHT
+def _correct_fractions(correct, revealed_rounds):
+    """``correct_fraction`` unchecked, for a row of correct counts."""
+    if not revealed_rounds:
+        return [INITIAL_WEIGHT] * len(correct)
+    return [c / revealed_rounds for c in correct]
 
 
 def delayed_update(w: float, omega: float, zeta: float) -> float:
@@ -168,15 +179,23 @@ def delayed_update(w: float, omega: float, zeta: float) -> float:
         raise ContractViolation(f"omega = {omega} outside [0, 1]")
     if not 0.0 < zeta < 1.0:
         raise ContractViolation(f"zeta = {zeta} outside (0, 1)")
-    return _delayed_update(w, omega, zeta)
+    return _delayed_update((w,), (omega,), zeta)[0]
 
 
-def _delayed_update(w, omega, zeta):
-    """``delayed_update`` unchecked.  A weight of 0, which (1 - zeta) * w
-    reaches by underflow toward a target of 0 once zeta >= 1/2, stays 0."""
-    if w <= omega:
-        return min(omega, (1.0 + zeta) * w)
-    return max(omega, (1.0 - zeta) * w)
+def _delayed_update(weights, rates, zeta):
+    """``delayed_update`` unchecked, for a row of weights and their target
+    rates; returns the row of stepped weights.  A weight w at or below its
+    rate becomes min(rate, (1 + zeta) * w), one above it
+    max(rate, (1 - zeta) * w).  A weight of 0, which (1 - zeta) * w reaches
+    by underflow toward a rate of 0 once zeta >= 1/2, stays 0."""
+    up, down = 1.0 + zeta, 1.0 - zeta
+    # min and max written as conditionals, which keep the rate on a tie as
+    # they do, to save two calls per weight and round.
+    return tuple([
+        (x if (x := up * w) < omega else omega) if w <= omega
+        else (x if (x := down * w) > omega else omega)
+        for w, omega in zip(weights, rates)
+    ])
 
 
 def sample_round(world: WorldConfig, rng: np.random.Generator) -> tuple:
@@ -193,14 +212,32 @@ def sample_round(world: WorldConfig, rng: np.random.Generator) -> tuple:
             tuple((0.0,) * k for _ in range(n)))
 
 
-def discounted_total(values, gamma: float) -> float:
-    """Sum of per-round values with value at round t scaled by gamma^t."""
-    total = 0.0
-    factor = 1.0
-    for v in values:
-        total += factor * v
-        factor *= gamma
-    return total
+def discounted_total(values, gamma: float):
+    """Sum of per-round values with value at round t scaled by gamma^t: a
+    float for a sequence of values, a tuple of floats for an (m, n) array,
+    one total per column.
+
+    Each total is bit-identical to the loop ``total += factor * v;
+    factor *= gamma`` from total 0.0 and factor 1.0.  The factors come from
+    ``_discount_factors`` and the sum from ``np.add.accumulate`` over a
+    leading 0.0; both are sequential, left to right, unlike ``np.sum``
+    (pairwise) or ``sum`` (compensated from Python 3.12).  The leading 0.0
+    turns a first term of -0.0 into 0.0, as the loop does.
+    """
+    values = np.asarray(values, dtype=float)
+    factors = _discount_factors(len(values), gamma)
+    terms = factors.reshape((-1,) + (1,) * (values.ndim - 1)) * values
+    totals = np.add.accumulate(
+        np.concatenate((np.zeros((1,) + values.shape[1:]), terms)))[-1]
+    return tuple(totals.tolist()) if values.ndim > 1 else float(totals)
+
+
+def _discount_factors(m, gamma):
+    """gamma^t for t < m as an array: 1.0, then one multiplication by gamma
+    per round, in ``np.multiply.accumulate``'s sequential order."""
+    factors = np.full(m, float(gamma))
+    factors[:1] = 1.0
+    return np.multiply.accumulate(factors)
 
 
 def _draw(world, u):
@@ -242,8 +279,7 @@ def _step(zeta, state, votes, qualities):
         q = qualities[js - 1]
         correct = tuple([c + (row[js - 1] == q) for c, row in zip(correct, votes)])
         revealed_rounds += 1
-    weights = tuple([_delayed_update(w, _correct_fraction(c, revealed_rounds), zeta)
-                     for w, c in zip(weights, correct)])
+    weights = _delayed_update(weights, _correct_fractions(correct, revealed_rounds), zeta)
     return js, (weights, correct, revealed_rounds)
 
 
@@ -272,6 +308,21 @@ def _round_cap(schedule):
     return max(schedule.a, schedule.a_prime)
 
 
+def _vote_rows(votes):
+    """An (m, n, k) vote array as m rounds of n interned vote rows: equal
+    rows are one tuple.  Each row is keyed by its code, its bits read with
+    coordinate 1 as the most significant, the order of ``_vote_vectors``.
+    Only the codes that occur get a tuple, so no table of 2^k vectors is
+    built; past 63 bits the codes are Python integers, where int64 would wrap."""
+    k = votes.shape[-1]
+    powers = 1 << np.arange(k - 1, -1, -1, dtype=np.int64 if k < 64 else object)
+    codes = (votes @ powers).tolist()
+    vectors = dict.fromkeys(itertools.chain.from_iterable(codes))
+    for code in vectors:
+        vectors[code] = tuple([(code >> j) & 1 for j in range(k - 1, -1, -1)])
+    return tuple([tuple([vectors[c] for c in row]) for row in codes])
+
+
 def _initial_state(n):
     return (INITIAL_WEIGHT,) * n, (0,) * n, 0
 
@@ -283,7 +334,7 @@ def _simulate(world, schedule, qualities, beliefs, policy):
     plan = policy.plan[:world.horizon] if isinstance(policy, SingleDeviatorPolicy) else ()
     if plan:
         votes[:len(plan), policy.expert] = plan
-    vote_rows = votes.tolist()
+    vote_rows = _vote_rows(votes)
     quality_rows = qualities.tolist()
     state = _initial_state(world.n)
     winners, weight_rows = [], [state[0]]
@@ -296,20 +347,17 @@ def _simulate(world, schedule, qualities, beliefs, policy):
 
     _, correct, revealed_rounds = state
     gamma_warning = world.gamma >= max_discount(schedule.epsilon, world.zeta)
+    totals = discounted_total(np.hstack((realized, subjective)), world.gamma)
     return RepeatedTrace(
-        votes=tuple(tuple(map(tuple, rows)) for rows in vote_rows),
+        votes=vote_rows,
         winners=tuple(winners),
         revealed=tuple(q[js - 1] if js != DUMMY else None
                        for js, q in zip(winners, quality_rows)),
         realized=tuple(map(tuple, realized.tolist())),
         subjective=tuple(map(tuple, subjective.tolist())),
         weights=tuple(weight_rows),
-        discounted_realized=tuple(
-            discounted_total(column, world.gamma) for column in realized.T.tolist()
-        ),
-        discounted_subjective=tuple(
-            discounted_total(column, world.gamma) for column in subjective.T.tolist()
-        ),
+        discounted_realized=totals[:world.n],
+        discounted_subjective=totals[world.n:],
         correct=correct,
         revealed_rounds=revealed_rounds,
         gamma_warning=gamma_warning,
@@ -339,12 +387,12 @@ def _expand(schedule, zeta, expert, states, votes, beliefs, qualities, vectors):
     """Play one round from each state once per vote vector of the deviator,
     the others voting ``votes``: for each state, the (child state, the
     deviator's subjective payout) of each vector in order."""
+    profiles = [votes[:expert] + (v,) + votes[expert + 1:] for v in vectors]
     winners, weights, children = [], [], []
     for state in states:
         weight = state[0][expert]
-        for v in vectors:
-            js, child = _step(zeta, state, votes[:expert] + [v] + votes[expert + 1:],
-                              qualities)
+        for profile in profiles:
+            js, child = _step(zeta, state, profile, qualities)
             winners.append(js)
             weights.append(weight)
             children.append(child)
@@ -461,18 +509,14 @@ def deviation_gap(world: WorldConfig, schedule: RewardSchedule, expert_i: int,
         )
     short_world = dataclasses.replace(world, horizon=horizon_H)
     qualities, beliefs = _presample(short_world)
-    honest_total = _simulate(
-        short_world, schedule, qualities, beliefs, HonestPolicy()
-    ).discounted_subjective[expert_i]
-    votes = _honest_votes(beliefs, schedule.T).tolist()
+    honest = _simulate(short_world, schedule, qualities, beliefs, HonestPolicy())
+    honest_total = honest.discounted_subjective[expert_i]
     quality_rows = qualities.tolist()
 
     # factors[t] is gamma^t as discounted_total forms it, and capped[t] the
     # bound on rounds t..H-1 at weight 1.
     top = _round_cap(schedule)
-    factors = [1.0]
-    for _ in range(1, horizon_H):
-        factors.append(factors[-1] * world.gamma)
+    factors = _discount_factors(horizon_H, world.gamma).tolist()
     capped = [0.0] * (horizon_H + 1)
     for t in reversed(range(horizon_H)):
         capped[t] = factors[t] * top + capped[t + 1]
@@ -507,7 +551,8 @@ def deviation_gap(world: WorldConfig, schedule: RewardSchedule, expert_i: int,
                 f"in round {t + 1} of {horizon_H}"
             )
         moves = dict(zip(states, _expand(schedule, world.zeta, expert_i, states,
-                                         votes[t], beliefs[t], quality_rows[t], vectors)))
+                                         honest.votes[t], beliefs[t], quality_rows[t],
+                                         vectors)))
         best = {}
         kept = []
         for state, prefix, total in frontier:

@@ -698,6 +698,30 @@ def test_csv_byte_determinism(scenario_file, tmp_path, capsys):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_repeat_rows_share_only_equal_nonzero_reward_cells():
+    # Round 0: a realized -0.0 beside a subjective 0.0 (a weight that
+    # underflowed to 0), and an equal non-zero pair.  Round 1: a differing
+    # pair and two positive zeros.
+    trace = repeated.RepeatedTrace(
+        votes=(((1, 0), (0, 1)), ((1, 1), (0, 0))), winners=(1, 2), revealed=(0, 1),
+        realized=((-0.0, 1.0 / 3.0), (0.25, 0.0)),
+        subjective=((0.0, 1.0 / 3.0), (0.1, 0.0)),
+        weights=((0.0, 0.6), (0.0, 0.63), (0.0, 0.6615)),
+        discounted_realized=(0.0, 0.0), discounted_subjective=(0.0, 0.0),
+        correct=(0, 2), revealed_rounds=2, gamma_warning=False)
+    expected = [
+        (str(t), str(i), cli._bits(trace.votes[t][i]), str(trace.winners[t]),
+         str(trace.revealed[t]), cli._real(trace.realized[t][i]),
+         cli._real(trace.subjective[t][i]), cli._real(trace.weights[t][i]),
+         cli._real(trace.weights[t + 1][i]))
+        for t in range(2) for i in range(2)
+    ]
+    rows = list(cli._repeat_rows(trace))
+    assert rows == expected
+    assert (rows[0][5], rows[0][6]) == ("-0", "0")
+    assert rows[1][5] is rows[1][6]
+
+
 # Cells with every character csv.writer's minimal rule quotes for.
 CSV_CELLS = st.text(alphabet=st.sampled_from("a1 |.-é,\"\r\n"), max_size=6)
 

@@ -53,8 +53,18 @@ ENUMERATE24 = json.loads((EXAMPLES / "enumerate24.json").read_text())
 # The repeated-game example (three experts, two proposals, H=12).
 DEVIATION = json.loads((EXAMPLES / "deviation.json").read_text())
 
+# The example world with expert 0's expertise at 0 and zeta 0.9: expert 0's
+# weight steps down by (1 - zeta) toward a rate of 0, reaches 0.0 by
+# underflow in round 324, and its realized rewards are then -0.0 while its
+# subjective ones are 0.0.
+UNDERFLOW = dict(DEVIATION, world=dict(DEVIATION["world"], expertise=[0.0, 0.8, 0.7],
+                                       zeta=0.9, horizon=400, seed=1))
+
+# Five experts, three proposals (the CI pin runs it at H=20000).
+REPEAT_K3 = json.loads((EXAMPLES / "repeat_k3.json").read_text())
+
 SCENARIOS = {"prop4": PROP4, "external": SIDE_PAYMENTS, "enumerate24": ENUMERATE24,
-             "deviation": DEVIATION}
+             "deviation": DEVIATION, "underflow": UNDERFLOW, "repeat_k3": REPEAT_K3}
 
 # case name -> (scenario or None, argv without --scenario and --out)
 CASES = {
@@ -74,6 +84,8 @@ CASES = {
     "poa-strategic": ("prop4", ["poa", "--mode", "strategic", "--epsilon", "0.5"]),
     "dynamics": ("prop4", ["dynamics", "--start", "zeros"]),
     "repeat": ("prop4", ["repeat", "--horizon", "6", "--seed", "4"]),
+    "repeat-underflow": ("underflow", ["repeat"]),
+    "repeat-k3": ("repeat_k3", ["repeat", "--horizon", "40"]),
     "deviation-gap": ("prop4", ["deviation-gap", "--expert", "1", "--horizon", "3"]),
     # 4^12 plans at the example's own horizon.
     "deviation-example": ("deviation", ["deviation-gap", "--expert", "0"]),

@@ -6,7 +6,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from avgov import (
     ContractViolation,
@@ -24,6 +24,7 @@ from avgov import (
     utility,
     winner,
 )
+from avgov.core import _elect
 from avgov.cli import prop3_scenario, prop4_scenario, thm6_scenario
 
 SCHED = RewardSchedule(a=2.0, a_prime=1.0, s=17.0, T=0.9, epsilon=19.0)
@@ -163,6 +164,40 @@ def test_winner_tie_breaks_to_smallest_index():
     instance = Instance(weights=(1.0, 1.0), beliefs=((1.0, 0.0), (0.0, 1.0)))
     outcome = winner(instance, VotingProfile(((1, 0), (0, 1))))
     assert outcome.winner == 1
+
+
+def test_elect_sums_each_column_left_to_right():
+    # 1 + 2^-53 rounds back to 1 twice; summed from the right, or exactly,
+    # the two small weights would make 1 + 2^-52.
+    weights = (1.0, 2.0 ** -53, 2.0 ** -53)
+    assert _elect(weights, ((1,), (1,), (1,)))[1] == (1.0,)
+    assert _elect(weights[::-1], ((1,), (1,), (1,)))[1] == (1.0 + 2.0 ** -52,)
+
+
+# Weights at the scale where the order of a float sum changes its result.
+ELECT_WEIGHTS = st.sampled_from(
+    (1.0, 0.5, 0.75, 2.0 ** -53, 3 * 2.0 ** -54, 2.0 ** -54, 0.0)) | st.floats(0.0, 1.0)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_elect_masses_are_left_to_right_sums_in_expert_order(data):
+    n = data.draw(st.integers(1, 7))
+    k = data.draw(st.integers(1, 3))
+    weights = tuple(data.draw(ELECT_WEIGHTS) for _ in range(n))
+    votes = tuple(data.draw(st.sampled_from(list(itertools.product((0, 1), repeat=k))))
+                  for _ in range(n))
+    expected = []
+    for j in range(k):
+        mass = 0.0
+        for w, row in zip(weights, votes):
+            if row[j]:
+                mass += w
+        expected.append(mass)
+    winner_j, masses = _elect(weights, votes)
+    assert [m.hex() for m in masses] == [m.hex() for m in expected]
+    best = max(expected)
+    assert winner_j == (0 if best <= 0.0 else expected.index(best) + 1)
 
 
 def test_winner_dimension_mismatch(prop4):

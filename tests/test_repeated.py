@@ -6,11 +6,12 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from avgov import (
     ContractViolation,
@@ -81,9 +82,47 @@ def test_delayed_update_bracket_and_direction(w, omega, zeta):
 
 
 def test_discounted_total():
-    assert discounted_total([1.0, 1.0, 1.0], 0.5) == pytest.approx(1.75)
+    assert discounted_total([1.0, 1.0, 1.0], 0.5) == 1.75
     assert discounted_total([2.0, 5.0, 7.0], 0.0) == 2.0
     assert discounted_total([], 0.9) == 0.0
+    assert discounted_total(np.zeros((0, 2)), 0.9) == (0.0, 0.0)
+
+
+def loop_discounted_total(values, gamma):
+    """The plain loop whose every bit discounted_total must reproduce."""
+    total = 0.0
+    factor = 1.0
+    for v in values:
+        total += factor * v
+        factor *= gamma
+    return total
+
+
+# Values whose sums round differently in another order, signed zeros and
+# subnormals among them.
+DISCOUNT_VALUES = st.floats(-1e3, 1e3) | st.sampled_from(
+    (-0.0, 0.0, 1.0, 2.0 ** -53, -(2.0 ** -53), 5e-324, 0.1, 1e16))
+DISCOUNT_GAMMAS = st.sampled_from((0.0, 0.5, 0.1, 1.0 - 2.0 ** -53)) | st.floats(
+    0.0, 1.0, exclude_max=True)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(columns=st.lists(st.lists(DISCOUNT_VALUES, max_size=40), min_size=1, max_size=4),
+       gamma=DISCOUNT_GAMMAS)
+@example(columns=[[-0.0]], gamma=0.5)
+@example(columns=[[-0.0, -0.0], [-0.0, 1.0]], gamma=0.0)
+@example(columns=[[]], gamma=0.9)
+@example(columns=[[2.0 ** -53], [1.0]], gamma=0.0)
+def test_discounted_total_equals_the_loop_bit_for_bit(columns, gamma):
+    rows = min(map(len, columns))
+    columns = [column[:rows] for column in columns]
+    expected = [loop_discounted_total(column, gamma).hex() for column in columns]
+    assert [discounted_total(column, gamma).hex() for column in columns] == expected
+    array = np.array(columns, dtype=float).T.reshape(rows, len(columns))
+    assert [total.hex() for total in discounted_total(array, gamma)] == expected
+    # The factors the deviation search reads: 1.0, then one product per round.
+    factors = list(itertools.accumulate([1.0] + [gamma] * rows, operator.mul))[:rows]
+    assert repeated._discount_factors(rows, gamma).tolist() == factors
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +274,20 @@ def test_run_gamma_warning_flag():
     assert not run_repeated(world(horizon=5, gamma=0.5), SCHED).gamma_warning
     hot = world(horizon=5, gamma=min(0.99, cap + 0.01))
     assert run_repeated(hot, SCHED).gamma_warning
+
+
+# k = 64 and 70 pass the 63 bits an int64 code holds.
+@pytest.mark.parametrize("n, k", [(1, 1), (3, 2), (5, 3), (2, 5), (3, 64), (2, 70)])
+def test_vote_rows_are_interned_vote_vectors(n, k):
+    votes = (np.random.default_rng(n * 10 + k).random((60, n, k)) < 0.5).astype(np.int8)
+    # Round 0 differs from round 1 in the first coordinate only, the bit an
+    # int64 code would lose first.
+    votes[0] = votes[1]
+    votes[0, :, 0] ^= 1
+    rows = repeated._vote_rows(votes)
+    assert rows == tuple(tuple(map(tuple, r)) for r in votes.tolist())
+    # Equal rows are one object, at most one per vote vector.
+    assert len({id(row) for r in rows for row in r}) == len({row for r in rows for row in r})
 
 
 def test_run_single_deviator_plan_respected():
