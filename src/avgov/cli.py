@@ -14,6 +14,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -558,12 +559,22 @@ def cmd_repeat(args):
     return payload, header, _repeat_rows(trace)
 
 
+class _VoteCells(dict):
+    """Vote rows' CSV cells, each formatted the first time it is asked for;
+    a cell already made costs one dict lookup."""
+
+    def __missing__(self, row):
+        cell = self[row] = _bits(row)
+        return cell
+
+
 def _repeat_rows(trace):
     """The trace's CSV rows, one per round and expert, made as they are
     written.  Each weight is formatted once: round t's ``weight_next`` is
     round t+1's ``weight``.  A subjective reward equal to the realized one
-    reuses its cell, unless both are zeros, whose signs may differ."""
-    bits = {v: _bits(v) for v in core._vote_vectors(len(trace.votes[0][0]))}
+    reuses its cell, unless both are zeros, whose signs may differ.  Only
+    the vote rows that occur get a cell, so k sets no table of 2^k cells."""
+    bits = _VoteCells()
     experts = [str(i) for i in range(len(trace.correct))]
     weights = iter(trace.weights)
     now = list(map(_real, next(weights)))
@@ -806,7 +817,15 @@ def main(argv=None) -> int:
     except GuardRefusal as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
-    emit(payload)
+    try:
+        emit(payload)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early, as `| head -1` does.  Point the
+        # descriptor at /dev/null so the interpreter's last flush stays
+        # quiet, and exit as the shell reports a process ended by SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     if args.out:
         if rows is not None:
             _write_csv(args.out, header, rows)

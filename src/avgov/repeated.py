@@ -18,14 +18,17 @@ only over ``_step``, the one home of a round's transition: the winner
 row-wise capped step (``_delayed_update``).  The payouts are computed as
 arrays afterwards in ``_payouts``, and the discounted totals as array
 columns in ``discounted_total``.  The single-deviator search
-(``deviation_gap``) uses the same functions and reads the honest replay's
-vote rows.  It walks states forward instead of replaying every plan: plan
-prefixes that reach the same state share their future, so each state keeps
-only the prefixes that could still end a first maximal plan, and the
-states it expands over all rounds are capped by STATE_GUARD.  It also
-drops every prefix that cannot beat honest play: a weight never exceeds 1
-and grows by at most (1+zeta) per round, which bounds what any suffix can
-add.
+(``deviation_gap``) uses the same ``_step`` and reads the honest replay's
+vote rows; it pays each child state as floats through ``_subjective``, the
+arithmetic ``_payouts`` applies to arrays.  It walks states forward instead
+of replaying every plan: plan prefixes that reach the same state share
+their future, so each state keeps only the prefixes that could still end a
+first maximal plan, within the rounding band below its best total, and
+each kept entry links to its parent instead of copying its prefix.  The
+states it expands and the entries it keeps over all rounds are capped by
+STATE_GUARD.  It also drops every prefix that cannot beat honest play: a
+weight never exceeds 1 and grows by at most (1+zeta) per round, which
+bounds what any suffix can add.
 
 A single run is sequential by nature; independent runs (different seeds or
 deviation plans) are pure functions of their arguments and can execute
@@ -34,8 +37,10 @@ concurrently.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +63,8 @@ from .params import max_discount
 INITIAL_WEIGHT = 0.5
 
 # The deviation search is refused as soon as it would expand more than this
-# many game states, counted over all rounds; each costs 2^k round plays.
+# many game states, or entries kept at them, counted over all rounds; each
+# state costs 2^k round plays and each entry up to 2^k kept children.
 STATE_GUARD = 1 << 16
 
 
@@ -298,8 +304,17 @@ def _payouts(schedule, winners, weights, votes, beliefs, qualities):
     q = np.take_along_axis(qualities, col[:, None], axis=1)
     approve, reject = _expected_branches(p, schedule)
     realized = _reward(vote, q, schedule, weights)
-    subjective = weights * np.where(vote == 1, approve, reject) + p * 0.0
+    subjective = _subjective(weights, np.where(vote == 1, approve, reject), p)
     return np.where(won, realized, 0.0), np.where(won, subjective, 0.0)
+
+
+def _subjective(weight, branch, p):
+    """A voter's subjective payout on a revealed round, from the voter's
+    weight, the weight-1 branch of ``_expected_branches`` for the vote cast
+    and the belief p in the winner; floats or numpy arrays alike.  The
+    external reward is 0, but its term p * 0.0 stays: it turns a zero
+    weight's -0.0 into 0.0."""
+    return weight * branch + p * 0.0
 
 
 def _round_cap(schedule):
@@ -386,25 +401,36 @@ def run(world: WorldConfig, schedule: RewardSchedule,
 def _expand(schedule, zeta, expert, states, votes, beliefs, qualities, vectors):
     """Play one round from each state once per vote vector of the deviator,
     the others voting ``votes``: for each state, the (child state, the
-    deviator's subjective payout) of each vector in order."""
+    deviator's subjective payout) of each vector in order.
+
+    The payouts are ``_payouts``'s, bit for bit, as floats: each proposal's
+    weight-1 branches are formed once per round, each revealed child pays
+    ``_subjective`` of its state's weight, and a dummy round pays 0.0."""
+    own = beliefs[expert].tolist()
+    # branches[j][bit]: the weight-1 payout of voting bit on proposal j+1.
+    branches = [(reject, approve)
+                for approve, reject in (_expected_branches(p, schedule) for p in own)]
     profiles = [votes[:expert] + (v,) + votes[expert + 1:] for v in vectors]
-    winners, weights, children = [], [], []
+    rows = []
     for state in states:
         weight = state[0][expert]
-        for profile in profiles:
+        row = []
+        for v, profile in zip(vectors, profiles):
             js, child = _step(zeta, state, profile, qualities)
-            winners.append(js)
-            weights.append(weight)
-            children.append(child)
-    m, k, width = len(children), len(qualities), len(vectors)
-    _, subjective = _payouts(
-        schedule, np.array(winners), np.array(weights)[:, None],
-        np.array(vectors * len(states))[:, None, :],
-        np.broadcast_to(beliefs[expert], (m, 1, k)), np.broadcast_to(qualities, (m, k)),
-    )
-    values = subjective[:, 0].tolist()
-    return [list(zip(children[a:a + width], values[a:a + width]))
-            for a in range(0, m, width)]
+            if js == DUMMY:
+                row.append((child, 0.0))
+            else:
+                j = js - 1
+                row.append((child, _subjective(weight, branches[j][v[j]], own[j])))
+        rows.append(row)
+    return rows
+
+
+def _within_band(kept, best, band):
+    """The entries ``(child, total, parent index, vote vector)`` of
+    ``kept`` whose total is at most ``band`` below ``best[child]``, the
+    largest total at their child state, in their order."""
+    return [entry for entry in kept if not best[entry[0]] - entry[1] > band]
 
 
 @dataclass(frozen=True)
@@ -438,12 +464,74 @@ def deviation_gap(world: WorldConfig, schedule: RewardSchedule, expert_i: int,
     earlier prefix kept there.  A dropped prefix p has an earlier kept p'
     with total(p') >= total(p); float addition is monotone, so p' followed
     by any suffix does at least as well as p followed by it and comes
-    earlier in product order.  The first maximal plan therefore survives.
-    Keeping only each state's best prefix would not do: rounding can absorb
-    the gap between two prefixes once the same suffix is added, and then
-    the earlier, smaller prefix leads to the first maximal plan.
-    Totals accumulate in ``discounted_total``'s order, so each one is
-    bit-identical to a replay of its plan.
+    earlier in product order.  Keeping only each state's best prefix would
+    not do: rounding can absorb the gap between two prefixes once the same
+    suffix is added, and then the earlier, smaller prefix leads to the
+    first maximal plan.  Totals accumulate in ``discounted_total``'s order,
+    so each one is bit-identical to a replay of its plan.
+
+    Each kept entry holds its state, its total, the index of its parent
+    entry in the round before and its last vote vector; ``best_plan`` is
+    read back along the parent indices, so an entry costs O(1) whatever
+    its round.
+
+    Three drops, one answer.  Let P be the first plan in product order
+    whose total is maximal.  Each drop below removes a prefix p only when,
+    for every suffix, p followed by it is matched by an earlier plan (the
+    staircase), beaten by another plan (the band), or beaten by honest
+    play (the honest-play prune).  None of these can hold for a prefix of
+    P, so P survives every round, and it is the first survivor in product
+    order with the maximal total.
+
+    The staircase is kept only within a rounding band.  After round t is
+    expanded, let q be the largest total at a child state, which is the
+    last entry there in product order, Q the largest |q| over the round's
+    child states, and m = H - 1 - t the number of rounds left.  Round j's
+    term gamma^j * v is bounded in magnitude by B_j, the float
+    gamma^j * max(a, a', s), and R is the float sum of B_j over the rounds
+    left.  With u = 2^-53 and c = 2u * (Q + R), let L be the number of
+    rounds left whose B_j exceeds c and R_L the float sum of B_j over the
+    rounds after those.  An entry with total x is dropped when
+
+        q - x > band = 4 * (c*L + R_L).
+
+    Then, for every suffix, q's prefix followed by it totals strictly more
+    than x's prefix followed by it, so no plan through x's prefix is
+    maximal.  The band is formed once per round in which some child state
+    holds more than one entry, so each entry costs one comparison.
+
+    Why B_j bounds the terms.  On a revealed round v is w * branch + p*0.0
+    with 0 <= w <= 1, and the branch is p*a - (1-p)*s in [-s, a] or
+    (1-p)*a' in [0, a']; on a dummy round v is 0.0.  A term can be
+    negative, -(1-p)*s*w, so the honest-play bound b below, which bounds
+    terms from above, does not serve: the band bounds magnitudes.  Every
+    step is one float operation on values in those ranges, and rounding is
+    monotone, so |v| <= max(a, a', s) and |gamma^j * v| <= B_j.  gamma < 1,
+    so B_j does not grow with j.  With g_m = m*u/(1-m*u), a float sum of m
+    non-negative terms is at least (1 - g_(m-1)) times their exact sum, so
+    the exact sum A of the terms' magnitudes is at most R / (1 - g_m), and
+    likewise for R_L.
+
+    Why the band covers the rounding.  Both completions add the same m
+    terms, in the same order, to x and to q, and d = q - x.  Adding a term
+    to a float total errs by at most u times the rounded result, and also
+    by at most the term itself, since the total is a float that close to
+    the exact sum; additions that land below the normal range are exact.
+    If d > Q + A, then |x| <= Q + d, and the usual bound, g_m times the sum
+    of magnitudes, gives errors of at most g_m*(|x| + |q| + 2A) <=
+    g_m*(2Q + 2A + d) < 3*g_m*d <= d.  Otherwise |x| <=
+    2Q + A, every partial total of either completion is at most
+    (2Q + 2A)(1 + g_m) in magnitude, and each addition errs by at most
+    min(u*(2Q + 2A)(1 + g_m), B_j) <= min(c*(1+g_m)/((1-g_m)(1-u)), B_j).
+    The B_j do not grow, so the two completions together err by at most
+    2(1+g_m)/((1-g_m)(1-u)) * (c*L + R_L), for any L.  The test rounds
+    c*L, the sum and q - x, so a dropped entry has
+    d > 4(1-u)^2/(1+u) * (c*L + R_L), which exceeds that for every
+    m < 2^50.  Either way q's completion is strictly larger.  The band is
+    relative: scaling all rewards by a power of two scales every payout,
+    term, total, B_j, c and the band exactly and keeps L, so the search
+    keeps the same entries at every scale.  The argument needs c to be a
+    normal float, Q + R >= 2^-970; a non-finite total never drops.
 
     The search also prunes against honest play.  The honest plan is one
     complete plan, and its search total is bit-identical to
@@ -454,9 +542,8 @@ def deviation_gap(world: WorldConfig, schedule: RewardSchedule, expert_i: int,
         b = sum over s = t..H-1 of gamma^s * min(1, w*(1+zeta)^(s-t)) * max(a, a').
 
     Every completion of a dropped prefix totals less than honest_total, so
-    none is maximal.  The staircase argument is unaffected: it shows that
-    an earlier plan would be maximal, whether or not that plan survives.
-    b depends only on the state, so it is computed once per state and round.
+    none is maximal.  b depends only on the state, so it is computed once
+    per state and round.
 
     Why b bounds every suffix, exactly in floats.  A round pays the
     deviator w times p*a - (1-p)*s <= a or (1-p)*a' <= a', or 0 on a dummy
@@ -468,27 +555,28 @@ def deviation_gap(world: WorldConfig, schedule: RewardSchedule, expert_i: int,
     rounding is monotone.  So each term of b is at least the search's term
     for that round, whatever the plan.
 
-    Why the margin covers the rounding.  Let n = H - t, u = 2^-53,
-    g_m = m*u / (1 - m*u), g = g_n and S = |x| + b + |honest_total|; the
-    margin is (n+1) * 2^-51 * S = 4(n+1)*u*S.  A float sum of m terms, in
-    any order, is off by at most g_(m-1) times the sum of their magnitudes,
-    and additions keep that bound through gradual underflow.  So the exact
-    sum of b's n terms is at most b / (1 - g).  A completion adds to x, one
-    by one, n terms each no larger than b's; float addition is monotone, so
-    it totals at most the same float sum over b's terms, which is at most
+    Why the margin covers the rounding.  Let n = H - t, g = g_n and
+    S = |x| + b + |honest_total|; the margin is (n+1) * 2^-51 * S =
+    4(n+1)*u*S.  A float sum of m terms, in any order, is off by at most
+    g_(m-1) times the sum of their magnitudes.  So the exact sum of b's n
+    terms is at most b / (1 - g).  A completion adds to x, one by one, n
+    terms each no larger than b's; float addition is monotone, so it totals
+    at most the same float sum over b's terms, which is at most
     x + b + 3g*S.  The test rounds
     x + b, the two additions of S, the product and honest_total - margin,
     so a passing test means x + b < honest_total - (4(n+1)*u*(1-u)^4 - u)*S.
     For every n < 2^50 that slack exceeds 3g*S, so every completion totals
-    less than honest_total.  The margin is relative: scaling all rewards by
-    a power of two scales x, b, honest_total and the margin exactly, so the
-    search prunes the same states at every scale.  The argument needs the
-    margin to be a normal float, S >= 2^-972; a non-finite total never
-    prunes.
+    less than honest_total.  The margin is relative, as the band is, so the
+    search prunes the same states at every scale, given S >= 2^-972.
 
     Refuses (GuardRefusal) as soon as it would expand more than STATE_GUARD
-    states, counted over all rounds, so the work done before an answer or a
-    refusal is bounded.  Each round expands at least one state, because the
+    states, or more than STATE_GUARD entries, each counted over all rounds,
+    and the message names the count that passed.  An expanded state holds
+    at least one entry, so the entry count passes first only where a state
+    keeps more than one.  Each expanded entry keeps at most 2^k children,
+    and the parent links of every round stay alive until ``best_plan`` is
+    read back, so the work and the memory before an answer or a refusal
+    are both bounded.  Each round expands at least one state, because the
     honest prefix, or an earlier prefix at its state, is never dropped; so
     a horizon above STATE_GUARD is refused before anything is sampled.
     Whether a shorter horizon passes the cap is known only by searching.
@@ -513,13 +601,25 @@ def deviation_gap(world: WorldConfig, schedule: RewardSchedule, expert_i: int,
     honest_total = honest.discounted_subjective[expert_i]
     quality_rows = qualities.tolist()
 
-    # factors[t] is gamma^t as discounted_total forms it, and capped[t] the
-    # bound on rounds t..H-1 at weight 1.
+    # factors[t] is gamma^t as discounted_total forms it, capped[t] the
+    # bound on rounds t..H-1 at weight 1, reach[t] the bound on the
+    # magnitude of round t's term and spread[t] the sum of reach[t:].
     top = _round_cap(schedule)
+    widest = max(top, schedule.s)
     factors = _discount_factors(horizon_H, world.gamma).tolist()
+    reach = [factor * widest for factor in factors]
     capped = [0.0] * (horizon_H + 1)
+    spread = [0.0] * (horizon_H + 1)
     for t in reversed(range(horizon_H)):
         capped[t] = factors[t] * top + capped[t + 1]
+        spread[t] = reach[t] + spread[t + 1]
+
+    def rounding_band(t, best):
+        # The float slack of the rounds after t (see the docstring): c per
+        # round while a term can exceed it, the terms themselves after.
+        c = (max(map(abs, best.values())) + spread[t + 1]) * 2.0 ** -52
+        i = bisect.bisect_left(reach, -c, t + 1, key=operator.neg)
+        return 4.0 * (c * (i - t - 1) + spread[i])
 
     def suffix_bound(w, t):
         bound = 0.0
@@ -530,47 +630,60 @@ def deviation_gap(world: WorldConfig, schedule: RewardSchedule, expert_i: int,
         return bound + capped[t]
 
     vectors = _vote_vectors(world.proposals_per_round)
-    # (state, plan prefix, discounted total) in product order of prefixes.
-    frontier = [(_initial_state(world.n), (), 0.0)]
-    expanded = 0
+    # (state, discounted total, index of its link) in product order of
+    # prefixes; links[t][i] is (parent index, vote vector) of round t's
+    # kept entry i.
+    frontier = [(_initial_state(world.n), 0.0, None)]
+    links = []
+    expanded = entries = 0
     for t in range(horizon_H):
         bounds = {state: suffix_bound(state[0][expert_i], t)
                   for state in dict.fromkeys(state for state, _, _ in frontier)}
         # Drop the entries that cannot reach honest play (see the docstring).
         rel_margin = (horizon_H - t + 1) * 2.0 ** -51
         frontier = [
-            (state, prefix, total) for state, prefix, total in frontier
+            (state, total, index) for state, total, index in frontier
             if not total + bounds[state] < honest_total - rel_margin * (
                 abs(total) + bounds[state] + abs(honest_total))
         ]
         states = list(dict.fromkeys(state for state, _, _ in frontier))
         expanded += len(states)
-        if expanded > STATE_GUARD:
+        entries += len(frontier)
+        if entries > STATE_GUARD:
+            passed = "game states" if expanded > STATE_GUARD else "kept entries"
             raise GuardRefusal(
-                f"deviation search passed {STATE_GUARD} game states "
+                f"deviation search passed {STATE_GUARD} {passed} "
                 f"in round {t + 1} of {horizon_H}"
             )
         moves = dict(zip(states, _expand(schedule, world.zeta, expert_i, states,
                                          honest.votes[t], beliefs[t], quality_rows[t],
                                          vectors)))
+        factor = factors[t]
         best = {}
         kept = []
-        for state, prefix, total in frontier:
+        for state, total, index in frontier:
             for v, (child, value) in zip(vectors, moves[state]):
-                child_total = total + factors[t] * value
+                child_total = total + factor * value
                 if child in best and child_total <= best[child]:
                     continue
                 best[child] = child_total
-                kept.append((child, prefix + (v,), child_total))
-        frontier = kept
+                kept.append((child, child_total, index, v))
+        if len(kept) > len(best):
+            kept = _within_band(kept, best, rounding_band(t, best))
+        links.append([(index, v) for _, _, index, v in kept])
+        frontier = [(child, total, i) for i, (child, total, _, _) in enumerate(kept)]
 
-    best_total, best_plan = -np.inf, None
-    for _, plan, total in frontier:
+    best_total, best_index = -np.inf, None
+    for _, total, index in frontier:
         if total > best_total:
-            best_total, best_plan = total, plan
+            best_total, best_index = total, index
+    best_plan = []
+    for round_links in reversed(links):
+        best_index, v = round_links[best_index]
+        best_plan.append(v)
     return DeviationGapResult(
         ratio=_ratio(best_total, honest_total), honest_total=honest_total,
-        best_total=best_total, best_plan=best_plan,
+        best_total=best_total, best_plan=tuple(reversed(best_plan)),
         plan_count=(2 ** world.proposals_per_round) ** horizon_H,
     )
 

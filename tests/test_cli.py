@@ -5,11 +5,14 @@ import csv
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from avgov import cli, params, repeated
+
+EXAMPLES = Path(__file__).parent.parent / "examples"
 
 PROP4_SCENARIO = {
     "experts": [
@@ -685,6 +688,55 @@ def test_module_entrypoint_in_subprocess(tmp_path):
         capture_output=True, text=True,
     )
     assert proc.returncode == 64
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_exits_quietly(unbuffered):
+    # The reader has closed the pipe before anything is written, as when
+    # `| head -1` has already exited: no traceback, exit code 141, with
+    # stdout buffered or not.
+    import os
+    import subprocess
+    import sys
+
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "avgov", "repeat", "--scenario",
+             str(EXAMPLES / "deviation.json"), "--horizon", "2000"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+            env=dict(os.environ, PYTHONUNBUFFERED=unbuffered),
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
+
+
+def test_repeat_csv_makes_cells_for_occurring_vote_rows(scenario_file, tmp_path, capsys):
+    # k = 20 has 2^20 vote vectors; two experts over two rounds cast four
+    # vote rows, and only those get a CSV cell (a table of every vector
+    # takes hundreds of MB).
+    import tracemalloc
+
+    data = dict(PROP4_SCENARIO)
+    data["world"] = {"expertise": [0.9, 0.6], "good_prior": 0.5, "k": 20,
+                     "zeta": 0.05, "gamma": 0.5, "horizon": 2, "seed": 3}
+    path = scenario_file(data)
+    out = tmp_path / "k20.csv"
+    tracemalloc.start()
+    try:
+        code = run_cli(capsys, "repeat", "--scenario", path, "--out", str(out))[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    scenario = cli.load_scenario(path)
+    trace = repeated.run(scenario.world, scenario.schedule)
+    rows = list(csv.reader(out.read_text().splitlines()))
+    assert [row[2] for row in rows[1:]] == [
+        "".join(map(str, votes)) for round_ in trace.votes for votes in round_]
+    assert code == 0
+    assert peak < 16 << 20
 
 
 def test_csv_byte_determinism(scenario_file, tmp_path, capsys):

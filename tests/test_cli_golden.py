@@ -60,11 +60,16 @@ DEVIATION = json.loads((EXAMPLES / "deviation.json").read_text())
 UNDERFLOW = dict(DEVIATION, world=dict(DEVIATION["world"], expertise=[0.0, 0.8, 0.7],
                                        zeta=0.9, horizon=400, seed=1))
 
+# The example world at gamma = max_discount(19, 0.05), the discount cap,
+# where the deviation search keeps the most prefixes per state.
+DEVIATION_CAP = json.loads((EXAMPLES / "deviation_cap.json").read_text())
+
 # Five experts, three proposals (the CI pin runs it at H=20000).
 REPEAT_K3 = json.loads((EXAMPLES / "repeat_k3.json").read_text())
 
 SCENARIOS = {"prop4": PROP4, "external": SIDE_PAYMENTS, "enumerate24": ENUMERATE24,
-             "deviation": DEVIATION, "underflow": UNDERFLOW, "repeat_k3": REPEAT_K3}
+             "deviation": DEVIATION, "deviation_cap": DEVIATION_CAP,
+             "underflow": UNDERFLOW, "repeat_k3": REPEAT_K3}
 
 # case name -> (scenario or None, argv without --scenario and --out)
 CASES = {
@@ -89,6 +94,9 @@ CASES = {
     "deviation-gap": ("prop4", ["deviation-gap", "--expert", "1", "--horizon", "3"]),
     # 4^12 plans at the example's own horizon.
     "deviation-example": ("deviation", ["deviation-gap", "--expert", "0"]),
+    # 4^40 plans at the discount cap.
+    "deviation-cap": ("deviation_cap", ["deviation-gap", "--expert", "2",
+                                        "--horizon", "40"]),
     "external-validate": ("external", ["validate"]),
     "external-winner": ("external", ["winner"]),
     "external-enumerate": ("external", ["enumerate"]),

@@ -428,6 +428,40 @@ def test_input_checks_raise(call, match):
         call()
 
 
+# The deviator's weight: zeros, the smallest subnormal, a subnormal, the
+# smallest normal and 1.0 among uniform draws.
+WEIGHTS = st.sampled_from((0.0, 5e-324, 2.0 ** -1060, 2.0 ** -1022, 1.0)) | st.floats(0.0, 1.0)
+BELIEFS = st.sampled_from((0.0, 1.0)) | st.floats(0.0, 1.0)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 3), k=st.integers(1, 3),
+       rewards=st.sampled_from(((0.75, 4.0, 1.0), (0.9, 19.0, 1.0), (0.6, 1.5, 2.0 ** -40))))
+def test_expand_pays_as_payouts_bit_for_bit(data, n, k, rewards):
+    # _expand's float payouts equal _payouts' array ones, down to the sign
+    # of a zero, for each vote vector of the deviator from one state.  The
+    # others vote at random, so some vectors elect the dummy (n = 1 always
+    # does for the all-zero vector).
+    schedule = derive_schedule(*rewards)
+    expert = data.draw(st.integers(0, n - 1))
+    weights = tuple(data.draw(WEIGHTS) for _ in range(n))
+    votes = tuple(data.draw(st.tuples(*[st.integers(0, 1)] * k)) for _ in range(n))
+    beliefs = np.array([[data.draw(BELIEFS) for _ in range(k)] for _ in range(n)])
+    qualities = data.draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
+    vectors = tuple(itertools.product((0, 1), repeat=k))
+    state = (weights, (0,) * n, 0)
+    (row,) = repeated._expand(schedule, 0.05, expert, [state], votes, beliefs,
+                              qualities, vectors)
+    for v, (child, value) in zip(vectors, row):
+        profile = votes[:expert] + (v,) + votes[expert + 1:]
+        js, expected_child = repeated._step(0.05, state, profile, qualities)
+        _, subjective = repeated._payouts(
+            schedule, np.array([js]), np.array([[weights[expert]]]), np.array([[v]]),
+            beliefs[None, expert:expert + 1], np.array([qualities]))
+        assert child == expected_child
+        assert value.hex() == subjective[0, 0].item().hex()
+
+
 # ---------------------------------------------------------------------------
 # deviation_gap
 # ---------------------------------------------------------------------------
@@ -519,22 +553,45 @@ def test_deviation_gap_equals_replay_at_benchmark_shape(name):
 
 
 def test_deviation_gap_prunes_alike_at_every_scale(monkeypatch):
-    # Rewards scaled by 2^m scale every payout and total exactly, and the
-    # pruning margin is relative to the totals, so the search expands the
-    # same states at every scale.
+    # Rewards scaled by 2^m scale every payout, total and bound exactly, and
+    # the pruning margin and the rounding band are relative to the totals,
+    # so the search expands the same states and keeps the same entries at
+    # every scale.
     scenario = cli.load_scenario(EXAMPLES / "deviation.json")
-    calls = []
-    step = repeated._step
-    monkeypatch.setattr(repeated, "_step", lambda *args: calls.append(1) or step(*args))
-    seen = set()
-    for m in (-40, 0, 40):
-        calls.clear()
-        result = deviation_gap(scenario.world, derive_schedule(0.9, 19.0, 2.0 ** m), 0, 12)
-        expanded = (len(calls) - 12) // 4
-        seen.add((result.best_plan, result.best_total / 2.0 ** m, expanded))
-    assert len(seen) == 1
-    # Without pruning the search expands 1,860 states here.
-    assert expanded < 1860
+    rounds, bands = [], []
+    expand, within_band = repeated._expand, repeated._within_band
+
+    def recorded_expand(schedule, zeta, expert, states, *args):
+        rounds.append(tuple(states))
+        return expand(schedule, zeta, expert, states, *args)
+
+    def recorded_band(kept, best, band):
+        inside = within_band(kept, best, band)
+        bands.append((len(kept), band, [entry[1:] for entry in inside]))
+        return inside
+
+    monkeypatch.setattr(repeated, "_expand", recorded_expand)
+    monkeypatch.setattr(repeated, "_within_band", recorded_band)
+    dropped = 0
+    for expert in range(3):
+        seen = set()
+        for m in (-40, 0, 40):
+            rounds.clear()
+            bands.clear()
+            scale = 2.0 ** m
+            result = deviation_gap(scenario.world, derive_schedule(0.9, 19.0, scale),
+                                   expert, 12)
+            kept = tuple((size, band / scale, tuple((total / scale, parent, v)
+                                                    for total, parent, v in inside))
+                         for size, band, inside in bands)
+            seen.add((result.best_plan, result.best_total / scale, tuple(rounds), kept))
+        assert len(seen) == 1
+        dropped += sum(size - len(inside) for size, _, inside in kept)
+        if expert == 0:
+            # Without pruning the search expands 1,860 states here.
+            assert sum(map(len, rounds)) < 1860
+    # The band is not idle here: it drops entries for experts 1 and 2.
+    assert dropped > 0
 
 
 @pytest.mark.parametrize("horizon, gamma", [(10, 0.5), (12, 0.0)])
@@ -549,20 +606,63 @@ def test_deviation_gap_answers_beyond_old_plan_cap(horizon, gamma):
     assert result.best_total >= result.honest_total
 
 
-def test_deviation_gap_keeps_earlier_prefix_when_rounding_absorbs_the_gap(monkeypatch):
-    # Both first-round votes reach one state, vote 1 by one ulp more.  The
-    # second round adds 1.0, which absorbs that ulp, so plans 0,0 and 1,0
-    # both total 2.0 and the first in product order must be reported.
+def two_round_expand(first):
+    """A fake ``_expand`` for one expert and k = 1: both votes reach one
+    state each round; round 1 pays ``first[v]`` for vote v and round 2
+    pays 2.0 for vote 0 and 0.0 for vote 1."""
     def fake_expand(schedule, zeta, expert, states, votes, beliefs, qualities, vectors):
-        values = ((1.0, math.nextafter(1.0, 2.0)), (2.0, 0.0))
+        values = (first, (2.0, 0.0))
         return [[(((0.5,), (0,), t + 1), values[t][v[0]]) for v in vectors]
                 for t in (state[2] for state in states)]
+    return fake_expand
 
-    monkeypatch.setattr(repeated, "_expand", fake_expand)
+
+def test_deviation_gap_keeps_earlier_prefix_when_rounding_absorbs_the_gap(monkeypatch):
+    # Both first-round votes reach one state, vote 1 by one ulp more, which
+    # is inside the rounding band.  The second round adds 1.0, which absorbs
+    # that ulp, so plans 0,0 and 1,0 both total 2.0 and the first in product
+    # order must be reported.
+    monkeypatch.setattr(repeated, "_expand",
+                        two_round_expand((1.0, math.nextafter(1.0, 2.0))))
     w = world(expertise=(0.9,), proposals_per_round=1, gamma=0.5, horizon=2)
     result = deviation_gap(w, SCHED, 0, 2)
     assert result.best_total == 2.0
     assert result.best_plan == ((0,), (0,))
+
+
+def test_deviation_gap_band_drops_only_entries_beyond_it(monkeypatch):
+    # At gamma 0.5, round 1's two totals reach one state.  A gap of one ulp
+    # is inside the band, so both entries are kept into round 2: the guard
+    # counts 3 entries over 2 states.  A gap of 2^-30 is beyond it, so the
+    # earlier entry is dropped and 2 entries pass the same guard.
+    w = world(expertise=(0.9,), proposals_per_round=1, gamma=0.5, horizon=2)
+    monkeypatch.setattr(repeated, "STATE_GUARD", 2)
+    monkeypatch.setattr(repeated, "_expand", two_round_expand((1.0, 1.0 + 2.0 ** -30)))
+    result = deviation_gap(w, SCHED, 0, 2)
+    assert result.best_total == 2.0 + 2.0 ** -30
+    assert result.best_plan == ((1,), (0,))
+    monkeypatch.setattr(repeated, "_expand",
+                        two_round_expand((1.0, math.nextafter(1.0, 2.0))))
+    with pytest.raises(GuardRefusal, match="passed 2 kept entries in round 2 of 2"):
+        deviation_gap(w, SCHED, 0, 2)
+
+
+def test_deviation_gap_band_drops_agree_with_replay(monkeypatch):
+    # In this world the band drops an entry before the last round, where
+    # rounds are still left to add; the answer is still the replay's.
+    drops = []
+    within_band = repeated._within_band
+
+    def recorded(kept, best, band):
+        inside = within_band(kept, best, band)
+        drops.append((len(kept) - len(inside), band))
+        return inside
+
+    monkeypatch.setattr(repeated, "_within_band", recorded)
+    w = world(expertise=(0.9, 0.8, 0.7), gamma=max_discount(SCHED.epsilon, 0.05),
+              horizon=4, seed=3)
+    assert deviation_gap(w, SCHED, 0, 4) == brute_force_gap(w, SCHED, 0, 4)
+    assert any(count > 0 and band > 0.0 for count, band in drops)
 
 
 def test_deviation_gap_guard(monkeypatch):
