@@ -71,15 +71,15 @@ def _cells(rows):
     return ([_cell(v) for v in row] for row in rows)
 
 
-def _write_csv(path, header, rows):
-    """Write the header and the rows as CSV: cells joined by commas, each
-    line ended by CRLF, one line at a time.
+def _write_csv(fh, header, rows):
+    """Write the header and the rows as CSV to the text file ``fh``, opened
+    with ``newline=""``: cells joined by commas, each line ended by CRLF,
+    one line at a time.
 
     Cells arrive as CSV text.  Only ``_flatten`` makes cells that can hold
     a comma, a quote or a line break, and it quotes them with ``_quoted``;
     every other producer yields cells that need no quotes."""
-    with open(path, "w", newline="") as fh:
-        fh.writelines(",".join(row) + "\r\n" for row in itertools.chain((header,), rows))
+    fh.writelines(",".join(row) + "\r\n" for row in itertools.chain((header,), rows))
 
 
 def _quoted(cell):
@@ -817,6 +817,18 @@ def main(argv=None) -> int:
     except GuardRefusal as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
+    if args.out:
+        # Before anything is printed, so a path that cannot be written is
+        # refused with nothing on stdout.
+        try:
+            fh = open(args.out, "w", newline="")
+        except OSError as exc:
+            print(f"error: cannot write --out {args.out}: {exc.strerror}", file=sys.stderr)
+            return 2
+        with fh:
+            if rows is None:
+                header, rows = ("key", "value"), _flatten(payload)
+            _write_csv(fh, header, rows)
     try:
         emit(payload)
         sys.stdout.flush()
@@ -826,11 +838,6 @@ def main(argv=None) -> int:
         # quiet, and exit as the shell reports a process ended by SIGPIPE.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    if args.out:
-        if rows is not None:
-            _write_csv(args.out, header, rows)
-        else:
-            _write_csv(args.out, ("key", "value"), _flatten(payload))
     if payload.get("pass") is False:
         failed = [k for k, v in payload.get("claims", {}).items() if not v]
         print(f"claim check failed: {', '.join(failed)}", file=sys.stderr)

@@ -7,6 +7,7 @@ All functions are pure and safe for unrestricted concurrent use.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .core import Instance, RewardSchedule, _normalized_external
@@ -108,8 +109,8 @@ def deviation_safety_threshold(schedule: RewardSchedule, g: float) -> SafetyEnve
     effective threshold equals T, recovering the dominant-strategy
     guarantee for unbribed experts.
     """
-    if not g >= 0.0:
-        raise ContractViolation(f"g = {g} must be >= 0")
+    if not 0.0 <= g < math.inf:
+        raise ContractViolation(f"g = {g} must be finite and >= 0")
     a, ap, s, T = schedule.a, schedule.a_prime, schedule.s, schedule.T
     denom = a + s + g
     first = T * (a + s) / denom

@@ -18,17 +18,18 @@ only over ``_step``, the one home of a round's transition: the winner
 row-wise capped step (``_delayed_update``).  The payouts are computed as
 arrays afterwards in ``_payouts``, and the discounted totals as array
 columns in ``discounted_total``.  The single-deviator search
-(``deviation_gap``) uses the same ``_step`` and reads the honest replay's
-vote rows; it pays each child state as floats through ``_subjective``, the
-arithmetic ``_payouts`` applies to arrays.  It walks states forward instead
-of replaying every plan: plan prefixes that reach the same state share
-their future, so each state keeps only the prefixes that could still end a
-first maximal plan, within the rounding band below its best total, and
-each kept entry links to its parent instead of copying its prefix.  The
-states it expands and the entries it keeps over all rounds are capped by
-STATE_GUARD.  It also drops every prefix that cannot beat honest play: a
-weight never exceeds 1 and grows by at most (1+zeta) per round, which
-bounds what any suffix can add.
+(``deviation_gap``) builds no trace: it plays every round, honest play's
+included, through ``_expand``, which steps with the same ``_step`` and
+pays each child state as floats through ``_subjective``, the arithmetic
+``_payouts`` applies to arrays.  It walks states forward instead of
+replaying every plan: plan prefixes that reach the same state share their
+future, so each state keeps only the prefixes that could still end a first
+maximal plan, within the rounding band below its best total, and each
+kept entry links to its parent instead of copying its prefix.  The
+entries it expands over all rounds are capped by STATE_GUARD.  It also
+drops every prefix that cannot beat honest play: a weight never exceeds 1
+and grows by at most (1+zeta) per round, which bounds what any suffix can
+add.
 
 A single run is sequential by nature; independent runs (different seeds or
 deviation plans) are pure functions of their arguments and can execute
@@ -63,8 +64,7 @@ from .params import max_discount
 INITIAL_WEIGHT = 0.5
 
 # The deviation search is refused as soon as it would expand more than this
-# many game states, or entries kept at them, counted over all rounds; each
-# state costs 2^k round plays and each entry up to 2^k kept children.
+# many kept entries over all rounds; each costs up to 2^k plays and children.
 STATE_GUARD = 1 << 16
 
 
@@ -342,12 +342,28 @@ def _initial_state(n):
     return (INITIAL_WEIGHT,) * n, (0,) * n, 0
 
 
-def _simulate(world, schedule, qualities, beliefs, policy):
-    """Deterministic core of a run over pre-drawn rounds.  A deviator's plan
-    is fixed in advance, so it is written into the vote array up front."""
+def run(world: WorldConfig, schedule: RewardSchedule,
+        policy=HonestPolicy()) -> RepeatedTrace:
+    """Simulate the repeated game; deterministic given the world seed.
+
+    Round draws are independent of play, so runs with the same seed see
+    identical proposals and signals whatever the policy does.  A deviator's
+    plan is fixed in advance, so it is written into the vote array up
+    front.  A discount factor at or above the theoretical cap only sets
+    ``gamma_warning``.
+    """
+    if isinstance(policy, SingleDeviatorPolicy):
+        if not 0 <= policy.expert < world.n:
+            raise ContractViolation(f"deviator index {policy.expert} out of range")
+        for row in policy.plan:
+            if len(row) != world.proposals_per_round or any(v not in (0, 1) for v in row):
+                raise ContractViolation("deviation plan rows must be k-bit vectors")
+    elif not isinstance(policy, HonestPolicy):
+        raise ContractViolation(f"unsupported policy {policy!r}")
+    qualities, beliefs = _presample(world)
     votes = _honest_votes(beliefs, schedule.T)
-    plan = policy.plan[:world.horizon] if isinstance(policy, SingleDeviatorPolicy) else ()
-    if plan:
+    if isinstance(policy, SingleDeviatorPolicy) and policy.plan:
+        plan = policy.plan[:world.horizon]
         votes[:len(plan), policy.expert] = plan
     vote_rows = _vote_rows(votes)
     quality_rows = qualities.tolist()
@@ -377,25 +393,6 @@ def _simulate(world, schedule, qualities, beliefs, policy):
         revealed_rounds=revealed_rounds,
         gamma_warning=gamma_warning,
     )
-
-
-def run(world: WorldConfig, schedule: RewardSchedule,
-        policy=HonestPolicy()) -> RepeatedTrace:
-    """Simulate the repeated game; deterministic given the world seed.
-
-    Round draws are independent of play, so runs with the same seed see
-    identical proposals and signals whatever the policy does.  A discount
-    factor at or above the theoretical cap only sets ``gamma_warning``.
-    """
-    if isinstance(policy, SingleDeviatorPolicy):
-        if not 0 <= policy.expert < world.n:
-            raise ContractViolation(f"deviator index {policy.expert} out of range")
-        for row in policy.plan:
-            if len(row) != world.proposals_per_round or any(v not in (0, 1) for v in row):
-                raise ContractViolation("deviation plan rows must be k-bit vectors")
-    elif not isinstance(policy, HonestPolicy):
-        raise ContractViolation(f"unsupported policy {policy!r}")
-    return _simulate(world, schedule, *_presample(world), policy)
 
 
 def _expand(schedule, zeta, expert, states, votes, beliefs, qualities, vectors):
@@ -468,7 +465,7 @@ def deviation_gap(world: WorldConfig, schedule: RewardSchedule, expert_i: int,
     not do: rounding can absorb the gap between two prefixes once the same
     suffix is added, and then the earlier, smaller prefix leads to the
     first maximal plan.  Totals accumulate in ``discounted_total``'s order,
-    so each one is bit-identical to a replay of its plan.
+    from 0.0, so each one is bit-identical to a replay of its plan.
 
     Each kept entry holds its state, its total, the index of its parent
     entry in the round before and its last vote vector; ``best_plan`` is
@@ -534,8 +531,9 @@ def deviation_gap(world: WorldConfig, schedule: RewardSchedule, expert_i: int,
     normal float, Q + R >= 2^-970; a non-finite total never drops.
 
     The search also prunes against honest play.  The honest plan is one
-    complete plan, and its search total is bit-identical to
-    ``honest_total``, so best_total >= honest_total.  Before round t is
+    complete plan, and ``honest_total`` is the search's own total for it:
+    honest play is walked first with the same ``_expand`` and the same
+    additions.  So best_total >= honest_total.  Before round t is
     expanded, an entry with total x at a state where the deviator's weight
     is w is dropped when x + b < honest_total - margin, where
 
@@ -570,35 +568,30 @@ def deviation_gap(world: WorldConfig, schedule: RewardSchedule, expert_i: int,
     search prunes the same states at every scale, given S >= 2^-972.
 
     Refuses (GuardRefusal) as soon as it would expand more than STATE_GUARD
-    states, or more than STATE_GUARD entries, each counted over all rounds,
-    and the message names the count that passed.  An expanded state holds
-    at least one entry, so the entry count passes first only where a state
-    keeps more than one.  Each expanded entry keeps at most 2^k children,
-    and the parent links of every round stay alive until ``best_plan`` is
-    read back, so the work and the memory before an answer or a refusal
-    are both bounded.  Each round expands at least one state, because the
-    honest prefix, or an earlier prefix at its state, is never dropped; so
-    a horizon above STATE_GUARD is refused before anything is sampled.
-    Whether a shorter horizon passes the cap is known only by searching.
+    kept entries, counted over all rounds.  Each expanded state holds at
+    least one entry, so the count also caps the states expanded, and each
+    entry keeps at most 2^k children.  The parent links of every round stay
+    alive until ``best_plan`` is read back, so the work and the memory
+    before an answer or a refusal are both bounded.  Each round expands at
+    least one entry, because the honest prefix, or an earlier prefix at its
+    state, is never dropped; so a horizon above STATE_GUARD is refused
+    before anything is sampled.  Whether a shorter horizon passes the cap
+    is known only by searching.
     """
     if not 0 <= expert_i < world.n:
         raise ContractViolation(f"expert index {expert_i} out of range")
     if horizon_H < 1:
         raise ContractViolation("horizon_H must be >= 1")
-    if world.gamma > max_discount(schedule.epsilon, world.zeta):
-        raise ContractViolation(
-            f"gamma = {world.gamma} exceeds max_discount = "
-            f"{max_discount(schedule.epsilon, world.zeta)}"
-        )
+    cap = max_discount(schedule.epsilon, world.zeta)
+    if world.gamma > cap:
+        raise ContractViolation(f"gamma = {world.gamma} exceeds max_discount = {cap}")
     if horizon_H > STATE_GUARD:
         raise GuardRefusal(
-            f"deviation search would pass {STATE_GUARD} game states: "
+            f"deviation search would pass {STATE_GUARD} kept entries: "
             f"horizon_H = {horizon_H} expands at least one per round"
         )
-    short_world = dataclasses.replace(world, horizon=horizon_H)
-    qualities, beliefs = _presample(short_world)
-    honest = _simulate(short_world, schedule, qualities, beliefs, HonestPolicy())
-    honest_total = honest.discounted_subjective[expert_i]
+    qualities, beliefs = _presample(dataclasses.replace(world, horizon=horizon_H))
+    votes = _vote_rows(_honest_votes(beliefs, schedule.T))
     quality_rows = qualities.tolist()
 
     # factors[t] is gamma^t as discounted_total forms it, capped[t] the
@@ -629,13 +622,20 @@ def deviation_gap(world: WorldConfig, schedule: RewardSchedule, expert_i: int,
             t += 1
         return bound + capped[t]
 
+    # Honest play, walked as the search walks every plan.
+    state, honest_total = _initial_state(world.n), 0.0
+    for t in range(horizon_H):
+        [[(state, value)]] = _expand(schedule, world.zeta, expert_i, [state], votes[t],
+                                     beliefs[t], quality_rows[t], [votes[t][expert_i]])
+        honest_total += factors[t] * value
+
     vectors = _vote_vectors(world.proposals_per_round)
     # (state, discounted total, index of its link) in product order of
     # prefixes; links[t][i] is (parent index, vote vector) of round t's
     # kept entry i.
     frontier = [(_initial_state(world.n), 0.0, None)]
     links = []
-    expanded = entries = 0
+    entries = 0
     for t in range(horizon_H):
         bounds = {state: suffix_bound(state[0][expert_i], t)
                   for state in dict.fromkeys(state for state, _, _ in frontier)}
@@ -646,17 +646,15 @@ def deviation_gap(world: WorldConfig, schedule: RewardSchedule, expert_i: int,
             if not total + bounds[state] < honest_total - rel_margin * (
                 abs(total) + bounds[state] + abs(honest_total))
         ]
-        states = list(dict.fromkeys(state for state, _, _ in frontier))
-        expanded += len(states)
         entries += len(frontier)
         if entries > STATE_GUARD:
-            passed = "game states" if expanded > STATE_GUARD else "kept entries"
             raise GuardRefusal(
-                f"deviation search passed {STATE_GUARD} {passed} "
+                f"deviation search passed {STATE_GUARD} kept entries "
                 f"in round {t + 1} of {horizon_H}"
             )
+        states = list(dict.fromkeys(state for state, _, _ in frontier))
         moves = dict(zip(states, _expand(schedule, world.zeta, expert_i, states,
-                                         honest.votes[t], beliefs[t], quality_rows[t],
+                                         votes[t], beliefs[t], quality_rows[t],
                                          vectors)))
         factor = factors[t]
         best = {}

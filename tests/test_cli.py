@@ -528,6 +528,8 @@ WORLD_WITHOUT_ZETA = dict(PROP4_SCENARIO, world={k: v for k, v in WORLD.items()
                  "schedule: delta = nan must be finite", id="delta-nan"),
     pytest.param(_schedule(delta=float("inf")), ["validate"],
                  "schedule: delta = inf must be finite", id="delta-inf"),
+    pytest.param(PROP4_SCENARIO, ["safety", "--g", "inf"],
+                 "g = inf must be finite and >= 0", id="safety-g-inf"),
 ])
 def test_input_errors_exit_2(capsys, scenario_file, data, argv, match):
     if data is not None:
@@ -690,6 +692,29 @@ def test_module_entrypoint_in_subprocess(tmp_path):
     assert proc.returncode == 64
 
 
+def test_unwritable_out_exits_2_before_printing(tmp_path):
+    # The --out file is opened before anything is printed: a path in a
+    # missing directory is an input error, with empty stdout and no file.
+    # A command that fails before that creates no file either.
+    import subprocess
+    import sys
+
+    def avgov(*argv):
+        return subprocess.run([sys.executable, "-m", "avgov", *argv, "--scenario",
+                               str(EXAMPLES / "deviation.json")],
+                              capture_output=True, text=True, timeout=120)
+
+    out = tmp_path / "missing" / "x.csv"
+    proc = avgov("repeat", "--horizon", "5", "--out", str(out))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: cannot write --out {out}: No such file or directory\n"
+    assert not out.parent.exists()
+    proc = avgov("safety", "--g", "inf", "--out", str(tmp_path / "y.csv"))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: g = inf must be finite")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("unbuffered", ["", "1"])
 def test_closed_stdout_exits_quietly(unbuffered):
     # The reader has closed the pipe before anything is written, as when
@@ -785,7 +810,8 @@ def test_write_csv_matches_csv_writer(tmp_path_factory, rows):
     header = ("key", "value")
     ours = tmp_path_factory.mktemp("csv") / "ours.csv"
     theirs = ours.with_name("theirs.csv")
-    cli._write_csv(ours, header, ([cli._quoted(c) for c in row] for row in rows))
+    with open(ours, "w", newline="") as fh:
+        cli._write_csv(fh, header, ([cli._quoted(c) for c in row] for row in rows))
     with open(theirs, "w", newline="") as fh:
         csv.writer(fh).writerows([header, *rows])
     assert ours.read_bytes() == theirs.read_bytes()
@@ -794,7 +820,8 @@ def test_write_csv_matches_csv_writer(tmp_path_factory, rows):
 def test_flattened_cells_round_trip_through_csv_reader(tmp_path):
     payload = {"note": {"text": 'a, "quoted" word'}, "list": [1, "b,c"], "n": 2}
     path = tmp_path / "flat.csv"
-    cli._write_csv(path, ("key", "value"), cli._flatten(payload))
+    with open(path, "w", newline="") as fh:
+        cli._write_csv(fh, ("key", "value"), cli._flatten(payload))
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows == [["key", "value"], ["list", '[1, "b,c"]'], ["n", "2"],

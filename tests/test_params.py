@@ -1,6 +1,8 @@
 """Schedule derivation, identity diagnostics, safety envelopes, the
 external-reward bound and the repeated-game discount cap."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -245,6 +247,9 @@ def test_max_discount_is_zero_without_slack_or_step():
                  "epsilon = -1.0", id="negative-epsilon"),
     pytest.param(lambda: derive_schedule(0.9, 19.0, 0.0), DerivationError,
                  "a_prime = 0.0", id="zero-a-prime"),
+    pytest.param(lambda: deviation_safety_threshold(derive_schedule(0.9, 19.0, 1.0),
+                                                    math.inf),
+                 ContractViolation, "g = inf must be finite and >= 0", id="infinite-g"),
 ])
 def test_input_checks_raise(call, error, match):
     with pytest.raises(error, match=match):

@@ -552,6 +552,22 @@ def test_deviation_gap_equals_replay_at_benchmark_shape(name):
     assert (result.ratio > 1.0) == (name == "profitable")
 
 
+@pytest.mark.parametrize("name", sorted(REPLAY_WORLDS))
+def test_deviation_gap_walks_honest_play_without_the_trace(monkeypatch, name):
+    # honest_total is the search's own total for the honest plan, so the
+    # search never reads run's array payouts or discounted totals.
+    overrides, expert = REPLAY_WORLDS[name]
+    w = world(expertise=(0.9, 0.8, 0.7), horizon=6, **overrides)
+    expected = deviation_gap(w, SCHED, expert, 6)
+
+    def refuse(*args):
+        raise AssertionError("the search read the trace's payouts")
+
+    monkeypatch.setattr(repeated, "_payouts", refuse)
+    monkeypatch.setattr(repeated, "discounted_total", refuse)
+    assert deviation_gap(w, SCHED, expert, 6) == expected
+
+
 def test_deviation_gap_prunes_alike_at_every_scale(monkeypatch):
     # Rewards scaled by 2^m scale every payout, total and bound exactly, and
     # the pruning margin and the rounding band are relative to the totals,
@@ -666,11 +682,11 @@ def test_deviation_gap_band_drops_agree_with_replay(monkeypatch):
 
 
 def test_deviation_gap_guard(monkeypatch):
-    # At gamma 0.9 pruning keeps several states in some rounds (26 over 10
+    # At gamma 0.9 pruning keeps several entries in some rounds (26 over 10
     # rounds), so a guard of 12 is passed in round 6.
     monkeypatch.setattr(repeated, "STATE_GUARD", 12)
     w = world(proposals_per_round=2, gamma=0.9, horizon=10)
-    with pytest.raises(GuardRefusal, match="passed 12 game states in round 6 of 10"):
+    with pytest.raises(GuardRefusal, match="passed 12 kept entries in round 6 of 10"):
         deviation_gap(w, SCHED, 0, 10)
 
 
@@ -685,9 +701,10 @@ def test_deviation_gap_refuses_horizon_above_guard_before_sampling(monkeypatch):
 
 
 def test_deviation_gap_guard_counts_states_over_all_rounds(monkeypatch):
-    # Each expanded state steps its round once per vote vector; the honest
-    # run steps the other H rounds.  This world expands more states than it
-    # has rounds, so a guard one short of them is not refused up front.
+    # Each expanded state steps its round once per vote vector, and the walk
+    # of honest play steps each of the H rounds once more.  This world
+    # expands more states than it has rounds, so a guard one short of them
+    # is not refused up front.
     calls = []
     step = repeated._step
     monkeypatch.setattr(repeated, "_step", lambda *args: calls.append(1) or step(*args))
