@@ -20,12 +20,14 @@ sweep lays the profile space out as rows: a row is one context of the other
 experts' votes and its 2^k columns are her own vote vectors, so each of her
 deviations and admissibility flips from a profile is another column of the
 same row.  Each sweep first marks the rows that still hold a profile in
-the running, then gathers only those rows, a chunk of the mark array at a
+the running, by OR-ing her 2^k column slices of the mark array into one
+bool per row, then gathers only those rows, a chunk of the row marks at a
 time, and checks them in blocks of fixed size; so after the first sweep
 the work follows the survivors, and no index array spans the whole row
-space.  Masses are summed in the order :func:`avgov.core.winner` sums
-them, so every utility the enumerator compares equals
-:func:`avgov.core.utility` bit for bit.
+space.  In a block, each own vector's winners index straight into her
+utility table, one preallocated row of utilities per vector.  Masses are
+summed in the order :func:`avgov.core.winner` sums them, so every utility
+the enumerator compares equals :func:`avgov.core.utility` bit for bit.
 
 Semi-strategic semantics are coordinate-wise: an expert's reported vector
 is admissible iff every coordinate on which it disagrees with her honest
@@ -236,17 +238,19 @@ def is_approx_pne(instance: Instance, schedule: RewardSchedule,
 _BLOCK_BITS = 15
 
 
-def _winners(masses):
+def _winners(masses, js, best):
     """Vectorized winner selection: ``masses`` is a sequence of arrays,
     ``masses[j]`` holding proposal j+1's mass across many profiles.
-    Returns the 0-based argmax with first-index ties, -1 where no proposal
-    has positive mass."""
-    best = masses[0]
-    js = np.zeros(best.shape, dtype=np.int64)
+    Writes into ``js`` the winner's column of a utility table, the argmax
+    plus 1 with first-index ties, or 0 for the dummy where no proposal has
+    positive mass, and returns it; ``best`` is a work buffer of the same length."""
+    js.fill(1)
+    np.copyto(best, masses[0])
     for j in range(1, len(masses)):
-        js[masses[j] > best] = j
-        best = np.maximum(best, masses[j])
-    return np.where(best <= 0.0, -1, js)
+        js[masses[j] > best] = j + 1
+        np.maximum(best, masses[j], out=best)
+    js[best <= 0.0] = 0
+    return js
 
 
 def _utilities_for(p_row, ghat_row, schedule):
@@ -284,10 +288,12 @@ def _row_checks(i, ctx, w, table, honest_row, factor, semi):
     for e in range(i + 1, n):
         low += w[e] * others[e - 1]
         high += w[e] * others[e - 1]
-    u = np.stack([
-        table[d, _winners([high[j] if own[d, j] else low[j] for j in range(k)]) + 1]
-        for d in cols
-    ])
+    u = np.empty((1 << k, len(ctx)))
+    js = np.empty(len(ctx), dtype=np.intp)
+    best = np.empty(len(ctx))
+    for d in cols:
+        masses = [high[j] if own[d, j] else low[j] for j in range(k)]
+        np.take(table[d], _winners(masses, js, best), out=u[d])
 
     # The best deviation from d is the row's best value over the other
     # vectors: the row maximum, or the runner-up where d holds it.
@@ -358,8 +364,13 @@ def enumerate_equilibria(instance: Instance, schedule: RewardSchedule,
         below = (1 << (i * k)) - 1
         # Viewed as (hi, her vector, lo), ok holds each row's columns on
         # axis 1, and the rows come out in context order hi * 2^(i*k) + lo.
-        # A row is live while one of its columns is in the running.
-        ok.reshape(-1, 1 << k, 1 << (i * k)).any(axis=1, out=live.reshape(-1, 1 << (i * k)))
+        # A row is live while one of its columns is in the running.  OR-ing
+        # the 2^k column slices in place beats a reduction over axis 1.
+        view = ok.reshape(-1, 1 << k, 1 << (i * k))
+        marks = live.reshape(-1, 1 << (i * k))
+        np.copyto(marks, view[:, 0])
+        for d in range(1, 1 << k):
+            np.logical_or(marks, view[:, d], out=marks)
         for ctx in _live_rows(live, block):
             # A profile's index is its row's context with i's k bits
             # inserted at bit i*k.

@@ -57,6 +57,7 @@ class Instance:
     ``beliefs[i][j]`` is expert i's probability that proposal j+1 is good;
     ``external[i][j]`` is the side payment expert i collects if proposal
     j+1 is implemented (same monetary unit as the mechanism's rewards).
+    The weights must have a finite sum, so that no approval mass overflows.
     """
 
     weights: tuple
@@ -78,6 +79,11 @@ class Instance:
         for i, w in enumerate(weights):
             if not 0.0 <= w < math.inf:
                 raise ContractViolation(f"weights[{i}] = {w} must be finite and >= 0")
+        # Every expert approving one proposal: rounding is monotone, so a
+        # mass that leaves out some non-negative weights is never larger.
+        total = _elect(weights, ((1,),) * len(weights))[1][0]
+        if total == math.inf:
+            raise ContractViolation(f"the weights sum to {total}; it must be finite")
         for i, row in enumerate(beliefs):
             for j, p in enumerate(row):
                 if not 0.0 <= p <= 1.0:

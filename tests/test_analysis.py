@@ -542,7 +542,9 @@ def test_enumerate_sweeps_only_rows_with_a_live_profile(monkeypatch, mode, block
 # digests first recorded, before the enumerator swept only live rows, were
 # of entries that held a VotingProfile; these are the sha256 of those same
 # reports with every `profile=VotingProfile(votes=X)` written `votes=X`.
-# 2^20 profiles span several row blocks at the default block size.
+# 2^20 profiles span several row blocks at the default block size.  The
+# 21-bit (7, 3) digests, recorded before the sweeps' live marks and utility
+# rows were reworked, pin k = 3 as well.
 PIN_20BIT_SHA256 = {
     (10, 2, "semi", 0.0): "6d33d230c5301c45f56190dd67a303e65dfcc9d5a452e01ea52811e8ea34a15b",
     (10, 2, "semi", 19.0): "ae56c13e01d8edafc1d8023cf7f47022eb33a3593352897ebf0cb276cfcadc76",
@@ -552,10 +554,14 @@ PIN_20BIT_SHA256 = {
     (5, 4, "semi", 19.0): "c7c26f20ce7719a7a05a020fc41c1be75ffcc3937db4ccf594b80dcfff4b81c3",
     (5, 4, "strategic", 0.0): "181405ab5328a5581fac3ef3d3ae80bfa6b6cc3c0c59e5952dae37fdd480bce5",
     (5, 4, "strategic", 19.0): "7a5dcaa38e8668c1b2fd35dbc18416784485693c74650319b922d01cc9c0120d",
+    (7, 3, "semi", 0.0): "8ac5bb29e58a0b0e050632a988fba34e07cbf0b6931f865f28b1a340c7844dbd",
+    (7, 3, "semi", 19.0): "fbdece300f134164b7385d1528645803ee43e0dd5e9e08f247783bde55503840",
+    (7, 3, "strategic", 0.0): "9d7fb504b187b671c6a8b0d53486e531992a8f60ebf80beae896a86c7cc62dab",
+    (7, 3, "strategic", 19.0): "e667dee386ba1aa70f96fb21cf0890c1580b3d20bcdc16669c447cac4559f21b",
 }
 
 
-@pytest.mark.parametrize("n,k,seed", [(10, 2, 20), (5, 4, 21)])
+@pytest.mark.parametrize("n,k,seed", [(10, 2, 20), (5, 4, 21), (7, 3, 22)])
 def test_enumerate_20_bit_reports_pinned(n, k, seed):
     sched = derive_schedule(0.9, 19.0, 1.0)
     instance = random_instance(np.random.default_rng(seed), n=n, k=k)

@@ -434,6 +434,8 @@ BIG = int("9" * 400)
 SEED_5000_DIGITS = json.dumps(_world()).replace('"seed": 0', '"seed": ' + "9" * 5000)
 OVERFLOW = r"missing or malformed field \(int too large to convert to float\)"
 
+HUGE_WEIGHTS = dict(PROP4_SCENARIO, experts=[dict(e, weight=1e308)
+                                              for e in PROP4_SCENARIO["experts"]])
 WORLD_WITHOUT_ZETA = dict(PROP4_SCENARIO, world={k: v for k, v in WORLD.items()
                                                  if k != "zeta"})
 
@@ -530,6 +532,13 @@ WORLD_WITHOUT_ZETA = dict(PROP4_SCENARIO, world={k: v for k, v in WORLD.items()
                  "schedule: delta = inf must be finite", id="delta-inf"),
     pytest.param(PROP4_SCENARIO, ["safety", "--g", "inf"],
                  "g = inf must be finite and >= 0", id="safety-g-inf"),
+    # Finite weights whose total overflows: every mass and ratio would too.
+    pytest.param(HUGE_WEIGHTS, ["enumerate"], "experts: the weights sum to inf",
+                 id="weights-sum-inf-enumerate"),
+    pytest.param(HUGE_WEIGHTS, ["poa"], "experts: the weights sum to inf",
+                 id="weights-sum-inf-poa"),
+    pytest.param(HUGE_WEIGHTS, ["winner"], "experts: the weights sum to inf",
+                 id="weights-sum-inf-winner"),
 ])
 def test_input_errors_exit_2(capsys, scenario_file, data, argv, match):
     if data is not None:

@@ -112,6 +112,12 @@ ONE_EXPERT = Instance(weights=(1.0,), beliefs=((0.5,),))
                  "must have 2 columns", id="external-columns"),
     pytest.param(lambda: Instance(weights=(1.0,), beliefs=((),)),
                  "at least one proposal", id="no-proposals"),
+    pytest.param(lambda: Instance(weights=(1e308, 1e308), beliefs=((0.5,), (0.5,))),
+                 "sum to inf", id="weights-sum-overflow"),
+    # Every pair of these weights has a finite sum; all three do not.
+    pytest.param(lambda: Instance(weights=(1e308, 5e307, 5e307),
+                                  beliefs=((0.5,), (0.5,), (0.5,))),
+                 "sum to inf", id="weights-three-sum-overflow"),
     pytest.param(lambda: dataclasses.replace(SCHED, s=-1.0), "s = -1.0", id="negative-s"),
     pytest.param(lambda: dataclasses.replace(SCHED, epsilon=-1.0), "epsilon = -1.0",
                  id="negative-epsilon"),
