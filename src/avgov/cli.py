@@ -165,7 +165,7 @@ def _section(name, read, *args):
         return read(*args)
     except (KeyError, TypeError, OverflowError) as exc:
         raise ScenarioError(f"{name}: missing or malformed field ({exc})") from exc
-    except (ContractViolation, DerivationError) as exc:
+    except (ContractViolation, NormalizationError, DerivationError) as exc:
         raise ScenarioError(f"{name}: {exc}") from exc
 
 

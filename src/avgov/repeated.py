@@ -23,9 +23,8 @@ included, through ``_expand``, which steps with the same ``_step`` and
 pays each child state as floats through ``_subjective``, the arithmetic
 ``_payouts`` applies to arrays.  It walks states forward instead of
 replaying every plan: plan prefixes that reach the same state share their
-future, so each state keeps only the prefixes that could still end a first
-maximal plan, within the rounding band below its best total, and each
-kept entry links to its parent instead of copying its prefix.  The
+future, so each state keeps one prefix, the one with the largest total,
+and each kept entry links to its parent instead of copying its prefix.  The
 entries it expands over all rounds are capped by STATE_GUARD.  It also
 drops every prefix that cannot beat honest play: a weight never exceeds 1
 and grows by at most (1+zeta) per round, which bounds what any suffix can
@@ -38,10 +37,8 @@ concurrently.
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import itertools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -423,20 +420,18 @@ def _expand(schedule, zeta, expert, states, votes, beliefs, qualities, vectors):
     return rows
 
 
-def _within_band(kept, best, band):
-    """The entries ``(child, total, parent index, vote vector)`` of
-    ``kept`` whose total is at most ``band`` below ``best[child]``, the
-    largest total at their child state, in their order."""
-    return [entry for entry in kept if not best[entry[0]] - entry[1] > band]
-
-
 @dataclass(frozen=True)
 class DeviationGapResult:
     """Best single-deviator discounted subjective total relative to honest
     play, over the whole plan space of a truncated horizon.
 
-    ``plan_count`` is the size of that space, (2^k)^H; ``best_plan`` is the
-    first plan in ``itertools.product`` order that reaches ``best_total``.
+    ``plan_count`` is the size of that space, (2^k)^H; ``best_plan`` is a
+    plan that reaches ``best_total``: the first in ``itertools.product``
+    order among the plans the search keeps, each of which holds, at every
+    game state it passes, the prefix with the largest total there (the
+    earliest on a tie).  It is the first plan in product order that reaches
+    ``best_total`` unless float rounding absorbs the gap between two
+    prefixes at one state; then it goes through the larger prefix.
     """
 
     ratio: float
@@ -456,79 +451,32 @@ def deviation_gap(world: WorldConfig, schedule: RewardSchedule, expert_i: int,
     depend on play, so plan prefixes that reach the same game state
     (weights, correct counts and revealed rounds, compared exactly) have
     the same future.  Each round expands every live state by the
-    deviator's 2^k vote vectors, visiting prefixes in product order, and a
-    state keeps a prefix only if its total is strictly greater than every
-    earlier prefix kept there.  A dropped prefix p has an earlier kept p'
-    with total(p') >= total(p); float addition is monotone, so p' followed
-    by any suffix does at least as well as p followed by it and comes
-    earlier in product order.  Keeping only each state's best prefix would
-    not do: rounding can absorb the gap between two prefixes once the same
-    suffix is added, and then the earlier, smaller prefix leads to the
-    first maximal plan.  Totals accumulate in ``discounted_total``'s order,
-    from 0.0, so each one is bit-identical to a replay of its plan.
+    deviator's 2^k vote vectors, visiting prefixes in product order, and
+    each child state keeps one prefix: the one with the largest total, the
+    earliest in product order on a tie.  Float addition is monotone, so
+    the kept prefix followed by any suffix totals at least as much as any
+    other prefix at that state followed by the same suffix.  Totals
+    accumulate in ``discounted_total``'s order, from 0.0, so each one is
+    bit-identical to a replay of its plan.
 
     Each kept entry holds its state, its total, the index of its parent
     entry in the round before and its last vote vector; ``best_plan`` is
     read back along the parent indices, so an entry costs O(1) whatever
     its round.
 
-    Three drops, one answer.  Let P be the first plan in product order
-    whose total is maximal.  Each drop below removes a prefix p only when,
-    for every suffix, p followed by it is matched by an earlier plan (the
-    staircase), beaten by another plan (the band), or beaten by honest
-    play (the honest-play prune).  None of these can hold for a prefix of
-    P, so P survives every round, and it is the first survivor in product
-    order with the maximal total.
-
-    The staircase is kept only within a rounding band.  After round t is
-    expanded, let q be the largest total at a child state, which is the
-    last entry there in product order, Q the largest |q| over the round's
-    child states, and m = H - 1 - t the number of rounds left.  Round j's
-    term gamma^j * v is bounded in magnitude by B_j, the float
-    gamma^j * max(a, a', s), and R is the float sum of B_j over the rounds
-    left.  With u = 2^-53 and c = 2u * (Q + R), let L be the number of
-    rounds left whose B_j exceeds c and R_L the float sum of B_j over the
-    rounds after those.  An entry with total x is dropped when
-
-        q - x > band = 4 * (c*L + R_L).
-
-    Then, for every suffix, q's prefix followed by it totals strictly more
-    than x's prefix followed by it, so no plan through x's prefix is
-    maximal.  The band is formed once per round in which some child state
-    holds more than one entry, so each entry costs one comparison.
-
-    Why B_j bounds the terms.  On a revealed round v is w * branch + p*0.0
-    with 0 <= w <= 1, and the branch is p*a - (1-p)*s in [-s, a] or
-    (1-p)*a' in [0, a']; on a dummy round v is 0.0.  A term can be
-    negative, -(1-p)*s*w, so the honest-play bound b below, which bounds
-    terms from above, does not serve: the band bounds magnitudes.  Every
-    step is one float operation on values in those ranges, and rounding is
-    monotone, so |v| <= max(a, a', s) and |gamma^j * v| <= B_j.  gamma < 1,
-    so B_j does not grow with j.  With g_m = m*u/(1-m*u), a float sum of m
-    non-negative terms is at least (1 - g_(m-1)) times their exact sum, so
-    the exact sum A of the terms' magnitudes is at most R / (1 - g_m), and
-    likewise for R_L.
-
-    Why the band covers the rounding.  Both completions add the same m
-    terms, in the same order, to x and to q, and d = q - x.  Adding a term
-    to a float total errs by at most u times the rounded result, and also
-    by at most the term itself, since the total is a float that close to
-    the exact sum; additions that land below the normal range are exact.
-    If d > Q + A, then |x| <= Q + d, and the usual bound, g_m times the sum
-    of magnitudes, gives errors of at most g_m*(|x| + |q| + 2A) <=
-    g_m*(2Q + 2A + d) < 3*g_m*d <= d.  Otherwise |x| <=
-    2Q + A, every partial total of either completion is at most
-    (2Q + 2A)(1 + g_m) in magnitude, and each addition errs by at most
-    min(u*(2Q + 2A)(1 + g_m), B_j) <= min(c*(1+g_m)/((1-g_m)(1-u)), B_j).
-    The B_j do not grow, so the two completions together err by at most
-    2(1+g_m)/((1-g_m)(1-u)) * (c*L + R_L), for any L.  The test rounds
-    c*L, the sum and q - x, so a dropped entry has
-    d > 4(1-u)^2/(1+u) * (c*L + R_L), which exceeds that for every
-    m < 2^50.  Either way q's completion is strictly larger.  The band is
-    relative: scaling all rewards by a power of two scales every payout,
-    term, total, B_j, c and the band exactly and keeps L, so the search
-    keeps the same entries at every scale.  The argument needs c to be a
-    normal float, Q + R >= 2^-970; a non-finite total never drops.
+    Two drops, one answer.  A prefix p is dropped only when, for every
+    suffix, p followed by it totals at most as much as the prefix kept at
+    p's state followed by it (the merge), or less than honest play (the
+    honest-play prune).  So some kept plan totals the maximum M over all
+    plans.  Take a kept prefix with a completion that totals M, as the
+    empty prefix has.  Its child along that completion either is kept or
+    merges into a kept prefix whose completion totals at least, hence
+    exactly, M.  The prune never drops either, since M >= honest_total.
+    ``best_total`` is M and ``best_plan`` the first kept plan in product
+    order that totals M.  Let P be the first plan in product order that
+    totals M.  A prefix of P merges only into one with a strictly larger
+    total: an earlier one with an equal total would give an earlier plan
+    of total M.  So ``best_plan`` is P unless rounding absorbs such a gap.
 
     The search also prunes against honest play.  The honest plan is one
     complete plan, and ``honest_total`` is the search's own total for it:
@@ -553,30 +501,32 @@ def deviation_gap(world: WorldConfig, schedule: RewardSchedule, expert_i: int,
     rounding is monotone.  So each term of b is at least the search's term
     for that round, whatever the plan.
 
-    Why the margin covers the rounding.  Let n = H - t, g = g_n and
-    S = |x| + b + |honest_total|; the margin is (n+1) * 2^-51 * S =
-    4(n+1)*u*S.  A float sum of m terms, in any order, is off by at most
-    g_(m-1) times the sum of their magnitudes.  So the exact sum of b's n
-    terms is at most b / (1 - g).  A completion adds to x, one by one, n
-    terms each no larger than b's; float addition is monotone, so it totals
-    at most the same float sum over b's terms, which is at most
-    x + b + 3g*S.  The test rounds
-    x + b, the two additions of S, the product and honest_total - margin,
-    so a passing test means x + b < honest_total - (4(n+1)*u*(1-u)^4 - u)*S.
+    Why the margin covers the rounding.  Let u = 2^-53,
+    g_m = m*u/(1-m*u), n = H - t, g = g_n and S = |x| + b + |honest_total|;
+    the margin is (n+1) * 2^-51 * S = 4(n+1)*u*S.  A float sum of m terms,
+    in any order, is off by at most g_(m-1) times the sum of their
+    magnitudes.  So the exact sum of b's n terms is at most b / (1 - g).  A
+    completion adds to x, one by one, n terms each no larger than b's;
+    float addition is monotone, so it totals at most the same float sum
+    over b's terms, which is at most x + b + 3g*S.  The test rounds x + b,
+    the two additions of S, the product and honest_total - margin, so a
+    passing test means x + b < honest_total - (4(n+1)*u*(1-u)^4 - u)*S.
     For every n < 2^50 that slack exceeds 3g*S, so every completion totals
-    less than honest_total.  The margin is relative, as the band is, so the
-    search prunes the same states at every scale, given S >= 2^-972.
+    less than honest_total.  The margin is relative: scaling all rewards by
+    a power of two scales every payout, total, bound and margin exactly, so
+    the search prunes the same states at every scale, given S >= 2^-972.
 
     Refuses (GuardRefusal) as soon as it would expand more than STATE_GUARD
-    kept entries, counted over all rounds.  Each expanded state holds at
-    least one entry, so the count also caps the states expanded, and each
-    entry keeps at most 2^k children.  The parent links of every round stay
-    alive until ``best_plan`` is read back, so the work and the memory
-    before an answer or a refusal are both bounded.  Each round expands at
-    least one entry, because the honest prefix, or an earlier prefix at its
-    state, is never dropped; so a horizon above STATE_GUARD is refused
-    before anything is sampled.  Whether a shorter horizon passes the cap
-    is known only by searching.
+    kept entries, counted over all rounds.  Each expanded state holds
+    exactly one entry, so the count is the number of states expanded, and
+    each entry keeps at most 2^k children.  The parent links of every
+    round stay alive until ``best_plan`` is read back, so the work and the
+    memory before an answer or a refusal are both bounded.  Each round
+    expands at least one entry: the prefix kept at honest play's state
+    totals at least the honest prefix, so honest play's suffix takes it to
+    honest_total or more and the prune never drops it.  So a horizon above
+    STATE_GUARD is refused before anything is sampled.  Whether a shorter
+    horizon passes the cap is known only by searching.
     """
     if not 0 <= expert_i < world.n:
         raise ContractViolation(f"expert index {expert_i} out of range")
@@ -595,24 +545,12 @@ def deviation_gap(world: WorldConfig, schedule: RewardSchedule, expert_i: int,
     quality_rows = qualities.tolist()
 
     # factors[t] is gamma^t as discounted_total forms it, capped[t] the
-    # bound on rounds t..H-1 at weight 1, reach[t] the bound on the
-    # magnitude of round t's term and spread[t] the sum of reach[t:].
+    # bound on rounds t..H-1 at weight 1.
     top = _round_cap(schedule)
-    widest = max(top, schedule.s)
     factors = _discount_factors(horizon_H, world.gamma).tolist()
-    reach = [factor * widest for factor in factors]
     capped = [0.0] * (horizon_H + 1)
-    spread = [0.0] * (horizon_H + 1)
     for t in reversed(range(horizon_H)):
         capped[t] = factors[t] * top + capped[t + 1]
-        spread[t] = reach[t] + spread[t + 1]
-
-    def rounding_band(t, best):
-        # The float slack of the rounds after t (see the docstring): c per
-        # round while a term can exceed it, the terms themselves after.
-        c = (max(map(abs, best.values())) + spread[t + 1]) * 2.0 ** -52
-        i = bisect.bisect_left(reach, -c, t + 1, key=operator.neg)
-        return 4.0 * (c * (i - t - 1) + spread[i])
 
     def suffix_bound(w, t):
         bound = 0.0
@@ -630,21 +568,19 @@ def deviation_gap(world: WorldConfig, schedule: RewardSchedule, expert_i: int,
         honest_total += factors[t] * value
 
     vectors = _vote_vectors(world.proposals_per_round)
-    # (state, discounted total, index of its link) in product order of
-    # prefixes; links[t][i] is (parent index, vote vector) of round t's
-    # kept entry i.
+    # (state, discounted total, index of its link), one per state, in
+    # product order of the kept prefixes; links[t][i] is (total, parent
+    # index, vote vector) of round t's kept entry i.
     frontier = [(_initial_state(world.n), 0.0, None)]
     links = []
     entries = 0
     for t in range(horizon_H):
-        bounds = {state: suffix_bound(state[0][expert_i], t)
-                  for state in dict.fromkeys(state for state, _, _ in frontier)}
         # Drop the entries that cannot reach honest play (see the docstring).
         rel_margin = (horizon_H - t + 1) * 2.0 ** -51
         frontier = [
             (state, total, index) for state, total, index in frontier
-            if not total + bounds[state] < honest_total - rel_margin * (
-                abs(total) + bounds[state] + abs(honest_total))
+            if not total + (bound := suffix_bound(state[0][expert_i], t))
+            < honest_total - rel_margin * (abs(total) + bound + abs(honest_total))
         ]
         entries += len(frontier)
         if entries > STATE_GUARD:
@@ -652,24 +588,24 @@ def deviation_gap(world: WorldConfig, schedule: RewardSchedule, expert_i: int,
                 f"deviation search passed {STATE_GUARD} kept entries "
                 f"in round {t + 1} of {horizon_H}"
             )
-        states = list(dict.fromkeys(state for state, _, _ in frontier))
-        moves = dict(zip(states, _expand(schedule, world.zeta, expert_i, states,
-                                         votes[t], beliefs[t], quality_rows[t],
-                                         vectors)))
+        states = [state for state, _, _ in frontier]
+        moves = _expand(schedule, world.zeta, expert_i, states, votes[t], beliefs[t],
+                        quality_rows[t], vectors)
         factor = factors[t]
-        best = {}
-        kept = []
-        for state, total, index in frontier:
-            for v, (child, value) in zip(vectors, moves[state]):
+        # Each child keeps its largest total, the earliest prefix on a tie;
+        # a child that improves moves to the end, so the dict stays in
+        # product order of the kept prefixes.
+        kept = {}
+        for (_, total, index), row in zip(frontier, moves):
+            for v, (child, value) in zip(vectors, row):
                 child_total = total + factor * value
-                if child in best and child_total <= best[child]:
+                if child in kept and child_total <= kept[child][0]:
                     continue
-                best[child] = child_total
-                kept.append((child, child_total, index, v))
-        if len(kept) > len(best):
-            kept = _within_band(kept, best, rounding_band(t, best))
-        links.append([(index, v) for _, _, index, v in kept])
-        frontier = [(child, total, i) for i, (child, total, _, _) in enumerate(kept)]
+                kept.pop(child, None)
+                kept[child] = (child_total, index, v)
+        links.append(list(kept.values()))
+        frontier = [(child, total, i)
+                    for i, (child, (total, _, _)) in enumerate(kept.items())]
 
     best_total, best_index = -np.inf, None
     for _, total, index in frontier:
@@ -677,7 +613,7 @@ def deviation_gap(world: WorldConfig, schedule: RewardSchedule, expert_i: int,
             best_total, best_index = total, index
     best_plan = []
     for round_links in reversed(links):
-        best_index, v = round_links[best_index]
+        _, best_index, v = round_links[best_index]
         best_plan.append(v)
     return DeviationGapResult(
         ratio=_ratio(best_total, honest_total), honest_total=honest_total,
@@ -691,7 +627,14 @@ def deviation_tail_bound(schedule: RewardSchedule, zeta: float, gamma: float,
     """Analytic cap on any single deviator's discounted subjective total
     beyond a truncated horizon: per round at most (1+delta) * weight *
     max(a, a'), with the weight starting at INITIAL_WEIGHT and growing at
-    most (1+zeta) per round."""
+    most (1+zeta) per round.  zeta and gamma must lie in the ranges
+    WorldConfig enforces, and horizon_H must be >= 0."""
+    if not 0.0 < zeta < 1.0:
+        raise ContractViolation(f"zeta = {zeta} outside (0, 1)")
+    if not 0.0 <= gamma < 1.0:
+        raise ContractViolation(f"gamma = {gamma} outside [0, 1)")
+    if horizon_H < 0:
+        raise ContractViolation(f"horizon_H = {horizon_H} must be >= 0")
     growth = (1.0 + zeta) * gamma
     if growth >= 1.0:
         raise ContractViolation(f"(1+zeta)*gamma = {growth} must be < 1 for the tail sum")

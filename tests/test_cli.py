@@ -532,6 +532,10 @@ WORLD_WITHOUT_ZETA = dict(PROP4_SCENARIO, world={k: v for k, v in WORLD.items()
                  "schedule: delta = inf must be finite", id="delta-inf"),
     pytest.param(PROP4_SCENARIO, ["safety", "--g", "inf"],
                  "g = inf must be finite and >= 0", id="safety-g-inf"),
+    # A zero-weight expert's side payment has no weight-normalized value.
+    pytest.param(_expert0(weight=0.0, external=[1.0, 0.0]), ["validate"],
+                 r"^error: schedule: expert 0 has zero weight but external\[0\]\[0\] = 1\.0",
+                 id="zero-weight-external"),
     # Finite weights whose total overflows: every mass and ratio would too.
     pytest.param(HUGE_WEIGHTS, ["enumerate"], "experts: the weights sum to inf",
                  id="weights-sum-inf-enumerate"),

@@ -61,7 +61,8 @@ UNDERFLOW = dict(DEVIATION, world=dict(DEVIATION["world"], expertise=[0.0, 0.8, 
                                        zeta=0.9, horizon=400, seed=1))
 
 # The example world at gamma = max_discount(19, 0.05), the discount cap,
-# where the deviation search keeps the most prefixes per state.
+# where the honest-play prune is loosest and the deviation search keeps the
+# most states.
 DEVIATION_CAP = json.loads((EXAMPLES / "deviation_cap.json").read_text())
 
 # Five experts, three proposals (the CI pin runs it at H=20000).
@@ -106,6 +107,9 @@ CASES = {
     "enumerate24-dynamics-strategic": ("enumerate24", ["dynamics", "--start", "zeros",
                                                        "--mode", "strategic"]),
     "enumerate24-construct-pne": ("enumerate24", ["construct-pne"]),
+    # A non-empty 24-bit semi list: three equilibria at epsilon 19.
+    "enumerate24-semi": ("enumerate24", ["enumerate", "--mode", "semi",
+                                         "--epsilon", "19"]),
     # The report over 13,344 strategic equilibria, with little output.
     "enumerate24-poa-strategic": ("enumerate24", ["poa", "--mode", "strategic",
                                                   "--epsilon", "19"]),

@@ -422,6 +422,20 @@ def test_world_config_validation():
     pytest.param(lambda: deviation_gap(world(), SCHED, 0, 0), "horizon_H", id="gap-H"),
     pytest.param(lambda: deviation_tail_bound(SCHED, 0.5, 0.9, 4), "must be < 1",
                  id="tail-growth"),
+    pytest.param(lambda: deviation_tail_bound(SCHED, 0.05, math.nan, 4), "gamma = nan",
+                 id="tail-gamma-nan"),
+    pytest.param(lambda: deviation_tail_bound(SCHED, 0.05, -0.5, 4), "gamma = -0.5",
+                 id="tail-gamma-negative"),
+    pytest.param(lambda: deviation_tail_bound(SCHED, 0.05, 1.0, 4), "gamma = 1.0",
+                 id="tail-gamma-one"),
+    pytest.param(lambda: deviation_tail_bound(SCHED, math.nan, 0.5, 4), "zeta = nan",
+                 id="tail-zeta-nan"),
+    pytest.param(lambda: deviation_tail_bound(SCHED, -0.2, 0.5, 4), "zeta = -0.2",
+                 id="tail-zeta-negative"),
+    pytest.param(lambda: deviation_tail_bound(SCHED, 0.0, 0.5, 4), "zeta = 0.0",
+                 id="tail-zeta-zero"),
+    pytest.param(lambda: deviation_tail_bound(SCHED, 0.05, 0.5, -1), "horizon_H = -1",
+                 id="tail-H-negative"),
 ])
 def test_input_checks_raise(call, match):
     with pytest.raises(ContractViolation, match=match):
@@ -570,44 +584,29 @@ def test_deviation_gap_walks_honest_play_without_the_trace(monkeypatch, name):
 
 def test_deviation_gap_prunes_alike_at_every_scale(monkeypatch):
     # Rewards scaled by 2^m scale every payout, total and bound exactly, and
-    # the pruning margin and the rounding band are relative to the totals,
-    # so the search expands the same states and keeps the same entries at
-    # every scale.
+    # the pruning margin is relative to the totals, so the search expands
+    # the same states at every scale.
     scenario = cli.load_scenario(EXAMPLES / "deviation.json")
-    rounds, bands = [], []
-    expand, within_band = repeated._expand, repeated._within_band
+    rounds = []
+    expand = repeated._expand
 
     def recorded_expand(schedule, zeta, expert, states, *args):
         rounds.append(tuple(states))
         return expand(schedule, zeta, expert, states, *args)
 
-    def recorded_band(kept, best, band):
-        inside = within_band(kept, best, band)
-        bands.append((len(kept), band, [entry[1:] for entry in inside]))
-        return inside
-
     monkeypatch.setattr(repeated, "_expand", recorded_expand)
-    monkeypatch.setattr(repeated, "_within_band", recorded_band)
-    dropped = 0
     for expert in range(3):
         seen = set()
         for m in (-40, 0, 40):
             rounds.clear()
-            bands.clear()
             scale = 2.0 ** m
             result = deviation_gap(scenario.world, derive_schedule(0.9, 19.0, scale),
                                    expert, 12)
-            kept = tuple((size, band / scale, tuple((total / scale, parent, v)
-                                                    for total, parent, v in inside))
-                         for size, band, inside in bands)
-            seen.add((result.best_plan, result.best_total / scale, tuple(rounds), kept))
+            seen.add((result.best_plan, result.best_total / scale, tuple(rounds)))
         assert len(seen) == 1
-        dropped += sum(size - len(inside) for size, _, inside in kept)
         if expert == 0:
             # Without pruning the search expands 1,860 states here.
             assert sum(map(len, rounds)) < 1860
-    # The band is not idle here: it drops entries for experts 1 and 2.
-    assert dropped > 0
 
 
 @pytest.mark.parametrize("horizon, gamma", [(10, 0.5), (12, 0.0)])
@@ -633,52 +632,40 @@ def two_round_expand(first):
     return fake_expand
 
 
-def test_deviation_gap_keeps_earlier_prefix_when_rounding_absorbs_the_gap(monkeypatch):
-    # Both first-round votes reach one state, vote 1 by one ulp more, which
-    # is inside the rounding band.  The second round adds 1.0, which absorbs
-    # that ulp, so plans 0,0 and 1,0 both total 2.0 and the first in product
-    # order must be reported.
+def test_deviation_gap_keeps_the_larger_prefix_when_rounding_absorbs_the_gap(monkeypatch):
+    # Both first-round votes reach one state, vote 1 by one ulp more, so
+    # the state keeps vote 1's prefix alone.  The second round adds 1.0,
+    # which absorbs that ulp: plans 0,0 and 1,0 both total 2.0, and the
+    # plan through the kept prefix is reported.
     monkeypatch.setattr(repeated, "_expand",
                         two_round_expand((1.0, math.nextafter(1.0, 2.0))))
     w = world(expertise=(0.9,), proposals_per_round=1, gamma=0.5, horizon=2)
     result = deviation_gap(w, SCHED, 0, 2)
     assert result.best_total == 2.0
-    assert result.best_plan == ((0,), (0,))
+    assert result.best_plan == ((1,), (0,))
 
 
-def test_deviation_gap_band_drops_only_entries_beyond_it(monkeypatch):
-    # At gamma 0.5, round 1's two totals reach one state.  A gap of one ulp
-    # is inside the band, so both entries are kept into round 2: the guard
-    # counts 3 entries over 2 states.  A gap of 2^-30 is beyond it, so the
-    # earlier entry is dropped and 2 entries pass the same guard.
+def test_deviation_gap_guard_counts_one_entry_per_state(monkeypatch):
+    # At gamma 0.5, round 1's two totals reach one state, which keeps the
+    # larger alone, however small the gap: 2 entries over 2 rounds pass a
+    # guard of 2, for a gap of 2^-30 and for one of one ulp.
     w = world(expertise=(0.9,), proposals_per_round=1, gamma=0.5, horizon=2)
     monkeypatch.setattr(repeated, "STATE_GUARD", 2)
-    monkeypatch.setattr(repeated, "_expand", two_round_expand((1.0, 1.0 + 2.0 ** -30)))
-    result = deviation_gap(w, SCHED, 0, 2)
-    assert result.best_total == 2.0 + 2.0 ** -30
-    assert result.best_plan == ((1,), (0,))
-    monkeypatch.setattr(repeated, "_expand",
-                        two_round_expand((1.0, math.nextafter(1.0, 2.0))))
-    with pytest.raises(GuardRefusal, match="passed 2 kept entries in round 2 of 2"):
-        deviation_gap(w, SCHED, 0, 2)
+    for first, best_total in [((1.0, 1.0 + 2.0 ** -30), 2.0 + 2.0 ** -30),
+                              ((1.0, math.nextafter(1.0, 2.0)), 2.0)]:
+        monkeypatch.setattr(repeated, "_expand", two_round_expand(first))
+        result = deviation_gap(w, SCHED, 0, 2)
+        assert result.best_total == best_total
+        assert result.best_plan == ((1,), (0,))
 
 
-def test_deviation_gap_band_drops_agree_with_replay(monkeypatch):
-    # In this world the band drops an entry before the last round, where
-    # rounds are still left to add; the answer is still the replay's.
-    drops = []
-    within_band = repeated._within_band
-
-    def recorded(kept, best, band):
-        inside = within_band(kept, best, band)
-        drops.append((len(kept) - len(inside), band))
-        return inside
-
-    monkeypatch.setattr(repeated, "_within_band", recorded)
+def test_deviation_gap_at_the_cap_agrees_with_replay():
+    # At the discount cap several prefixes meet at one state before the
+    # last round, where rounds are still left to add; the answer is still
+    # the replay's.
     w = world(expertise=(0.9, 0.8, 0.7), gamma=max_discount(SCHED.epsilon, 0.05),
               horizon=4, seed=3)
     assert deviation_gap(w, SCHED, 0, 4) == brute_force_gap(w, SCHED, 0, 4)
-    assert any(count > 0 and band > 0.0 for count, band in drops)
 
 
 def test_deviation_gap_guard(monkeypatch):
