@@ -814,6 +814,11 @@ def main(argv=None) -> int:
             ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # numpy refuses an allocation it cannot make at once, as for a
+        # horizon of 1e14 rounds; no --out file is open yet.
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
     except GuardRefusal as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3

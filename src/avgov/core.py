@@ -152,6 +152,17 @@ class RewardSchedule:
             raise ContractViolation(f"delta = {self.delta} must be >= 0")
 
 
+def _bit_row(row, name, i):
+    """Row i of the vote matrix ``name`` as a tuple of ints.  Each value is
+    checked before it is converted, so 0.7 or NaN is refused, not truncated;
+    values equal to 0 or 1 (bools, 1.0, numpy ints) pass."""
+    row = tuple(row)
+    for j, v in enumerate(row):
+        if v not in (0, 1):
+            raise ContractViolation(f"{name}[{i}][{j}] = {v} is not a bit")
+    return tuple([int(v) for v in row])
+
+
 @dataclass(frozen=True)
 class VotingProfile:
     """An n-by-k binary vote matrix; ``votes[i][j]`` is expert i's vote on
@@ -160,16 +171,12 @@ class VotingProfile:
     votes: tuple
 
     def __post_init__(self):
-        votes = tuple(tuple(int(v) for v in row) for row in self.votes)
+        votes = tuple(_bit_row(row, "votes", i) for i, row in enumerate(self.votes))
         if not votes or not votes[0]:
             raise ContractViolation("profile must be non-empty")
         width = len(votes[0])
-        for i, row in enumerate(votes):
-            if len(row) != width:
-                raise ContractViolation("profile rows have unequal lengths")
-            for j, v in enumerate(row):
-                if v not in (0, 1):
-                    raise ContractViolation(f"votes[{i}][{j}] = {v} is not a bit")
+        if any(len(row) != width for row in votes):
+            raise ContractViolation("profile rows have unequal lengths")
         object.__setattr__(self, "votes", votes)
 
     @property
@@ -183,7 +190,7 @@ class VotingProfile:
     def replace_row(self, expert, row):
         """Return a copy with expert's vote vector replaced."""
         new = list(self.votes)
-        new[expert] = tuple(int(v) for v in row)
+        new[expert] = row
         return VotingProfile(tuple(new))
 
     def flip(self, expert, proposal_j):
@@ -348,10 +355,13 @@ def qual(instance: Instance, T: float, proposal_j: int) -> float:
         return 0.0
     if not 1 <= proposal_j <= instance.k:
         raise ContractViolation(f"proposal index {proposal_j} out of range")
-    return sum(
-        w for w, row in zip(instance.weights, instance.beliefs)
-        if row[proposal_j - 1] >= T
-    )
+    # Left to right from the int 0, as _elect adds masses: sum() compensates
+    # from Python 3.12 on, which can move a tie.
+    quality = 0
+    for w, row in zip(instance.weights, instance.beliefs):
+        if row[proposal_j - 1] >= T:
+            quality += w
+    return quality
 
 
 def opt_quality(instance: Instance, T: float) -> tuple:

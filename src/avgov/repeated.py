@@ -47,6 +47,7 @@ from .core import (
     DUMMY,
     Instance,  # unused here; bench/tracing.py wraps it and winner in this module
     RewardSchedule,
+    _bit_row,
     _elect,
     _expected_branches,
     _honest_votes,
@@ -129,7 +130,7 @@ class SingleDeviatorPolicy:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "plan", tuple(tuple(int(v) for v in row) for row in self.plan)
+            self, "plan", tuple(_bit_row(row, "plan", t) for t, row in enumerate(self.plan))
         )
 
 
@@ -353,7 +354,7 @@ def run(world: WorldConfig, schedule: RewardSchedule,
         if not 0 <= policy.expert < world.n:
             raise ContractViolation(f"deviator index {policy.expert} out of range")
         for row in policy.plan:
-            if len(row) != world.proposals_per_round or any(v not in (0, 1) for v in row):
+            if len(row) != world.proposals_per_round:
                 raise ContractViolation("deviation plan rows must be k-bit vectors")
     elif not isinstance(policy, HonestPolicy):
         raise ContractViolation(f"unsupported policy {policy!r}")
@@ -459,10 +460,9 @@ def deviation_gap(world: WorldConfig, schedule: RewardSchedule, expert_i: int,
     accumulate in ``discounted_total``'s order, from 0.0, so each one is
     bit-identical to a replay of its plan.
 
-    Each kept entry holds its state, its total, the index of its parent
-    entry in the round before and its last vote vector; ``best_plan`` is
-    read back along the parent indices, so an entry costs O(1) whatever
-    its round.
+    Each state's kept entry is its total, its parent entry in the round
+    before and its last vote vector; ``best_plan`` is read back along the
+    parent entries, so an entry costs O(1) whatever its round.
 
     Two drops, one answer.  A prefix p is dropped only when, for every
     suffix, p followed by it totals at most as much as the prefix kept at
@@ -519,14 +519,15 @@ def deviation_gap(world: WorldConfig, schedule: RewardSchedule, expert_i: int,
     Refuses (GuardRefusal) as soon as it would expand more than STATE_GUARD
     kept entries, counted over all rounds.  Each expanded state holds
     exactly one entry, so the count is the number of states expanded, and
-    each entry keeps at most 2^k children.  The parent links of every
-    round stay alive until ``best_plan`` is read back, so the work and the
-    memory before an answer or a refusal are both bounded.  Each round
-    expands at least one entry: the prefix kept at honest play's state
-    totals at least the honest prefix, so honest play's suffix takes it to
-    honest_total or more and the prune never drops it.  So a horizon above
-    STATE_GUARD is refused before anything is sampled.  Whether a shorter
-    horizon passes the cap is known only by searching.
+    each entry keeps at most 2^k children.  Only the entries that a live
+    entry descends from stay alive; the others are freed as soon as no
+    kept child points at them.  So the work and the memory before an
+    answer or a refusal are both bounded.  Each round expands at least
+    one entry: the prefix kept at honest play's state totals at least the
+    honest prefix, so honest play's suffix takes it to honest_total or
+    more and the prune never drops it.  So a horizon above STATE_GUARD is
+    refused before anything is sampled.  Whether a shorter horizon passes
+    the cap is known only by searching.
     """
     if not 0 <= expert_i < world.n:
         raise ContractViolation(f"expert index {expert_i} out of range")
@@ -568,53 +569,45 @@ def deviation_gap(world: WorldConfig, schedule: RewardSchedule, expert_i: int,
         honest_total += factors[t] * value
 
     vectors = _vote_vectors(world.proposals_per_round)
-    # (state, discounted total, index of its link), one per state, in
-    # product order of the kept prefixes; links[t][i] is (total, parent
-    # index, vote vector) of round t's kept entry i.
-    frontier = [(_initial_state(world.n), 0.0, None)]
-    links = []
+    # state -> its kept entry (discounted total, parent entry, vote vector),
+    # in product order of the kept prefixes; the root entry has no parent.
+    frontier = {_initial_state(world.n): (0.0, None, None)}
     entries = 0
     for t in range(horizon_H):
         # Drop the entries that cannot reach honest play (see the docstring).
         rel_margin = (horizon_H - t + 1) * 2.0 ** -51
-        frontier = [
-            (state, total, index) for state, total, index in frontier
-            if not total + (bound := suffix_bound(state[0][expert_i], t))
-            < honest_total - rel_margin * (abs(total) + bound + abs(honest_total))
-        ]
+        frontier = {
+            state: entry for state, entry in frontier.items()
+            if not entry[0] + (bound := suffix_bound(state[0][expert_i], t))
+            < honest_total - rel_margin * (abs(entry[0]) + bound + abs(honest_total))
+        }
         entries += len(frontier)
         if entries > STATE_GUARD:
             raise GuardRefusal(
                 f"deviation search passed {STATE_GUARD} kept entries "
                 f"in round {t + 1} of {horizon_H}"
             )
-        states = [state for state, _, _ in frontier]
-        moves = _expand(schedule, world.zeta, expert_i, states, votes[t], beliefs[t],
-                        quality_rows[t], vectors)
+        moves = _expand(schedule, world.zeta, expert_i, list(frontier), votes[t],
+                        beliefs[t], quality_rows[t], vectors)
         factor = factors[t]
         # Each child keeps its largest total, the earliest prefix on a tie;
         # a child that improves moves to the end, so the dict stays in
         # product order of the kept prefixes.
         kept = {}
-        for (_, total, index), row in zip(frontier, moves):
+        for entry, row in zip(frontier.values(), moves):
             for v, (child, value) in zip(vectors, row):
-                child_total = total + factor * value
+                child_total = entry[0] + factor * value
                 if child in kept and child_total <= kept[child][0]:
                     continue
                 kept.pop(child, None)
-                kept[child] = (child_total, index, v)
-        links.append(list(kept.values()))
-        frontier = [(child, total, i)
-                    for i, (child, (total, _, _)) in enumerate(kept.items())]
+                kept[child] = (child_total, entry, v)
+        frontier = kept
 
-    best_total, best_index = -np.inf, None
-    for _, total, index in frontier:
-        if total > best_total:
-            best_total, best_index = total, index
-    best_plan = []
-    for round_links in reversed(links):
-        _, best_index, v = round_links[best_index]
-        best_plan.append(v)
+    entry = max(frontier.values(), key=lambda entry: entry[0])
+    best_total, best_plan = entry[0], []
+    while entry[1] is not None:
+        best_plan.append(entry[2])
+        entry = entry[1]
     return DeviationGapResult(
         ratio=_ratio(best_total, honest_total), honest_total=honest_total,
         best_total=best_total, best_plan=tuple(reversed(best_plan)),

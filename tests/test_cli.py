@@ -554,6 +554,17 @@ def test_input_errors_exit_2(capsys, scenario_file, data, argv, match):
     assert re.search(match, err)
 
 
+def test_memory_error_exits_2(capsys, tmp_path):
+    # numpy refuses the 5.68 PiB of draws at once; nothing is allocated.
+    out_csv = tmp_path / "trace.csv"
+    code, out, err = run_cli(capsys, "repeat", "--scenario", str(EXAMPLES / "deviation.json"),
+                             "--horizon", "100000000000000", "--out", str(out_csv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: out of memory: ")
+    assert not out_csv.exists()
+
+
 @pytest.mark.parametrize("offset, code", [(1e-10, 0), (1e-6, 2)], ids=["near", "far"])
 def test_explicit_schedule_is_held_to_the_scale_free_identity(capsys, scenario_file,
                                                               offset, code):

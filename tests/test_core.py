@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -124,6 +125,13 @@ ONE_EXPERT = Instance(weights=(1.0,), beliefs=((0.5,),))
     pytest.param(lambda: dataclasses.replace(SCHED, delta=-1.0), "delta = -1.0",
                  id="negative-delta"),
     pytest.param(lambda: VotingProfile(()), "non-empty", id="empty-profile"),
+    # A vote that is not 0 or 1 is refused, not truncated by int().
+    pytest.param(lambda: VotingProfile(((0.7, 1), (1, 0.2))), r"votes\[0\]\[0\] = 0.7 is not",
+                 id="fractional-vote"),
+    pytest.param(lambda: VotingProfile(((0, 1), (1, 0))).replace_row(1, (0.0, 0.5)),
+                 r"votes\[1\]\[1\] = 0.5 is not", id="fractional-replace-row"),
+    pytest.param(lambda: VotingProfile(((1, math.nan),)), r"votes\[0\]\[1\] = nan is not",
+                 id="nan-vote"),
     pytest.param(lambda: expected_reward(2, 0.5, SCHED), "must be a bit",
                  id="expected-reward-vote"),
     pytest.param(lambda: expected_reward(1, 1.5, SCHED), r"outside \[0, 1\]",
@@ -136,6 +144,14 @@ ONE_EXPERT = Instance(weights=(1.0,), beliefs=((0.5,),))
 def test_input_checks_raise(build, match):
     with pytest.raises(ContractViolation, match=match):
         build()
+
+
+def test_votes_equal_to_bits_pass():
+    votes = ((True, 1.0), (np.int64(0), np.int8(1)))
+    profile = VotingProfile(votes)
+    assert profile.votes == ((1, 1), (0, 1))
+    assert {type(v) for row in profile.votes for v in row} == {int}
+    assert profile.replace_row(0, (np.float64(0.0), False)).votes == ((0, 0), (0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +427,17 @@ def test_opt_quality(prop4, thm6):
 def test_opt_quality_tie_breaks_to_smallest_index():
     instance = Instance(weights=(1.0,), beliefs=((1.0, 1.0),))
     assert opt_quality(instance, 0.5)[0] == 1
+
+
+def test_qual_adds_weights_left_to_right():
+    # Ten weights of 0.1 sum to 0.9999999999999999 left to right, as _elect
+    # adds them; compensated summation would give 1.0 and tie proposal 1
+    # with proposal 2.
+    instance = Instance(weights=(0.1,) * 10 + (1.0,),
+                        beliefs=((1.0, 0.0),) * 10 + ((0.0, 1.0),))
+    masses = _elect(instance.weights, honest_profile(instance, 0.5).votes)[1]
+    assert qual(instance, 0.5, 1) == masses[0] == 0.9999999999999999
+    assert opt_quality(instance, 0.5) == (2, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -420,6 +420,10 @@ def test_world_config_validation():
     pytest.param(lambda: deviation_gap(world(), SCHED, 2, 3), "expert index 2",
                  id="gap-expert"),
     pytest.param(lambda: deviation_gap(world(), SCHED, 0, 0), "horizon_H", id="gap-H"),
+    pytest.param(lambda: SingleDeviatorPolicy(expert=0, plan=((0.6, 1.9),)),
+                 r"plan\[0\]\[0\] = 0.6 is not a bit", id="fractional-plan"),
+    pytest.param(lambda: SingleDeviatorPolicy(expert=0, plan=((1, 0), (math.nan, 0))),
+                 r"plan\[1\]\[0\] = nan is not a bit", id="nan-plan"),
     pytest.param(lambda: deviation_tail_bound(SCHED, 0.5, 0.9, 4), "must be < 1",
                  id="tail-growth"),
     pytest.param(lambda: deviation_tail_bound(SCHED, 0.05, math.nan, 4), "gamma = nan",
