@@ -19,15 +19,18 @@ profiles still in the running, and makes one sweep per expert.  Expert i's
 sweep lays the profile space out as rows: a row is one context of the other
 experts' votes and its 2^k columns are her own vote vectors, so each of her
 deviations and admissibility flips from a profile is another column of the
-same row.  Each sweep first marks the rows that still hold a profile in
-the running, by OR-ing her 2^k column slices of the mark array into one
-bool per row, then gathers only those rows, a chunk of the row marks at a
-time, and checks them in blocks of fixed size; so after the first sweep
-the work follows the survivors, and no index array spans the whole row
-space.  In a block, each own vector's winners index straight into her
-utility table, one preallocated row of utilities per vector.  Masses are
-summed in the order :func:`avgov.core.winner` sums them, so every utility
-the enumerator compares equals :func:`avgov.core.utility` bit for bit.
+same row.  Every row is in the running at the first sweep, and expert 0's
+vector is a profile's low k bits, so her sweep walks the rows in place, in
+consecutive blocks, with masses read from prefix tables over the varying
+context bits.  Each later sweep first marks the rows that still hold a
+profile in the running, by OR-ing her 2^k column slices of the mark array
+into one bool per row, then gathers only those rows, a chunk of the row
+marks at a time, and checks them in blocks of fixed size; so the work
+follows the survivors, and no index array spans the whole row space.  In a
+block, each own vector's winners index straight into her utility table,
+one preallocated row of utilities per vector.  Masses are summed in the
+order :func:`avgov.core.winner` sums them, so every utility the enumerator
+compares equals :func:`avgov.core.utility` bit for bit.
 
 Semi-strategic semantics are coordinate-wise: an expert's reported vector
 is admissible iff every coordinate on which it disagrees with her honest
@@ -265,18 +268,12 @@ def _utilities_for(p_row, ghat_row, schedule):
     return table
 
 
-def _row_checks(i, ctx, w, table, honest_row, factor, semi):
-    """Expert i's checks on a block of rows.  Returns one bool per (own
-    vector d, row): True where she has no (1+eps)-improving deviation and,
-    in semi mode, is admissible.  ``honest_row`` is her 0/1 honest vote.
-
-    ``ctx`` holds each row's context: the other experts' votes, with expert
-    e's vote on proposal j+1 at bit e'*k + j, where e' skips expert i.  Her
-    own vector d has her vote on proposal j+1 at bit j.
-    """
-    n, k = len(w), len(honest_row)
-    cols = np.arange(1 << k)
-    own = ((cols[:, None] >> np.arange(k)) & 1) == 1
+def _row_masses(i, ctx, w, k):
+    """Each row's masses for expert i's sweep, as (k, rows) arrays: without
+    her weight (low) and with it (high).  ``ctx`` holds each row's context:
+    the other experts' votes, with expert e's vote on proposal j+1 at bit
+    e'*k + j, where e' skips expert i."""
+    n = len(w)
     others = (ctx >> np.arange((n - 1) * k)[:, None]) & 1
     others = others.reshape(n - 1, k, len(ctx))
     # Masses add the experts in index order, as core.winner does; expert
@@ -288,9 +285,50 @@ def _row_checks(i, ctx, w, table, honest_row, factor, semi):
     for e in range(i + 1, n):
         low += w[e] * others[e - 1]
         high += w[e] * others[e - 1]
-    u = np.empty((1 << k, len(ctx)))
-    js = np.empty(len(ctx), dtype=np.intp)
-    best = np.empty(len(ctx))
+    return low, high
+
+
+def _first_blocks(w, k):
+    """Expert 0's sweep in blocks of 2^B consecutive rows, with B =
+    clip(_BLOCK_BITS - k, 0, (n-1)*k).  Yields each block's first row and
+    its low and high masses, as ``_row_masses`` gives them for expert 0.
+
+    Within a block the low B context bits vary and the rest are fixed.  So
+    the masses start from two tables over the low B bits, built once by
+    doubling over those bits in order, and the block's fixed approvers are
+    added after them, also in bit order.  Bit b is expert b//k + 1's vote
+    on proposal b%k + 1, so each mass adds exactly its approving weights,
+    left to right in expert order from 0.0 (low) or w_0 (high), as
+    core.winner does.
+    """
+    bits = (len(w) - 1) * k
+    size = min(max(_BLOCK_BITS - k, 0), bits)
+    tables = np.empty((2, k, 1))
+    tables[0], tables[1] = 0.0, w[0]
+    for b in range(size):
+        tables = np.concatenate((tables, tables), axis=2)
+        tables[:, b % k, 1 << b:] += w[b // k + 1]
+    for start in range(0, 1 << bits, 1 << size):
+        masses = tables.copy()
+        for b in range(size, bits):
+            if start >> b & 1:
+                masses[:, b % k] += w[b // k + 1]
+        yield start, masses[0], masses[1]
+
+
+def _row_checks(low, high, table, honest_row, factor, semi):
+    """An expert's checks on a block of rows, from their low and high
+    masses.  Returns one bool per (own vector d, row): True where she has
+    no (1+eps)-improving deviation and, in semi mode, is admissible.
+    ``honest_row`` is her 0/1 honest vote; her own vector d has her vote on
+    proposal j+1 at bit j.
+    """
+    k, size = low.shape
+    cols = np.arange(1 << k)
+    own = ((cols[:, None] >> np.arange(k)) & 1) == 1
+    u = np.empty((1 << k, size))
+    js = np.empty(size, dtype=np.intp)
+    best = np.empty(size)
     for d in cols:
         masses = [high[j] if own[d, j] else low[j] for j in range(k)]
         np.take(table[d], _winners(masses, js, best), out=u[d])
@@ -298,7 +336,7 @@ def _row_checks(i, ctx, w, table, honest_row, factor, semi):
     # The best deviation from d is the row's best value over the other
     # vectors: the row maximum, or the runner-up where d holds it.
     best = u[0]
-    runner_up = np.full(len(ctx), -np.inf)
+    runner_up = np.full(size, -np.inf)
     for d in range(1, 1 << k):
         runner_up = np.maximum(runner_up, np.minimum(best, u[d]))
         best = np.maximum(best, u[d])
@@ -360,7 +398,15 @@ def enumerate_equilibria(instance: Instance, schedule: RewardSchedule,
     cols = np.arange(1 << k, dtype=np.int64)
     live = np.empty(n_rows, dtype=bool)
     for i in range(n):
-        table = _utilities_for(p[i], ghat[i], schedule)
+        checks = (_utilities_for(p[i], ghat[i], schedule), honest[i], factor, semi)
+        if i == 0:
+            # Expert 0's vector is a profile's low k bits: row ctx of this
+            # view is context ctx, and its columns are her vectors.
+            rows = ok.reshape(-1, 1 << k)
+            for start, low, high in _first_blocks(w, k):
+                view = rows[start:start + low.shape[1]].T
+                view &= _row_checks(low, high, *checks)
+            continue
         below = (1 << (i * k)) - 1
         # Viewed as (hi, her vector, lo), ok holds each row's columns on
         # axis 1, and the rows come out in context order hi * 2^(i*k) + lo.
@@ -376,7 +422,7 @@ def enumerate_equilibria(instance: Instance, schedule: RewardSchedule,
             # inserted at bit i*k.
             base = (ctx & below) | ((ctx >> (i * k)) << ((i + 1) * k))
             idx = (cols << (i * k))[:, None] | base
-            ok[idx] &= _row_checks(i, ctx, w, table, honest[i], factor, semi)
+            ok[idx] &= _row_checks(*_row_masses(i, ctx, w, k), *checks)
 
     found_bits = (np.flatnonzero(ok)[:, None] >> np.arange(bits)) & 1
     # qual's own values: in a float array its int 0 would print as 0.0.

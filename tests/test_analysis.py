@@ -4,10 +4,11 @@ the constructive equilibrium, dynamics and the safety certificate."""
 import hashlib
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from avgov import (
     ContractViolation,
@@ -31,7 +32,7 @@ from avgov import (
     winner,
 )
 from avgov import analysis
-from avgov.core import TOL
+from avgov.core import TOL, _elect
 from avgov.cli import prop3_scenario, prop4_scenario, thm6_scenario
 
 SEMI0 = EquilibriumQuery(mode="semi", epsilon=0.0)
@@ -482,19 +483,33 @@ def test_enumerate_does_not_depend_on_block_size(monkeypatch, block_bits):
 @pytest.mark.parametrize("block_bits", [analysis._BLOCK_BITS, 4])
 @pytest.mark.parametrize("mode", analysis.MODES)
 def test_enumerate_sweeps_only_rows_with_a_live_profile(monkeypatch, mode, block_bits):
-    # Replays each sweep's verdicts on the set of live profile indices.  A
-    # sweep must get exactly the contexts that still hold a live profile,
-    # each once and in ascending order, in full blocks but its last one;
-    # so sweep 0 gets every context, and a sweep with none makes no call.
+    # Replays each sweep's verdicts on the set of live profile indices.
+    # Sweep 0 gets every context in order, in blocks of 2^B rows with
+    # B = clip(block_bits - k, 0, (n-1)*k).  A later sweep must get exactly
+    # the contexts that still hold a live profile, each once and in
+    # ascending order, in full blocks but its last one; so a sweep with
+    # none makes no call.
     calls = []
-    row_checks = analysis._row_checks
+    first_blocks, row_masses, row_checks = (
+        analysis._first_blocks, analysis._row_masses, analysis._row_checks)
 
-    def counting(i, ctx, *args):
-        ok = row_checks(i, ctx, *args)
-        calls.append((i, ctx.tolist(), ok))
+    def first(w, k):
+        for start, low, high in first_blocks(w, k):
+            calls.append([0, list(range(start, start + low.shape[1]))])
+            yield start, low, high
+
+    def masses(i, ctx, *args):
+        calls.append([i, ctx.tolist()])
+        return row_masses(i, ctx, *args)
+
+    def checks(*args):
+        ok = row_checks(*args)
+        calls[-1].append(ok)
         return ok
 
-    monkeypatch.setattr(analysis, "_row_checks", counting)
+    monkeypatch.setattr(analysis, "_first_blocks", first)
+    monkeypatch.setattr(analysis, "_row_masses", masses)
+    monkeypatch.setattr(analysis, "_row_checks", checks)
     monkeypatch.setattr(analysis, "_BLOCK_BITS", block_bits)
     rng = np.random.default_rng(23)
     sched = derive_schedule(0.9, 19.0, 1.0)
@@ -509,6 +524,7 @@ def test_enumerate_sweeps_only_rows_with_a_live_profile(monkeypatch, mode, block
     for instance, eps in cases:
         n, k = instance.n, instance.k
         block = max(1, (1 << block_bits) >> k)
+        first_rows = 1 << min(max(block_bits - k, 0), (n - 1) * k)
         calls.clear()
         report = enumerate_equilibria(instance, sched, EquilibriumQuery(mode, eps))
         alive = set(range(1 << (n * k)))
@@ -519,11 +535,13 @@ def test_enumerate_sweeps_only_rows_with_a_live_profile(monkeypatch, mode, block
             contexts = [ctx for _, rows, _ in sweep for ctx in rows]
             if i == 0:
                 assert contexts == list(range(1 << ((n - 1) * k)))
-            assert len(contexts) <= len(alive)
-            assert contexts == sorted({(idx & below) | ((idx >> (at + k)) << at)
-                                       for idx in alive})
-            assert all(len(rows) == block for _, rows, _ in sweep[:-1])
-            assert all(0 < len(rows) <= block for _, rows, _ in sweep)
+                assert all(len(rows) == first_rows for _, rows, _ in sweep)
+            else:
+                assert len(contexts) <= len(alive)
+                assert contexts == sorted({(idx & below) | ((idx >> (at + k)) << at)
+                                           for idx in alive})
+                assert all(len(rows) == block for _, rows, _ in sweep[:-1])
+                assert all(0 < len(rows) <= block for _, rows, _ in sweep)
             for _, rows, ok in sweep:
                 alive -= {(ctx & below) | (d << at) | ((ctx >> at) << (at + k))
                           for col, ctx in enumerate(rows)
@@ -536,6 +554,58 @@ def test_enumerate_sweeps_only_rows_with_a_live_profile(monkeypatch, mode, block
         }
     if mode == "semi":
         assert emptied
+
+
+# Weights whose left-to-right sums round: zeros, subnormals, values near
+# 1e300 and decimals, drawn from a small pool so that values repeat.
+_odd_weights = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-310, 0.1, 0.2, 0.3, 1.0 / 3, 1.0, 1e300, 9.999e299]),
+    st.floats(min_value=0.0, max_value=1e300),
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_first_sweep_masses_equal_decode_and_elect(data):
+    # Sweep 0's masses come from prefix tables; they must be the floats the
+    # per-row decode and core._elect sum, bit for bit, at every block size.
+    n, k = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 4))
+    block_bits = data.draw(st.sampled_from([0, 1, 3, analysis._BLOCK_BITS]))
+    bits = (n - 1) * k
+    size = min(max(block_bits - k, 0), bits)
+    # Keep the number of blocks small enough to walk them all.
+    assume(bits - size <= 10)
+    pool = data.draw(st.lists(_odd_weights, min_size=1, max_size=3))
+    weights = tuple(data.draw(st.lists(st.one_of(st.sampled_from(pool), _odd_weights),
+                                       min_size=n, max_size=n)))
+    w = np.asarray(weights)
+    starts = []
+    with mock.patch.object(analysis, "_BLOCK_BITS", block_bits):
+        for start, low, high in analysis._first_blocks(w, k):
+            starts.append(start)
+            assert low.shape == high.shape == (k, 1 << size)
+            ctx = np.arange(start, start + (1 << size))
+            decoded = analysis._row_masses(0, ctx, w, k)
+            for got, want in zip((low, high), decoded):
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            for r in {0, (1 << size) // 2, (1 << size) - 1}:
+                rest = tuple(tuple((int(ctx[r]) >> (e * k + j)) & 1 for j in range(k))
+                             for e in range(n - 1))
+                for own, got in ((0, low), (1, high)):
+                    masses = _elect(weights, ((own,) * k,) + rest)[1]
+                    assert [m.hex() for m in masses] == [float(x).hex() for x in got[:, r]]
+    assert starts == list(range(0, 1 << bits, 1 << size))
+
+
+def test_enumerate_prop3_ties_pinned():
+    # Proposition 3's n identical weights make exact mass ties on every
+    # split of the crowd; count and sha256 of repr(report) recorded before
+    # the first sweep read its masses from prefix tables.
+    sc = prop3_scenario(9)
+    report = enumerate_equilibria(sc.instance, sc.schedule, STRAT0)
+    assert len(report.equilibria) == 1005
+    assert hashlib.sha256(repr(report).encode()).hexdigest() == \
+        "3ec5540d38a905bc73f175fd5ea9aebc9b53fd484538a17064b76d3ccdd8a5c5"
 
 
 # sha256 of repr(enumerate_equilibria(...)) on 20-bit instances.  The
