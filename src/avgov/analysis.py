@@ -7,7 +7,8 @@ strategic experts, best-response dynamics with cycle detection, and the
 per-cell deviation-safety certificate.
 
 As in :mod:`avgov.core`, public functions check their arguments once and
-everything below them runs core's kernels on plain vote rows.
+everything below them runs core's kernels on plain vote rows.  Those that
+list an expert's 2^k vote vectors refuse k above core.VECTOR_GUARD_BITS.
 
 Two independent routes compute equilibrium membership: the per-profile
 check (:func:`is_approx_pne`, plain Python) and the vectorized enumerator
@@ -58,22 +59,28 @@ from .core import (
     RewardSchedule,
     VotingProfile,
     _check_dims,
+    _check_vectors,
     _elect,
     _expected_branches,
+    _honest_masses,
     _honest_votes,
     _normalized_external,
     _ratio,
     _utility,
     _vote_vectors,
     opt_quality,
-    qual,
     utility,  # unused here; bench/tracing.py wraps it and winner in this module
     winner,
 )
 from .errors import ContractViolation, GuardRefusal
 
-# Exhaustive enumeration is refused beyond this many profile bits.
+# Exhaustive enumeration is refused beyond this many profile bits, and
+# where (n+1)*k exceeds ENUMERATION_GUARD_LOOP_BITS: each sweep loops in
+# Python over the 2^k own vectors of every block of
+# max(1, 2^_BLOCK_BITS / 2^k) rows, some n * 2^((n+1)*k - _BLOCK_BITS)
+# passes in all.
 ENUMERATION_GUARD_BITS = 24
+ENUMERATION_GUARD_LOOP_BITS = 32
 
 MODES = ("strategic", "semi")
 
@@ -99,8 +106,7 @@ class EquilibriumQuery:
 
 @dataclass(frozen=True)
 class EquilibriumEntry:
-    """An equilibrium's vote rows, its winner and ``qual``'s own value for
-    that winner: the int 0, not 0.0, if no belief in it reaches T."""
+    """An equilibrium's vote rows, its winner and that winner's ``qual``."""
 
     votes: tuple
     winner: int
@@ -187,6 +193,7 @@ def is_admissible(instance: Instance, schedule: RewardSchedule,
                   profile: VotingProfile) -> tuple:
     """Per-expert semi-strategic admissibility flags for a profile."""
     _check_dims(instance, profile)
+    _check_vectors(instance.k)
     votes = profile.votes
     honest = _honest_votes(instance.beliefs, schedule.T)
     return tuple(
@@ -210,6 +217,7 @@ def best_response(instance: Instance, schedule: RewardSchedule,
     if not 0 <= expert_i < instance.n:
         raise ContractViolation(f"expert index {expert_i} out of range")
     _check_dims(instance, profile)
+    _check_vectors(instance.k)
     values = _responses(instance, schedule, profile.votes, expert_i)
     return _optima(values, _honest_votes(instance.beliefs, schedule.T)[expert_i], mode)
 
@@ -220,6 +228,7 @@ def is_approx_pne(instance: Instance, schedule: RewardSchedule,
     (1 + epsilon) times her current utility; in semi mode every expert
     must additionally be admissible."""
     _check_dims(instance, profile)
+    _check_vectors(instance.k)
     factor = 1.0 + query.epsilon
     honest = _honest_votes(instance.beliefs, schedule.T)
     for i in range(instance.n):
@@ -370,7 +379,8 @@ def enumerate_equilibria(instance: Instance, schedule: RewardSchedule,
     listed in ascending profile index; bit (i*k + j) of the index is
     expert i's vote on proposal j+1.
 
-    Refuses instances with more than ENUMERATION_GUARD_BITS profile bits.
+    Refuses instances with more than ENUMERATION_GUARD_BITS profile bits
+    or with (n+1)*k above ENUMERATION_GUARD_LOOP_BITS.
     Makes one sweep per expert over the rows still in the running, in
     blocks, as the module docstring describes; the result does not depend
     on the block size.
@@ -381,6 +391,11 @@ def enumerate_equilibria(instance: Instance, schedule: RewardSchedule,
         raise GuardRefusal(
             f"profile space has {bits} bits; exhaustive enumeration is capped "
             f"at {ENUMERATION_GUARD_BITS}"
+        )
+    if bits + k > ENUMERATION_GUARD_LOOP_BITS:
+        raise GuardRefusal(
+            f"(n+1)*k = {bits + k} at n = {n}, k = {k}; exhaustive enumeration "
+            f"is capped at {ENUMERATION_GUARD_LOOP_BITS}"
         )
     w = np.asarray(instance.weights)
     p = np.asarray(instance.beliefs)
@@ -425,8 +440,7 @@ def enumerate_equilibria(instance: Instance, schedule: RewardSchedule,
             ok[idx] &= _row_checks(*_row_masses(i, ctx, w, k), *checks)
 
     found_bits = (np.flatnonzero(ok)[:, None] >> np.arange(bits)) & 1
-    # qual's own values: in a float array its int 0 would print as 0.0.
-    quality = [qual(instance, schedule.T, j) for j in range(k + 1)]
+    quality = (0.0,) + _honest_masses(instance, schedule.T)
     found = []
     for rows in found_bits.reshape(-1, n, k).tolist():
         votes = tuple(map(tuple, rows))
@@ -487,6 +501,7 @@ def best_response_dynamics(instance: Instance, schedule: RewardSchedule,
     if max_steps < 1:
         raise ContractViolation("max_steps must be >= 1")
     _check_dims(instance, start_profile)
+    _check_vectors(instance.k)
     honest = _honest_votes(instance.beliefs, schedule.T)
     votes = start_profile.votes
     seen = {votes: 0}

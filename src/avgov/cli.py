@@ -415,7 +415,7 @@ def cmd_winner(args):
 def cmd_qual(args):
     scenario = _need_scenario(args)
     instance, T = scenario.instance, scenario.schedule.T
-    values = [core.qual(instance, T, j) for j in range(1, instance.k + 1)]
+    values = list(core._honest_masses(instance, T))
     opt = core.opt_quality(instance, T)
     payload = {
         "qualities": values,

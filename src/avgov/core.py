@@ -29,13 +29,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, NormalizationError
+from .errors import ContractViolation, GuardRefusal, NormalizationError
 
 # Absolute tolerance for utility comparisons.  "Strictly better" always
 # means exceeding by more than this amount.
 TOL = 1e-9
 
 DUMMY = 0
+
+# Searches over an expert's 2^k vote vectors are refused beyond this k;
+# 2^16 is also the number of kept entries repeated.STATE_GUARD allows.
+VECTOR_GUARD_BITS = 16
 
 
 def _as_matrix(rows, name, n=None, k=None):
@@ -219,6 +223,16 @@ def _vote_vectors(k):
     return tuple(itertools.product((0, 1), repeat=k))
 
 
+def _check_vectors(k):
+    """Refuse a search over 2^k vote vectors when k exceeds
+    VECTOR_GUARD_BITS, before any vector is built."""
+    if k > VECTOR_GUARD_BITS:
+        raise GuardRefusal(
+            f"{k} proposals give 2^{k} vote vectors per expert; searches over "
+            f"them are capped at k = {VECTOR_GUARD_BITS}"
+        )
+
+
 def _ratio(x, y):
     """x / y, infinite when y <= 0."""
     return x / y if y > 0.0 else math.inf
@@ -348,28 +362,28 @@ def honest_profile(instance: Instance, T: float) -> VotingProfile:
     return VotingProfile(_honest_votes(instance.beliefs, T))
 
 
+def _honest_masses(instance, T):
+    """Each proposal's mass under the honest profile: its estimated quality."""
+    return _elect(instance.weights, _honest_votes(instance.beliefs, T))[1]
+
+
 def qual(instance: Instance, T: float, proposal_j: int) -> float:
     """Estimated quality of a proposal: total weight of experts whose
-    belief in it is at or above the threshold.  The dummy has quality 0."""
+    belief in it is at or above the threshold, its mass under the honest
+    profile.  The dummy has quality 0.0."""
     if proposal_j == DUMMY:
         return 0.0
     if not 1 <= proposal_j <= instance.k:
         raise ContractViolation(f"proposal index {proposal_j} out of range")
-    # Left to right from the int 0, as _elect adds masses: sum() compensates
-    # from Python 3.12 on, which can move a tie.
-    quality = 0
-    for w, row in zip(instance.weights, instance.beliefs):
-        if row[proposal_j - 1] >= T:
-            quality += w
-    return quality
+    return _honest_masses(instance, T)[proposal_j - 1]
 
 
 def opt_quality(instance: Instance, T: float) -> tuple:
     """The proposal of maximal estimated quality and that quality, ties
     broken toward the smallest index."""
-    values = [qual(instance, T, j) for j in range(1, instance.k + 1)]
-    best = max(values)
-    return values.index(best) + 1, best
+    masses = _honest_masses(instance, T)
+    best = max(masses)
+    return masses.index(best) + 1, best
 
 
 def reward_curve(schedule: RewardSchedule, sample_count: int) -> list:

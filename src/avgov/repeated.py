@@ -48,6 +48,7 @@ from .core import (
     Instance,  # unused here; bench/tracing.py wraps it and winner in this module
     RewardSchedule,
     _bit_row,
+    _check_vectors,
     _elect,
     _expected_branches,
     _honest_votes,
@@ -526,8 +527,9 @@ def deviation_gap(world: WorldConfig, schedule: RewardSchedule, expert_i: int,
     one entry: the prefix kept at honest play's state totals at least the
     honest prefix, so honest play's suffix takes it to honest_total or
     more and the prune never drops it.  So a horizon above STATE_GUARD is
-    refused before anything is sampled.  Whether a shorter horizon passes
-    the cap is known only by searching.
+    refused before anything is sampled, as is a world whose k exceeds
+    core.VECTOR_GUARD_BITS.  Whether a shorter horizon passes the cap is
+    known only by searching.
     """
     if not 0 <= expert_i < world.n:
         raise ContractViolation(f"expert index {expert_i} out of range")
@@ -536,6 +538,7 @@ def deviation_gap(world: WorldConfig, schedule: RewardSchedule, expert_i: int,
     cap = max_discount(schedule.epsilon, world.zeta)
     if world.gamma > cap:
         raise ContractViolation(f"gamma = {world.gamma} exceeds max_discount = {cap}")
+    _check_vectors(world.proposals_per_round)
     if horizon_H > STATE_GUARD:
         raise GuardRefusal(
             f"deviation search would pass {STATE_GUARD} kept entries: "

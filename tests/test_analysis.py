@@ -176,6 +176,27 @@ def test_unknown_mode_is_rejected(prop4, call):
         call(instance, schedule, honest_profile(instance, 0.9))
 
 
+@pytest.mark.parametrize("call", [
+    lambda i, s, p: is_admissible(i, s, p),
+    lambda i, s, p: best_response(i, s, p, 0, "semi"),
+    lambda i, s, p: is_approx_pne(i, s, p, SEMI0),
+    lambda i, s, p: best_response_dynamics(i, s, p, "semi", 8),
+], ids=["is_admissible", "best_response", "is_approx_pne", "dynamics"])
+@pytest.mark.parametrize("k, refused", [(16, False), (17, True)])
+def test_vote_vector_searches_refuse_k_above_16(monkeypatch, call, k, refused):
+    class Listed(Exception):
+        pass
+
+    def no_vectors(k):
+        raise Listed
+
+    monkeypatch.setattr(analysis, "_vote_vectors", no_vectors)
+    sched = derive_schedule(0.9, 19.0, 1.0)
+    instance = Instance(weights=(1.0, 1.0), beliefs=((0.5,) * k,) * 2)
+    with pytest.raises(GuardRefusal if refused else Listed):
+        call(instance, sched, VotingProfile.zeros(2, k))
+
+
 @pytest.mark.parametrize("expert", [-1, 3])
 def test_best_response_rejects_expert_out_of_range(prop4, expert):
     instance, schedule = prop4
@@ -326,6 +347,21 @@ def test_enumerate_guard():
         enumerate_equilibria(instance, sched, SEMI0)
 
 
+@pytest.mark.parametrize("n, k, refused", [(2, 12, True), (2, 11, True), (1, 17, True),
+                                            (1, 16, False), (3, 8, False)])
+def test_enumerate_refuses_wide_rows_before_sweeping(n, k, refused):
+    # (n+1)*k above 32 is refused before any sweep; 32 itself is swept.
+    class Swept(Exception):
+        pass
+
+    sched = derive_schedule(0.9, 19.0, 1.0)
+    instance = Instance(weights=(1.0,) * n, beliefs=((0.5,) * k,) * n)
+    with mock.patch.object(analysis, "_first_blocks", side_effect=Swept), \
+            mock.patch.object(analysis, "_row_checks", side_effect=Swept), \
+            pytest.raises(GuardRefusal if refused else Swept):
+        enumerate_equilibria(instance, sched, SEMI0)
+
+
 def test_enumerate_epsilon_monotone():
     rng = np.random.default_rng(11)
     sched = derive_schedule(0.9, 19.0, 1.0)
@@ -344,8 +380,8 @@ def test_enumerate_epsilon_monotone():
 
 def _assert_entries_match_public(instance, schedule, report):
     # Each entry's winner and quality are what the public winner and qual
-    # give on its vote rows, down to the repr (qual's int 0 included), and
-    # poa/pos divide opt_quality by the worst/best of those qualities.
+    # give on its vote rows, down to the repr, and poa/pos divide
+    # opt_quality by the worst/best of those qualities.
     qualities = []
     for e in report.equilibria:
         j = winner(instance, VotingProfile(e.votes)).winner
@@ -359,8 +395,8 @@ def _assert_entries_match_public(instance, schedule, report):
 
 
 # Expert 2's side payment makes her elect proposal 1, which nobody believes
-# in at or above T = 0.9, so every equilibrium's winner quality is qual's
-# int 0.
+# in at or above T = 0.9, so every equilibrium's winner quality is 0.0 with
+# no approving mass.
 UNAPPROVED_WINNER = Instance(
     weights=(0.31, 0.59, 0.43),
     beliefs=((0.72, 0.74), (0.35, 0.31), (0.89, 0.48)),
@@ -388,7 +424,7 @@ def test_enumerate_matches_per_profile_check():
         qualities |= {repr(e.winner_quality) for e in report.equilibria}
         assert {e.votes for e in report.equilibria} == \
             _brute_force_equilibria(instance, sched, query)
-    assert "0" in qualities
+    assert "0.0" in qualities
 
 
 def _brute_force_equilibria(instance, schedule, query):

@@ -221,6 +221,23 @@ def test_guard_refusal_exits_3(capsys, scenario_file):
     assert "refused" in err
 
 
+@pytest.mark.parametrize("k, argv", [
+    (12, ["enumerate"]),
+    (17, ["dynamics"]),
+    (17, ["deviation-gap", "--horizon", "1"]),
+], ids=["enumerate", "dynamics", "deviation-gap"])
+def test_wide_vote_vectors_exit_3(capsys, scenario_file, k, argv):
+    # Two experts with 12 proposals pass the 24-bit guard, but not
+    # (n+1)*k <= 32; 17 proposals pass no search over 2^k vote vectors.
+    data = dict(PROP4_SCENARIO)
+    data["experts"] = [{"weight": 1.0, "beliefs": [0.5] * k} for _ in range(2)]
+    data["world"] = {"expertise": [0.9, 0.6], "good_prior": 0.5, "k": k,
+                     "zeta": 0.05, "gamma": 0.5, "horizon": 4, "seed": 0}
+    code, out, err = run_cli(capsys, *argv, "--scenario", scenario_file(data))
+    assert (code, out) == (3, "")
+    assert "refused" in err
+
+
 def test_winner_command(capsys, scenario_file):
     code, out, _ = run_cli(capsys, "winner", "--scenario",
                            scenario_file(PROP4_SCENARIO))

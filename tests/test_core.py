@@ -440,6 +440,29 @@ def test_qual_adds_weights_left_to_right():
     assert opt_quality(instance, 0.5) == (2, 1.0)
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_qual_is_the_honest_mass(data):
+    # Every quality is _elect's mass on the honest votes, down to the float
+    # (0.0 for the dummy and for a proposal nobody approves), and the
+    # optimum is the first maximum of those masses.  Beliefs at T, zero,
+    # subnormal and repeated weights are drawn often.
+    T = data.draw(st.sampled_from((0.1, 0.5, 0.9)))
+    n, k = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 4))
+    pool = (0.0, 5e-324, 1e-310, 0.1, 0.2, 0.3, 1.0)
+    weight = st.one_of(st.sampled_from(pool), st.floats(0.0, 1e300))
+    belief = st.one_of(st.just(T), st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0))
+    instance = Instance(
+        weights=tuple(data.draw(weight) for _ in range(n)),
+        beliefs=tuple(tuple(data.draw(belief) for _ in range(k)) for _ in range(n)),
+    )
+    masses = _elect(instance.weights, honest_profile(instance, T).votes)[1]
+    assert [qual(instance, T, j).hex() for j in range(k + 1)] == \
+        [(0.0).hex()] + [m.hex() for m in masses]
+    j, best = opt_quality(instance, T)
+    assert (j, best.hex()) == (masses.index(max(masses)) + 1, max(masses).hex())
+
+
 # ---------------------------------------------------------------------------
 # reward_curve
 # ---------------------------------------------------------------------------

@@ -691,6 +691,20 @@ def test_deviation_gap_refuses_horizon_above_guard_before_sampling(monkeypatch):
         deviation_gap(world(), SCHED, 0, repeated.STATE_GUARD + 1)
 
 
+@pytest.mark.parametrize("k, refused", [(16, False), (17, True)])
+def test_deviation_gap_refuses_k_above_16_before_sampling(monkeypatch, k, refused):
+    class Sampled(Exception):
+        pass
+
+    def refuse(*args):
+        raise Sampled
+
+    monkeypatch.setattr(repeated, "_presample", refuse)
+    monkeypatch.setattr(repeated, "_vote_vectors", refuse)
+    with pytest.raises(GuardRefusal if refused else Sampled):
+        deviation_gap(world(proposals_per_round=k), SCHED, 0, 1)
+
+
 def test_deviation_gap_guard_counts_states_over_all_rounds(monkeypatch):
     # Each expanded state steps its round once per vote vector, and the walk
     # of honest play steps each of the H rounds once more.  This world
