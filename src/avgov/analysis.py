@@ -28,10 +28,11 @@ profile in the running, by OR-ing her 2^k column slices of the mark array
 into one bool per row, then gathers only those rows, a chunk of the row
 marks at a time, and checks them in blocks of fixed size; so the work
 follows the survivors, and no index array spans the whole row space.  In a
-block, each own vector's winners index straight into her utility table,
-one preallocated row of utilities per vector.  Masses are summed in the
-order :func:`avgov.core.winner` sums them, so every utility the enumerator
-compares equals :func:`avgov.core.utility` bit for bit.
+block, each own vector's row of utilities starts at proposal 1's entry of
+her utility table and takes each later proposal's by a masked copy where
+its mass leads.  Masses are summed in the order :func:`avgov.core.winner`
+sums them, so every utility the enumerator compares equals
+:func:`avgov.core.utility` bit for bit.
 
 Semi-strategic semantics are coordinate-wise: an expert's reported vector
 is admissible iff every coordinate on which it disagrees with her honest
@@ -250,19 +251,24 @@ def is_approx_pne(instance: Instance, schedule: RewardSchedule,
 _BLOCK_BITS = 15
 
 
-def _winners(masses, js, best):
-    """Vectorized winner selection: ``masses`` is a sequence of arrays,
-    ``masses[j]`` holding proposal j+1's mass across many profiles.
-    Writes into ``js`` the winner's column of a utility table, the argmax
-    plus 1 with first-index ties, or 0 for the dummy where no proposal has
-    positive mass, and returns it; ``best`` is a work buffer of the same length."""
-    js.fill(1)
-    np.copyto(best, masses[0])
-    for j in range(1, len(masses)):
-        js[masses[j] > best] = j + 1
-        np.maximum(best, masses[j], out=best)
-    js[best <= 0.0] = 0
-    return js
+def _block_utilities(low, high, table):
+    """An expert's utilities on a block of rows, as a (2^k, rows) array: row
+    d holds ``table[d]`` at each row's winner, bit j of d picking proposal
+    j+1's mass from ``high[j]`` or ``low[j]``.  A later proposal's value is
+    copied where its mass strictly exceeds the running maximum, and the
+    dummy's 0.0 where no mass is positive, as core._elect elects."""
+    k, size = low.shape
+    u = np.repeat(table[:, 1:2], size, axis=1)
+    best, gt = np.empty(size), np.empty(size, dtype=bool)
+    for d in range(1 << k):
+        masses = [high[j] if d >> j & 1 else low[j] for j in range(k)]
+        np.copyto(best, masses[0])
+        for j in range(1, k):
+            np.greater(masses[j], best, out=gt)
+            np.copyto(u[d], table[d, j + 1], where=gt)
+            np.maximum(best, masses[j], out=best)
+        np.copyto(u[d], 0.0, where=best <= 0.0)
+    return u
 
 
 def _utilities_for(p_row, ghat_row, schedule):
@@ -332,30 +338,24 @@ def _row_checks(low, high, table, honest_row, factor, semi):
     ``honest_row`` is her 0/1 honest vote; her own vector d has her vote on
     proposal j+1 at bit j.
     """
-    k, size = low.shape
-    cols = np.arange(1 << k)
-    own = ((cols[:, None] >> np.arange(k)) & 1) == 1
-    u = np.empty((1 << k, size))
-    js = np.empty(size, dtype=np.intp)
-    best = np.empty(size)
-    for d in cols:
-        masses = [high[j] if own[d, j] else low[j] for j in range(k)]
-        np.take(table[d], _winners(masses, js, best), out=u[d])
-
+    u = _block_utilities(low, high, table)
     # The best deviation from d is the row's best value over the other
     # vectors: the row maximum, or the runner-up where d holds it.
-    best = u[0]
-    runner_up = np.full(size, -np.inf)
-    for d in range(1, 1 << k):
-        runner_up = np.maximum(runner_up, np.minimum(best, u[d]))
-        best = np.maximum(best, u[d])
+    best = u[0].copy()
+    runner_up, pair_min = np.full_like(best, -np.inf), np.empty_like(best)
+    for d in range(1, len(u)):
+        np.minimum(best, u[d], out=pair_min)
+        np.maximum(runner_up, pair_min, out=runner_up)
+        np.maximum(best, u[d], out=best)
     ok = ~(np.where(u == best, runner_up, best) > factor * u + TOL)
     if semi:
-        # Flipping coordinate j of her vector is vector d ^ (1 << j).
-        for j in range(k):
-            dishonest = own[:, j] != honest_row[j]
-            if dishonest.any():
-                ok &= ~dishonest[:, None] | (u[cols ^ (1 << j)] < u - TOL)
+        # Flipping coordinate j of her vector is vector d ^ (1 << j).  Axis 1
+        # of the (.., 2, 2^j, rows) views is bit j, and only the half of her
+        # vectors that differ from her honest vote on j is checked.
+        lower = u - TOL
+        for j, h in enumerate(honest_row.tolist()):
+            cut = (-1, 2, 1 << j, best.size)
+            ok.reshape(cut)[:, 1 - h] &= u.reshape(cut)[:, h] < lower.reshape(cut)[:, 1 - h]
     return ok
 
 

@@ -193,12 +193,18 @@ class VotingProfile:
 
     def replace_row(self, expert, row):
         """Return a copy with expert's vote vector replaced."""
+        if not 0 <= expert < self.n:
+            raise ContractViolation(f"expert index {expert} out of range")
         new = list(self.votes)
         new[expert] = row
         return VotingProfile(tuple(new))
 
     def flip(self, expert, proposal_j):
         """Return a copy with a single coordinate flipped (1-based proposal)."""
+        if not 0 <= expert < self.n:
+            raise ContractViolation(f"expert index {expert} out of range")
+        if not 1 <= proposal_j <= self.k:
+            raise ContractViolation(f"proposal index {proposal_j} out of range")
         row = list(self.votes[expert])
         row[proposal_j - 1] ^= 1
         return self.replace_row(expert, row)

@@ -32,7 +32,7 @@ from avgov import (
     winner,
 )
 from avgov import analysis
-from avgov.core import TOL, _elect
+from avgov.core import TOL, _elect, _utility
 from avgov.cli import prop3_scenario, prop4_scenario, thm6_scenario
 
 SEMI0 = EquilibriumQuery(mode="semi", epsilon=0.0)
@@ -631,6 +631,43 @@ def test_first_sweep_masses_equal_decode_and_elect(data):
                     masses = _elect(weights, ((own,) * k,) + rest)[1]
                     assert [m.hex() for m in masses] == [float(x).hex() for x in got[:, r]]
     assert starts == list(range(0, 1 << bits, 1 << size))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_block_utilities_equal_utility_on_decoded_rows(data):
+    # Each own vector's utilities are written by masked copies, proposal by
+    # proposal.  On blocks from both mass sources every entry must be
+    # core._utility on the decoded vote rows, bit for bit: zero weights make
+    # dummy rows, and weights repeated from a small pool make exact mass ties.
+    k = data.draw(st.integers(1, 4))
+    n = data.draw(st.integers(1, 1 + 8 // k))
+    i = data.draw(st.integers(0, n - 1))
+    pool = data.draw(st.lists(_odd_weights, min_size=1, max_size=3))
+    weights = tuple(data.draw(st.lists(st.one_of(st.sampled_from(pool), _odd_weights),
+                                       min_size=n, max_size=n)))
+    belief = st.floats(0.0, 1.0)
+    instance = Instance(weights=weights, beliefs=tuple(
+        tuple(data.draw(belief) for _ in range(k)) for _ in range(n)))
+    sched = derive_schedule(0.9, 19.0, 1.0)
+    w, bits = np.asarray(weights), (n - 1) * k
+    table = analysis._utilities_for(np.asarray(instance.beliefs[i]), np.zeros(k), sched)
+    if i == 0:
+        block_bits = data.draw(st.sampled_from([0, 3, analysis._BLOCK_BITS]))
+        with mock.patch.object(analysis, "_BLOCK_BITS", block_bits):
+            blocks = [(np.arange(start, start + low.shape[1]), low, high)
+                      for start, low, high in analysis._first_blocks(w, k)]
+    else:
+        ctx = np.arange(1 << bits)
+        blocks = [(ctx, *analysis._row_masses(i, ctx, w, k))]
+    for ctx, low, high in blocks:
+        u = analysis._block_utilities(low, high, table)
+        assert u.shape == (1 << k, len(ctx))
+        for r, c in enumerate(ctx.tolist()):
+            others = [tuple((c >> (e * k + j)) & 1 for j in range(k)) for e in range(n - 1)]
+            for d in range(1 << k):
+                votes = tuple(others[:i] + [tuple((d >> j) & 1 for j in range(k))] + others[i:])
+                assert float(u[d, r]).hex() == _utility(instance, sched, votes, i).hex()
 
 
 def test_enumerate_prop3_ties_pinned():

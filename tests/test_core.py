@@ -132,6 +132,21 @@ ONE_EXPERT = Instance(weights=(1.0,), beliefs=((0.5,),))
                  r"votes\[1\]\[1\] = 0.5 is not", id="fractional-replace-row"),
     pytest.param(lambda: VotingProfile(((1, math.nan),)), r"votes\[0\]\[1\] = nan is not",
                  id="nan-vote"),
+    # Negative indices would pick a row or coordinate from the end.
+    pytest.param(lambda: VotingProfile(((0, 1), (1, 0))).replace_row(-1, (1, 1)),
+                 "expert index -1 out of range", id="replace-row-negative"),
+    pytest.param(lambda: VotingProfile(((0, 1), (1, 0))).replace_row(2, (1, 1)),
+                 "expert index 2 out of range", id="replace-row-past-end"),
+    pytest.param(lambda: VotingProfile(((0, 1), (1, 0))).flip(5, 1),
+                 "expert index 5 out of range", id="flip-expert-past-end"),
+    pytest.param(lambda: VotingProfile(((0, 1), (1, 0))).flip(-1, 1),
+                 "expert index -1 out of range", id="flip-expert-negative"),
+    pytest.param(lambda: VotingProfile(((0, 1), (1, 0))).flip(0, 0),
+                 "proposal index 0 out of range", id="flip-proposal-0"),
+    pytest.param(lambda: VotingProfile(((0, 1), (1, 0))).flip(0, -1),
+                 "proposal index -1 out of range", id="flip-proposal-negative"),
+    pytest.param(lambda: VotingProfile(((0, 1), (1, 0))).flip(0, 3),
+                 "proposal index 3 out of range", id="flip-proposal-past-end"),
     pytest.param(lambda: expected_reward(2, 0.5, SCHED), "must be a bit",
                  id="expected-reward-vote"),
     pytest.param(lambda: expected_reward(1, 1.5, SCHED), r"outside \[0, 1\]",
