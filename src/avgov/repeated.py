@@ -12,10 +12,18 @@ and the number of revealed rounds.  A run draws every round and builds
 every vote at once as arrays, then turns the votes into interned rows
 (``_vote_rows``): round t is a tuple of n vote rows, equal rows are one
 tuple keyed by the row's binary code, and that one tuple of rounds is both
-what the loop reads and ``RepeatedTrace.votes``.  The loop runs in Python
-only over ``_step``, the one home of a round's transition: the winner
-(``core._elect``), the correct counts, one list of target rates and one
-row-wise capped step (``_delayed_update``).  The payouts are computed as
+what the scalar rounds read and ``RepeatedTrace.votes``.  A round's
+transition has two homes that agree bit for bit.  ``_step`` works on one
+state's plain rows: the winner (``core._elect``), the correct counts, one
+list of target rates and one row-wise capped step (``_delayed_update``).
+``_step_rows`` applies the same rules to arrays of states, one row per
+state.  ``_play`` steps a run in chunks of rounds:
+it guesses every round's entering state from the state entering the
+chunk, steps all the guesses at once with ``_step_rows``, and commits
+the rounds up to the first guess that the exact step contradicts.  Where
+chunks commit too few rounds, as in the first rounds, it plays a window
+of rounds with ``_step``.  Either way each round's winner and weights
+are bit-identical to a replay of ``_step``.  The payouts are computed as
 arrays afterwards in ``_payouts``, and the discounted totals as array
 columns in ``discounted_total``.  The single-deviator search
 (``deviation_gap``) builds no trace: it plays every round, honest play's
@@ -30,9 +38,11 @@ drops every prefix that cannot beat honest play: a weight never exceeds 1
 and grows by at most (1+zeta) per round, which bounds what any suffix can
 add.
 
-A single run is sequential by nature; independent runs (different seeds or
-deviation plans) are pure functions of their arguments and can execute
-concurrently.
+A run's state is sequential, but it is checked, not computed, in order:
+once the weights track the rates, a chunk's guessed states are exact and
+a whole chunk costs a few array operations.  Independent runs (different
+seeds or deviation plans) are pure functions of their arguments and can
+execute concurrently.
 """
 
 from __future__ import annotations
@@ -65,6 +75,14 @@ INITIAL_WEIGHT = 0.5
 # The deviation search is refused as soon as it would expand more than this
 # many kept entries over all rounds; each costs up to 2^k plays and children.
 STATE_GUARD = 1 << 16
+
+# ``run`` commits rounds in guessed-then-checked chunks of up to _CHUNK; a
+# chunk that commits fewer than _CHUNK_MIN hands the next _WINDOW rounds to
+# the scalar ``_step``.  Below 1024 rounds a guessed (1 + zeta)^s * w,
+# with zeta < 1 and w <= 1, stays finite.
+_CHUNK = 512
+_CHUNK_MIN = 16
+_WINDOW = 64
 
 
 @dataclass(frozen=True)
@@ -297,10 +315,8 @@ def _payouts(schedule, winners, weights, votes, beliefs, qualities):
     external term p * 0.0, which turns a zero weight's -0.0 into 0.0.
     """
     won = (winners != DUMMY)[:, None]
-    col = np.maximum(winners - 1, 0)
-    vote = np.take_along_axis(votes, col[:, None, None], axis=2)[:, :, 0]
-    p = np.take_along_axis(beliefs, col[:, None, None], axis=2)[:, :, 0]
-    q = np.take_along_axis(qualities, col[:, None], axis=1)
+    vote, p = _on_winners(winners, votes), _on_winners(winners, beliefs)
+    q = _on_winners(winners, qualities)[:, None]
     approve, reject = _expected_branches(p, schedule)
     realized = _reward(vote, q, schedule, weights)
     subjective = _subjective(weights, np.where(vote == 1, approve, reject), p)
@@ -341,6 +357,116 @@ def _initial_state(n):
     return (INITIAL_WEIGHT,) * n, (0,) * n, 0
 
 
+def _elect_rows(weights, votes):
+    """``_elect``'s winners for m rows: weights (m, n), or one (n,) row for
+    every round, and votes (m, n, k).  Each mass is summed expert by expert
+    from 0.0, as ``_elect`` sums it; a weight is never negative, so w * 0
+    adds +0.0, which leaves the non-negative sum unchanged.  The winner is
+    the first argmax, or DUMMY when the largest mass is at most 0.0."""
+    weights = np.broadcast_to(weights, votes.shape[:2])
+    masses = np.zeros((len(votes), votes.shape[2]))
+    for i in range(votes.shape[1]):
+        masses += weights[:, i, None] * votes[:, i]
+    return np.where(masses.max(axis=1) > 0.0, masses.argmax(axis=1) + 1, DUMMY)
+
+
+def _on_winners(winners, array):
+    """Each round's entries on its winner: an (m, n, k) array gives (m, n)
+    and an (m, k) array (m,), read from proposal 1 on dummy rounds."""
+    col = np.maximum(winners - 1, 0).reshape((-1,) + (1,) * (array.ndim - 1))
+    return np.take_along_axis(array, col, axis=-1)[..., 0]
+
+
+def _hits(winners, votes, qualities):
+    """(m, n) bools: whether each vote on the round's winner matches its
+    revealed quality; all False on dummy rounds."""
+    hits = _on_winners(winners, votes) == _on_winners(winners, qualities)[:, None]
+    return hits & (winners != DUMMY)[:, None]
+
+
+def _rates(correct, revealed):
+    """``_correct_fractions`` for (m, n) correct counts and (m,) revealed
+    rounds: c / r, an exact int-to-float division as in Python, or the
+    initial weight while nothing is revealed."""
+    return np.where(revealed[:, None] > 0, correct / np.maximum(revealed, 1)[:, None],
+                    INITIAL_WEIGHT)
+
+
+def _step_rows(zeta, weights, correct, revealed, votes, qualities):
+    """``_step`` for m independent rows of states: weights (m, n), correct
+    counts (m, n) and revealed rounds (m,), each row with its round's votes
+    (m, n, k) and qualities (m, k).  Returns the winners (m,) and the three
+    arrays of the states entering the next round, bit for bit ``_step``'s.
+    ``_delayed_update``'s conditionals are minimum and maximum over the same
+    products, which agree with them on a tie: no weight or rate is -0.0."""
+    winners = _elect_rows(weights, votes)
+    correct = correct + _hits(winners, votes, qualities)
+    revealed = revealed + (winners != DUMMY)
+    rates = _rates(correct, revealed)
+    weights = np.where(weights <= rates, np.minimum((1.0 + zeta) * weights, rates),
+                       np.maximum((1.0 - zeta) * weights, rates))
+    return winners, weights, correct, revealed
+
+
+def _play(zeta, votes, qualities, vote_rows, quality_rows):
+    """Every round's winner (H,) and the weights entering each round
+    (H + 1, n), with the final correct counts and revealed rounds, from the
+    initial state; bit for bit a replay of ``_step`` round by round.
+
+    Rounds are committed in chunks of up to _CHUNK, each guessed and then
+    checked.  The guess elects every round of the chunk at the weights
+    entering it and counts the correct votes and revealed rounds as
+    cumsums.  It takes the weight entering each later round to be the rate
+    the round before reached, as it is once the step cap stops binding,
+    clipped to the weights that s capped steps down or up reach from the
+    chunk's first weight w, (1 - zeta)^s * w and (1 + zeta)^s * w as
+    ``_delayed_update`` forms them, one product per round: a weight decays
+    or grows along them while the cap binds the same way.  One
+    ``_step_rows`` call then steps every guessed state exactly.  Row 0
+    enters at the true state, and each row whose exact next state equals
+    the next row's guess hands a true state on; so the rows up to the first
+    mismatch are true, and their checked winners and next states are
+    committed.  A chunk commits at least one round.  When it commits fewer
+    than _CHUNK_MIN, as in the first rounds, where the rates jump and the
+    cap binds both ways, the next _WINDOW rounds are played by the scalar
+    ``_step`` instead."""
+    horizon, n = votes.shape[:2]
+    winners = np.empty(horizon, dtype=np.int64)
+    weights = np.empty((horizon + 1, n))
+    weights[0] = INITIAL_WEIGHT
+    w, c, r = weights[0], np.zeros(n, dtype=np.int64), 0
+    t = 0
+    while t < horizon:
+        end = min(t + _CHUNK, horizon)
+        v, q = votes[t:end], qualities[t:end]
+        guess = _elect_rows(w, v)
+        correct = c + np.cumsum(_hits(guess, v, q), axis=0)
+        revealed = r + np.cumsum(guess != DUMMY)
+        low, high = (np.multiply.accumulate(np.vstack((w, np.full((end - t, n), f))))[1:-1]
+                     for f in (1.0 - zeta, 1.0 + zeta))
+        guessed = np.clip(_rates(correct, revealed)[:-1], low, high)
+        js, w_next, c_next, r_next = _step_rows(
+            zeta, np.vstack((w, guessed)), np.vstack((c, correct[:-1])),
+            np.concatenate(([r], revealed[:-1])), v, q)
+        wrong = ((w_next[:-1] != guessed).any(axis=1)
+                 | (c_next[:-1] != correct[:-1]).any(axis=1)
+                 | (r_next[:-1] != revealed[:-1]))
+        m = int(wrong.argmax()) + 1 if wrong.any() else end - t
+        winners[t:t + m] = js[:m]
+        weights[t + 1:t + m + 1] = w_next[:m]
+        w, c, r = w_next[m - 1], c_next[m - 1], int(r_next[m - 1])
+        t += m
+        if m < _CHUNK_MIN and t < horizon:
+            stop = min(t + _WINDOW, horizon)
+            state = tuple(w.tolist()), tuple(c.tolist()), r
+            for s in range(t, stop):
+                winners[s], state = _step(zeta, state, vote_rows[s], quality_rows[s])
+                weights[s + 1] = state[0]
+            t = stop
+            w, c, r = weights[t], np.array(state[1]), state[2]
+    return winners, weights, tuple(c.tolist()), r
+
+
 def run(world: WorldConfig, schedule: RewardSchedule,
         policy=HonestPolicy()) -> RepeatedTrace:
     """Simulate the repeated game; deterministic given the world seed.
@@ -348,8 +474,11 @@ def run(world: WorldConfig, schedule: RewardSchedule,
     Round draws are independent of play, so runs with the same seed see
     identical proposals and signals whatever the policy does.  A deviator's
     plan is fixed in advance, so it is written into the vote array up
-    front.  A discount factor at or above the theoretical cap only sets
-    ``gamma_warning``.
+    front.  Then every vote is known before play, and ``_play`` steps the
+    rounds in guessed-then-checked chunks, with the scalar ``_step`` over
+    the rounds where guesses fail; the trace is bit-identical to one that
+    steps every round with ``_step``.  A discount factor at or above the
+    theoretical cap only sets ``gamma_warning``.
     """
     if isinstance(policy, SingleDeviatorPolicy):
         if not 0 <= policy.expert < world.n:
@@ -366,16 +495,12 @@ def run(world: WorldConfig, schedule: RewardSchedule,
         votes[:len(plan), policy.expert] = plan
     vote_rows = _vote_rows(votes)
     quality_rows = qualities.tolist()
-    state = _initial_state(world.n)
-    winners, weight_rows = [], [state[0]]
-    for votes_t, qualities_t in zip(vote_rows, quality_rows):
-        js, state = _step(world.zeta, state, votes_t, qualities_t)
-        winners.append(js)
-        weight_rows.append(state[0])
-    realized, subjective = _payouts(schedule, np.array(winners),
-                                    np.array(weight_rows[:-1]), votes, beliefs, qualities)
+    winners, weights, correct, revealed_rounds = _play(
+        world.zeta, votes, qualities, vote_rows, quality_rows)
+    realized, subjective = _payouts(schedule, winners, weights[:-1], votes, beliefs,
+                                    qualities)
+    winners = winners.tolist()
 
-    _, correct, revealed_rounds = state
     gamma_warning = world.gamma >= max_discount(schedule.epsilon, world.zeta)
     totals = discounted_total(np.hstack((realized, subjective)), world.gamma)
     return RepeatedTrace(
@@ -385,7 +510,7 @@ def run(world: WorldConfig, schedule: RewardSchedule,
                        for js, q in zip(winners, quality_rows)),
         realized=tuple(map(tuple, realized.tolist())),
         subjective=tuple(map(tuple, subjective.tolist())),
-        weights=tuple(weight_rows),
+        weights=tuple(map(tuple, weights.tolist())),
         discounted_realized=totals[:world.n],
         discounted_subjective=totals[world.n:],
         correct=correct,

@@ -8,6 +8,7 @@ import json
 import math
 import operator
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -380,6 +381,88 @@ def test_run_equals_reference_round_on_public_route(case):
     assert repr(run_repeated(w, schedule, policy)) == repr(reference_run(w, schedule, policy))
 
 
+def step_replay(zeta, votes, qualities, vote_rows, quality_rows):
+    """``repeated._play``'s answer from the scalar ``_step``, one round at a
+    time."""
+    state = repeated._initial_state(votes.shape[1])
+    winners, weights = [], [state[0]]
+    for votes_t, qualities_t in zip(vote_rows, quality_rows):
+        js, state = repeated._step(zeta, state, votes_t, qualities_t)
+        winners.append(js)
+        weights.append(state[0])
+    return np.array(winners, dtype=np.int64), np.array(weights), state[1], state[2]
+
+
+@st.composite
+def long_runs(draw):
+    # Horizons of one to four chunks that end mid-chunk; zeta >= 1/2 lets a
+    # weight whose rate is 0 underflow to 0.0, good_prior 0 or 1 gives runs
+    # of dummy rounds, and near-equal expertise keeps the weights close, so
+    # that winners flip inside a chunk.
+    chunk = repeated._CHUNK
+    T, eps = draw(st.sampled_from(((0.75, 4.0), (0.9, 19.0), (0.95, 39.0))))
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        base = draw(st.floats(0.5, 0.95))
+        expertise = tuple(base + draw(st.floats(0.0, 0.02)) for _ in range(n))
+    else:
+        expertise = tuple(draw(st.sampled_from((0.0, 1.0, 0.1, 0.9)) | st.floats(0.0, 1.0))
+                          for _ in range(n))
+    horizon = draw(st.integers(1, 4)) * chunk + draw(st.integers(1, chunk - 1))
+    w = WorldConfig(
+        expertise=expertise,
+        good_prior=draw(st.sampled_from((0.0, 1.0, 0.5)) | st.floats(0.0, 1.0)),
+        proposals_per_round=k,
+        zeta=draw(st.sampled_from((0.01, 0.05, 0.5, 0.6, 0.9)) | st.floats(0.01, 0.95)),
+        gamma=draw(st.floats(0.0, 0.99)), horizon=horizon,
+        seed=draw(st.integers(0, 1 << 16)),
+    )
+    policy = HonestPolicy()
+    if draw(st.booleans()):
+        # A plan that ends anywhere, mid-chunk or past the horizon.
+        bits = np.random.default_rng(draw(st.integers(0, 1 << 16))).integers(
+            0, 2, (draw(st.integers(0, horizon + 2)), k))
+        policy = SingleDeviatorPolicy(expert=draw(st.integers(0, n - 1)),
+                                      plan=tuple(map(tuple, bits.tolist())))
+    return w, derive_schedule(T, eps, 1.0), policy
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(long_runs())
+# Only the revealed rounds tell a guess from the truth: a lone expert who is
+# always wrong keeps 0 correct votes, and once her weight underflows to 0.0
+# the chunk's rounds elect the dummy.
+@example((world(expertise=(0.0,), good_prior=0.25, proposals_per_round=1, zeta=0.6,
+                horizon=1100, seed=5999), SCHED, HonestPolicy()))
+# Only the correct counts do: winners differ between guess and truth while
+# the weights they would move are held by the cap.
+@example((world(expertise=(0.1, 1.0, 0.1), proposals_per_round=3, horizon=1100,
+                seed=20736), derive_schedule(0.95, 39.0, 1.0), HonestPolicy()))
+def test_run_equals_step_replay_over_many_chunks(case):
+    w, schedule, policy = case
+    with mock.patch.object(repeated, "_play", step_replay):
+        expected = repr(run_repeated(w, schedule, policy))
+    assert repr(run_repeated(w, schedule, policy)) == expected
+
+
+def test_run_steps_few_rounds_one_by_one(monkeypatch):
+    # On a benchmark-shaped world (n=5, k=3, 20,000 rounds) the chunks
+    # commit almost every round; the scalar _step plays only the first.
+    scenario = cli.load_scenario(EXAMPLES / "repeat_k3.json")
+    calls = []
+    step = repeated._step
+
+    def counted(*args):
+        calls.append(None)
+        return step(*args)
+
+    monkeypatch.setattr(repeated, "_step", counted)
+    trace = repeated.run(scenario.world, scenario.schedule)
+    assert len(trace.winners) == scenario.world.horizon == 20000
+    assert len(calls) <= scenario.world.horizon // 100
+
+
 def test_run_rejects_bad_policy():
     w = world()
     with pytest.raises(ContractViolation):
@@ -478,6 +561,33 @@ def test_expand_pays_as_payouts_bit_for_bit(data, n, k, rewards):
             beliefs[None, expert:expert + 1], np.array([qualities]))
         assert child == expected_child
         assert value.hex() == subjective[0, 0].item().hex()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4), k=st.integers(1, 3), m=st.integers(1, 6),
+       zeta=st.sampled_from((0.05, 0.5, 0.9)) | st.floats(0.01, 0.99))
+def test_step_rows_equals_step_row_by_row(data, n, k, m, zeta):
+    # Each row of states steps as _step steps it alone, down to the last
+    # bit; WEIGHTS holds zeros, subnormals and ties.
+    states = []
+    for _ in range(m):
+        revealed = data.draw(st.integers(0, 50))
+        correct = tuple(data.draw(st.integers(0, revealed)) for _ in range(n))
+        states.append((tuple(data.draw(WEIGHTS) for _ in range(n)), correct, revealed))
+    bits = st.integers(0, 1)
+    votes = np.array(data.draw(st.lists(st.lists(st.lists(bits, min_size=k, max_size=k),
+                                                 min_size=n, max_size=n),
+                                        min_size=m, max_size=m)), dtype=np.int8)
+    qualities = np.array(data.draw(st.lists(st.lists(bits, min_size=k, max_size=k),
+                                            min_size=m, max_size=m)))
+    weights, correct, revealed = (np.array(column) for column in zip(*states))
+    rows = repeated._step_rows(zeta, weights, correct, revealed, votes, qualities)
+    for t, state in enumerate(states):
+        js, expected = repeated._step(zeta, state, tuple(map(tuple, votes[t].tolist())),
+                                      qualities[t].tolist())
+        js_t, weights_t, correct_t, revealed_t = (column[t].tolist() for column in rows)
+        assert repr((js_t, (tuple(weights_t), tuple(correct_t), revealed_t))) == repr(
+            (js, expected))
 
 
 # ---------------------------------------------------------------------------
@@ -811,6 +921,45 @@ def test_repeat_command_bytes_pinned(tmp_path, capsys):
     stdout = capsys.readouterr().out.encode()
     assert hashlib.sha256(stdout).hexdigest() == PIN_STDOUT_SHA256
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PIN_CSV_SHA256
+
+
+def repeat_digests(capsys, out, *args):
+    """sha256 of ``repeat``'s stdout and of its CSV at ``out``."""
+    assert cli.main(["repeat", *map(str, args), "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out.encode()
+    return (hashlib.sha256(stdout).hexdigest(),
+            hashlib.sha256(out.read_bytes()).hexdigest())
+
+
+# A weight whose rate is 0 decays by (1 - zeta) = 0.4 per round and
+# underflows to 0.0; recorded before the run moved onto checked chunks.
+DECAY_SCENARIO = {
+    "experts": [{"weight": 1.0, "beliefs": [0.5, 0.5]}] * 2,
+    "schedule": {"T": 0.9, "epsilon": 19, "a_prime": 1},
+    "world": {"expertise": [0.0, 1.0], "good_prior": 0.5, "k": 2, "zeta": 0.6,
+              "gamma": 0.5, "horizon": 3000, "seed": 1},
+}
+
+
+def test_repeat_with_a_weight_decaying_to_zero_bytes_pinned(tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(DECAY_SCENARIO))
+    assert repeat_digests(capsys, tmp_path / "trace.csv", "--scenario", scenario) == (
+        "9bc528e6ee91c07b3781d3a809dec611daf5c4526d7cc865d7d5d07e85cf8b92",
+        "894fd07b1395d1a01a88db96a59cd96d4dca8cee0254208d8861d3a8b53acf38")
+
+
+# The same values as the 20,000-round pins in CI's console-script step.
+@pytest.mark.parametrize("args, digests", [
+    (("--scenario", EXAMPLES / "deviation.json", "--horizon", "20000"),
+     ("ea6c87ba3e853ccd956796851fa16c536f3652f6b78e03166db080385027633a",
+      "dbc4de88788e16e27efe8450f8bcc7a43c2744190fd6076247a43292659a75ae")),
+    (("--scenario", EXAMPLES / "repeat_k3.json"),
+     ("d4ed473f890250d4238289ff57e1dd01096b799977fade41a0d0bce764da2c28",
+      "d6eaf100f75dccf54416ca2835f308dff6820f1dbdf870d980297dfe1d03710d")),
+], ids=["deviation-20000", "repeat_k3"])
+def test_repeat_20000_rounds_bytes_pinned(tmp_path, capsys, args, digests):
+    assert repeat_digests(capsys, tmp_path / "trace.csv", *args) == digests
 
 
 def test_deviator_run_repr_pinned():
