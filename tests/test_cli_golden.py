@@ -1,7 +1,12 @@
-"""Byte-for-byte pins on every command's stdout and ``--out`` file.
+"""The one list of pinned CLI outputs: every case's exit code, stdout and
+``--out`` file, byte for byte.
 
-The expected bytes live in ``cli_golden.json`` next to this file.  After a
-change that is meant to alter output, record them again with
+The expected bytes live in ``cli_golden.json`` next to this file.  A stream
+of at most TEXT_LIMIT bytes is recorded as its text, a longer one as its
+sha256, and an ``--out`` file that a refused command never wrote as null.
+CI runs this file with the rest of the suite; its console-script step only
+checks that the installed ``avgov`` script starts.  After a change that is
+meant to alter output, record every case again with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 
@@ -9,6 +14,7 @@ and review the diff of the JSON file.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -20,6 +26,9 @@ import pytest
 from avgov import cli
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
+
+# A stream longer than this many bytes is recorded as its sha256.
+TEXT_LIMIT = 16 * 1024
 
 PROP4 = {
     "experts": [
@@ -47,9 +56,6 @@ SIDE_PAYMENTS = {
 
 EXAMPLES = Path(__file__).parent.parent / "examples"
 
-# The 24-bit example at the enumeration guard (12 experts, two proposals).
-ENUMERATE24 = json.loads((EXAMPLES / "enumerate24.json").read_text())
-
 # The repeated-game example (three experts, two proposals, H=12).
 DEVIATION = json.loads((EXAMPLES / "deviation.json").read_text())
 
@@ -60,21 +66,46 @@ DEVIATION = json.loads((EXAMPLES / "deviation.json").read_text())
 UNDERFLOW = dict(DEVIATION, world=dict(DEVIATION["world"], expertise=[0.0, 0.8, 0.7],
                                        zeta=0.9, horizon=400, seed=1))
 
-# The example world at gamma = max_discount(19, 0.05), the discount cap,
-# where the honest-play prune is loosest and the deviation search keeps the
-# most states.
-DEVIATION_CAP = json.loads((EXAMPLES / "deviation_cap.json").read_text())
+# Five experts, three proposals, 2,000 rounds; recorded before the repeated
+# game moved onto arrays.
+FIVE_EXPERTS = {
+    "experts": [{"weight": 1.0, "beliefs": [0.5] * 3}] * 5,
+    "schedule": {"T": 0.9, "epsilon": 19, "a_prime": 1},
+    "world": {"expertise": [0.93, 0.88, 0.91, 0.86, 0.95], "good_prior": 0.5,
+              "k": 3, "zeta": 0.05, "gamma": 0.8, "horizon": 2000, "seed": 12345},
+}
 
-# Five experts, three proposals (the CI pin runs it at H=20000).
-REPEAT_K3 = json.loads((EXAMPLES / "repeat_k3.json").read_text())
+# A weight whose rate is 0 decays by (1 - zeta) = 0.4 per round and
+# underflows to 0.0; recorded before the run moved onto checked chunks.
+DECAY = {
+    "experts": [{"weight": 1.0, "beliefs": [0.5, 0.5]}] * 2,
+    "schedule": {"T": 0.9, "epsilon": 19, "a_prime": 1},
+    "world": {"expertise": [0.0, 1.0], "good_prior": 0.5, "k": 2, "zeta": 0.6,
+              "gamma": 0.5, "horizon": 3000, "seed": 1},
+}
 
-SCENARIOS = {"prop4": PROP4, "external": SIDE_PAYMENTS, "enumerate24": ENUMERATE24,
-             "deviation": DEVIATION, "deviation_cap": DEVIATION_CAP,
-             "underflow": UNDERFLOW, "repeat_k3": REPEAT_K3}
+# name -> a scenario written out for the run, or an example read by path.
+SCENARIOS = {
+    "prop4": PROP4, "external": SIDE_PAYMENTS, "underflow": UNDERFLOW,
+    "five_experts": FIVE_EXPERTS, "decay": DECAY,
+    "deviation": EXAMPLES / "deviation.json",
+    # gamma = max_discount(19, 0.05), the discount cap, where the
+    # honest-play prune is loosest and the deviation search keeps the most
+    # states.
+    "deviation_cap": EXAMPLES / "deviation_cap.json",
+    # Twelve experts and two proposals at the 24-bit enumeration guard.
+    "enumerate24": EXAMPLES / "enumerate24.json",
+    # Six experts and four proposals at the same guard.
+    "enumerate24_k4": EXAMPLES / "enumerate24_k4.json",
+    # Five experts, three proposals, 20,000 rounds.
+    "repeat_k3": EXAMPLES / "repeat_k3.json",
+}
 
 # case name -> (scenario or None, argv without --scenario and --out)
 CASES = {
     "derive-params": ("prop4", ["derive-params"]),
+    "derive-params-flags": (None, ["derive-params", "--T", "0.9", "--epsilon", "19",
+                                   "--a-prime", "1"]),
     "validate": ("prop4", ["validate"]),
     "winner-honest": ("prop4", ["winner"]),
     "winner-zeros": ("prop4", ["winner", "--profile", "zeros"]),
@@ -91,51 +122,91 @@ CASES = {
     "dynamics": ("prop4", ["dynamics", "--start", "zeros"]),
     "repeat": ("prop4", ["repeat", "--horizon", "6", "--seed", "4"]),
     "repeat-underflow": ("underflow", ["repeat"]),
+    "repeat-five-experts": ("five_experts", ["repeat"]),
+    "repeat-decay": ("decay", ["repeat"]),
     "repeat-k3": ("repeat_k3", ["repeat", "--horizon", "40"]),
+    # Both 20,000-round examples: the CSVs hold 60,001 and 100,001 lines.
+    "repeat-k3-20000": ("repeat_k3", ["repeat"]),
+    "deviation-repeat-20000": ("deviation", ["repeat", "--horizon", "20000"]),
     "deviation-gap": ("prop4", ["deviation-gap", "--expert", "1", "--horizon", "3"]),
-    # 4^12 plans at the example's own horizon.
+    "deviation-validate": ("deviation", ["validate"]),
+    "deviation-winner": ("deviation", ["winner"]),
+    "deviation-qual": ("deviation", ["qual"]),
+    "deviation-honest": ("deviation", ["honest"]),
+    "deviation-safety": ("deviation", ["safety", "--g", "2.0"]),
+    "deviation-reward-curve": ("deviation", ["reward-curve", "--samples", "11"]),
+    # 4^12 plans at the example's own horizon, then given explicitly.
     "deviation-example": ("deviation", ["deviation-gap", "--expert", "0"]),
-    # 4^40 plans at the discount cap.
+    "deviation-H12": ("deviation", ["deviation-gap", "--expert", "0", "--horizon", "12"]),
+    # 4^20 plans per expert.
+    **{f"deviation-H20-expert{i}": ("deviation", ["deviation-gap", "--expert", str(i),
+                                                  "--horizon", "20"])
+       for i in range(3)},
+    # 4^40, 4^60 and 4^100 plans at the discount cap.  At H=100 expert 1's
+    # search passes STATE_GUARD and is refused, with nothing on stdout.
     "deviation-cap": ("deviation_cap", ["deviation-gap", "--expert", "2",
                                         "--horizon", "40"]),
+    **{f"deviation-cap-H{h}-expert{i}": ("deviation_cap", ["deviation-gap", "--expert",
+                                                           str(i), "--horizon", str(h)])
+       for h in (60, 100) for i in range(3)},
     "external-validate": ("external", ["validate"]),
     "external-winner": ("external", ["winner"]),
     "external-enumerate": ("external", ["enumerate"]),
     "external-safety": ("external", ["safety"]),
+    "enumerate24-dynamics": ("enumerate24", ["dynamics", "--start", "zeros"]),
     "enumerate24-dynamics-semi": ("enumerate24", ["dynamics", "--start", "zeros",
                                                   "--mode", "semi"]),
     "enumerate24-dynamics-strategic": ("enumerate24", ["dynamics", "--start", "zeros",
                                                        "--mode", "strategic"]),
     "enumerate24-construct-pne": ("enumerate24", ["construct-pne"]),
-    # A non-empty 24-bit semi list: three equilibria at epsilon 19.
+    # The 24-bit semi searches: no equilibrium at epsilon 0, three at 19.
+    "enumerate24-semi-eps0": ("enumerate24", ["enumerate", "--mode", "semi",
+                                              "--epsilon", "0"]),
     "enumerate24-semi": ("enumerate24", ["enumerate", "--mode", "semi",
                                          "--epsilon", "19"]),
-    # The report over 13,344 strategic equilibria, with little output.
+    # The list of 13,344 strategic equilibria, and the report over them.
+    "enumerate24-strategic": ("enumerate24", ["enumerate", "--mode", "strategic",
+                                              "--epsilon", "19"]),
     "enumerate24-poa-strategic": ("enumerate24", ["poa", "--mode", "strategic",
                                                   "--epsilon", "19"]),
+    # One equilibrium at the guard with four proposals.
+    "enumerate24-k4-semi": ("enumerate24_k4", ["enumerate", "--mode", "semi",
+                                               "--epsilon", "0"]),
     "reproduce-prop4": (None, ["reproduce", "prop4"]),
     "reproduce-thm6": (None, ["reproduce", "thm6", "--eps-weight", "0.05"]),
+    "reproduce-thm6-default": (None, ["reproduce", "thm6"]),
     "reproduce-prop3": (None, ["reproduce", "prop3", "--n", "3"]),
+    "reproduce-prop3-default": (None, ["reproduce", "prop3"]),
 }
 
 
+def _stream(data):
+    """The recorded form of ``data``: its text, or the sha256 of a stream
+    longer than TEXT_LIMIT bytes."""
+    if len(data) > TEXT_LIMIT:
+        return {"sha256": hashlib.sha256(data).hexdigest()}
+    return data.decode()
+
+
 def run_case(name, workdir):
-    """Run one case in-process; return its exit code, stdout and the text
-    of its ``--out`` file."""
+    """Run one case in-process; return its exit code and the recorded forms
+    of its stdout and of its ``--out`` file, None when none was written."""
     scenario, argv = CASES[name]
     workdir = Path(workdir)
     argv = list(argv)
     if scenario is not None:
-        path = workdir / f"{scenario}.json"
-        path.write_text(json.dumps(SCENARIOS[scenario]))
+        path = source = SCENARIOS[scenario]
+        if not isinstance(source, Path):
+            path = workdir / f"{scenario}.json"
+            path.write_text(json.dumps(source))
         argv += ["--scenario", str(path)]
     out_path = workdir / f"{name}.out"
     argv += ["--out", str(out_path)]
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         code = cli.main(argv)
-    return {"code": code, "stdout": stdout.getvalue(),
-            "out": out_path.read_bytes().decode()}
+    out = _stream(out_path.read_bytes()) if out_path.exists() else None
+    return {"code": code, "stdout": _stream(stdout.getvalue().encode()), "out": out}
 
 
 @pytest.fixture(scope="module")

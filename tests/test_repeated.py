@@ -4,7 +4,6 @@ single-deviator search, checked against a replay of every plan."""
 import dataclasses
 import hashlib
 import itertools
-import json
 import math
 import operator
 from pathlib import Path
@@ -69,6 +68,8 @@ def test_delayed_update_examples():
     assert delayed_update(0.5, 0.9, 0.1) == pytest.approx(0.55)
     assert delayed_update(0.5, 0.5, 0.3) == 0.5
     assert delayed_update(0.8, 0.2, 0.1) == pytest.approx(0.72)
+    # A weight of 0, which a run reaches by underflow, stays 0.
+    assert delayed_update(0.0, 0.0, 0.6) == delayed_update(0.0, 0.5, 0.1) == 0.0
 
 
 @given(
@@ -376,6 +377,11 @@ def small_runs(draw):
 
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(small_runs())
+# Expert 0's rate is 0, so from round 1 expert 0's weight decays by
+# (1 - zeta) = 0.4 per round and underflows to 0.0, which the public
+# delayed_update must step too (the world of the golden case repeat-decay).
+@example((world(expertise=(0.0, 1.0), zeta=0.6, horizon=3000, seed=1), SCHED,
+          HonestPolicy()))
 def test_run_equals_reference_round_on_public_route(case):
     w, schedule, policy = case
     assert repr(run_repeated(w, schedule, policy)) == repr(reference_run(w, schedule, policy))
@@ -463,6 +469,16 @@ def test_run_steps_few_rounds_one_by_one(monkeypatch):
     assert len(calls) <= scenario.world.horizon // 100
 
 
+def test_integral_deviator_index_is_an_int():
+    # An index of 1.0 plays as 1: only expert 1's row follows the plan.
+    w = world(expertise=(0.9, 0.8, 0.7), horizon=4, seed=1)
+    policy = SingleDeviatorPolicy(expert=1.0, plan=((0, 0),))
+    assert type(policy.expert) is int
+    assert run_repeated(w, SCHED, policy) == run_repeated(
+        w, SCHED, SingleDeviatorPolicy(expert=1, plan=((0, 0),)))
+    assert deviation_gap(w, SCHED, 1.0, 3.0) == deviation_gap(w, SCHED, 1, 3)
+
+
 def test_run_rejects_bad_policy():
     w = world()
     with pytest.raises(ContractViolation):
@@ -495,7 +511,8 @@ def test_world_config_validation():
     pytest.param(lambda: world(good_prior=1.5), "good_prior", id="good-prior"),
     pytest.param(lambda: world(proposals_per_round=0), "proposals_per_round",
                  id="no-proposals"),
-    pytest.param(lambda: delayed_update(0.0, 0.5, 0.1), "w = 0.0", id="update-w"),
+    pytest.param(lambda: delayed_update(-0.5, 0.5, 0.1), "w = -0.5", id="update-w"),
+    pytest.param(lambda: delayed_update(math.nan, 0.5, 0.1), "w = nan", id="update-w-nan"),
     pytest.param(lambda: delayed_update(0.5, 1.5, 0.1), "omega = 1.5", id="update-omega"),
     pytest.param(lambda: delayed_update(0.5, 0.5, 0.0), "zeta = 0.0", id="update-zeta"),
     pytest.param(lambda: run_repeated(world(), SCHED, policy="greedy"),
@@ -503,6 +520,16 @@ def test_world_config_validation():
     pytest.param(lambda: deviation_gap(world(), SCHED, 2, 3), "expert index 2",
                  id="gap-expert"),
     pytest.param(lambda: deviation_gap(world(), SCHED, 0, 0), "horizon_H", id="gap-H"),
+    pytest.param(lambda: deviation_gap(world(), SCHED, True, 3),
+                 "expert_i = True is not an integer", id="gap-expert-bool"),
+    pytest.param(lambda: deviation_gap(world(), SCHED, 0.5, 3),
+                 "expert_i = 0.5 is not an integer", id="gap-expert-fractional"),
+    pytest.param(lambda: deviation_gap(world(), SCHED, 0, 2.5),
+                 "horizon_H = 2.5 is not an integer", id="gap-H-fractional"),
+    pytest.param(lambda: SingleDeviatorPolicy(expert=True, plan=((0, 0),)),
+                 "expert = True is not an integer", id="deviator-bool"),
+    pytest.param(lambda: SingleDeviatorPolicy(expert=1.5, plan=((0, 0),)),
+                 "expert = 1.5 is not an integer", id="deviator-fractional"),
     pytest.param(lambda: SingleDeviatorPolicy(expert=0, plan=((0.6, 1.9),)),
                  r"plan\[0\]\[0\] = 0.6 is not a bit", id="fractional-plan"),
     pytest.param(lambda: SingleDeviatorPolicy(expert=0, plan=((1, 0), (math.nan, 0))),
@@ -900,66 +927,9 @@ def test_deviator_playing_honest_plan_reproduces_honest_run():
 # byte pins
 # ---------------------------------------------------------------------------
 
-# Recorded before the repeated game moved onto arrays; every byte of these
-# outputs must stay the same.
-PIN_WORLD = {"expertise": [0.93, 0.88, 0.91, 0.86, 0.95], "good_prior": 0.5,
-             "k": 3, "zeta": 0.05, "gamma": 0.8, "horizon": 2000, "seed": 12345}
-PIN_STDOUT_SHA256 = "66f998a7bf2acc57a0a421e38d2d0bb3f92145412ded9314607af9c26d490b1d"
-PIN_CSV_SHA256 = "63bdacb52ddd6d90283894172c3354b74afd201ebb3bd2a39c380edc80ac60b9"
+# Recorded before the repeated game moved onto arrays.  The CLI's pinned
+# outputs live in cli_golden.json.
 PIN_DEVIATOR_SHA256 = "d6f05bb022c83052b36cb0334c600faa2e9e40ff2dde1938ebb0ea879a79b594"
-
-
-def test_repeat_command_bytes_pinned(tmp_path, capsys):
-    scenario = tmp_path / "scenario.json"
-    scenario.write_text(json.dumps({
-        "experts": [{"weight": 1.0, "beliefs": [0.5] * 3}] * 5,
-        "schedule": {"T": 0.9, "epsilon": 19, "a_prime": 1},
-        "world": PIN_WORLD,
-    }))
-    out = tmp_path / "trace.csv"
-    assert cli.main(["repeat", "--scenario", str(scenario), "--out", str(out)]) == 0
-    stdout = capsys.readouterr().out.encode()
-    assert hashlib.sha256(stdout).hexdigest() == PIN_STDOUT_SHA256
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == PIN_CSV_SHA256
-
-
-def repeat_digests(capsys, out, *args):
-    """sha256 of ``repeat``'s stdout and of its CSV at ``out``."""
-    assert cli.main(["repeat", *map(str, args), "--out", str(out)]) == 0
-    stdout = capsys.readouterr().out.encode()
-    return (hashlib.sha256(stdout).hexdigest(),
-            hashlib.sha256(out.read_bytes()).hexdigest())
-
-
-# A weight whose rate is 0 decays by (1 - zeta) = 0.4 per round and
-# underflows to 0.0; recorded before the run moved onto checked chunks.
-DECAY_SCENARIO = {
-    "experts": [{"weight": 1.0, "beliefs": [0.5, 0.5]}] * 2,
-    "schedule": {"T": 0.9, "epsilon": 19, "a_prime": 1},
-    "world": {"expertise": [0.0, 1.0], "good_prior": 0.5, "k": 2, "zeta": 0.6,
-              "gamma": 0.5, "horizon": 3000, "seed": 1},
-}
-
-
-def test_repeat_with_a_weight_decaying_to_zero_bytes_pinned(tmp_path, capsys):
-    scenario = tmp_path / "scenario.json"
-    scenario.write_text(json.dumps(DECAY_SCENARIO))
-    assert repeat_digests(capsys, tmp_path / "trace.csv", "--scenario", scenario) == (
-        "9bc528e6ee91c07b3781d3a809dec611daf5c4526d7cc865d7d5d07e85cf8b92",
-        "894fd07b1395d1a01a88db96a59cd96d4dca8cee0254208d8861d3a8b53acf38")
-
-
-# The same values as the 20,000-round pins in CI's console-script step.
-@pytest.mark.parametrize("args, digests", [
-    (("--scenario", EXAMPLES / "deviation.json", "--horizon", "20000"),
-     ("ea6c87ba3e853ccd956796851fa16c536f3652f6b78e03166db080385027633a",
-      "dbc4de88788e16e27efe8450f8bcc7a43c2744190fd6076247a43292659a75ae")),
-    (("--scenario", EXAMPLES / "repeat_k3.json"),
-     ("d4ed473f890250d4238289ff57e1dd01096b799977fade41a0d0bce764da2c28",
-      "d6eaf100f75dccf54416ca2835f308dff6820f1dbdf870d980297dfe1d03710d")),
-], ids=["deviation-20000", "repeat_k3"])
-def test_repeat_20000_rounds_bytes_pinned(tmp_path, capsys, args, digests):
-    assert repeat_digests(capsys, tmp_path / "trace.csv", *args) == digests
 
 
 def test_deviator_run_repr_pinned():
