@@ -115,7 +115,7 @@ def votes_to_str(votes):
 
 
 def parse_profile(text):
-    rows = text.replace(",", "|").split("|")
+    rows = text.split("|")
     try:
         return core.VotingProfile(tuple(tuple(int(c) for c in row) for row in rows))
     except (ValueError, ContractViolation) as exc:
@@ -290,6 +290,9 @@ def load_scenario(path) -> Scenario:
 
 BUILTIN_T = 0.9
 BUILTIN_EPSILON = 19.0
+# The prop3 claim's strategic check is quadratic in n: n = 1000 takes
+# 1.0 s on a 2-core x86 host.
+PROP3_GUARD_N = 1000
 
 
 def _scenario(instance, mode="semi"):
@@ -329,6 +332,8 @@ def prop3_scenario(n: int) -> Scenario:
     proposal whose quality is a 1/n fraction of the optimum."""
     if n < 1:
         raise ContractViolation(f"n = {n} must be >= 1")
+    if n > PROP3_GUARD_N:
+        raise GuardRefusal(f"n = {n} is capped at {PROP3_GUARD_N}")
     weights = (1.0 / n + 0.01,) + (1.0 / n,) * n
     beliefs = ((1.0, 0.0),) + ((0.0, 1.0),) * n
     return _scenario(core.Instance(weights=weights, beliefs=beliefs),
@@ -347,43 +352,24 @@ def _need_scenario(args):
     return load_scenario(args.scenario)
 
 
-def _query_override(scenario, args):
-    epsilon = scenario.query.epsilon if args.epsilon is None else args.epsilon
-    return analysis.EquilibriumQuery(mode=args.mode or scenario.query.mode, epsilon=epsilon)
-
-
-def cmd_derive_params(args):
-    flags = {"--T": args.T, "--epsilon": args.epsilon, "--a-prime": args.a_prime}
-    missing = [flag for flag, value in flags.items() if value is None]
-    if 0 < len(missing) < len(flags):
-        raise ScenarioError("derive-params takes all of --T, --epsilon and --a-prime "
-                            f"or none; missing {', '.join(missing)}")
-    if not missing and args.scenario is not None:
-        raise ScenarioError("derive-params: --T/--epsilon/--a-prime or --scenario, not both")
-    if missing:
-        scenario = _need_scenario(args)
-        if scenario.schedule_form != "derived":
-            raise ScenarioError(
-                "derive-params needs --T/--epsilon/--a-prime or a scenario "
-                "with a derivable schedule"
-            )
-        schedule = scenario.schedule
-    else:
-        schedule = params.derive_schedule(args.T, args.epsilon, args.a_prime)
-    payload = {
+def _schedule_report(schedule):
+    """The schedule and its identity diagnostics, as derive-params and
+    validate print them."""
+    return {
         "schedule": dataclasses.asdict(schedule),
         "diagnostics": dataclasses.asdict(params.validate_schedule(schedule)),
     }
-    return payload, None, None
+
+
+def cmd_derive_params(args):
+    schedule = params.derive_schedule(args.T, args.epsilon, args.a_prime)
+    return _schedule_report(schedule), None, None
 
 
 def cmd_validate(args):
     scenario = _need_scenario(args)
-    payload = {
-        "schedule": dataclasses.asdict(scenario.schedule),
-        "diagnostics": dataclasses.asdict(params.validate_schedule(scenario.schedule)),
-        "schedule_form": scenario.schedule_form,
-    }
+    payload = dict(_schedule_report(scenario.schedule),
+                   schedule_form=scenario.schedule_form)
     return payload, None, None
 
 
@@ -444,7 +430,8 @@ def _report_payload(report):
 
 def _enumerate(args):
     scenario = _need_scenario(args)
-    query = _query_override(scenario, args)
+    epsilon = scenario.query.epsilon if args.epsilon is None else args.epsilon
+    query = analysis.EquilibriumQuery(mode=args.mode or scenario.query.mode, epsilon=epsilon)
     return analysis.enumerate_equilibria(scenario.instance, scenario.schedule, query)
 
 
@@ -634,7 +621,7 @@ def _ratio_to_opt(scenario, profile):
 
 def _reproduce_prop4(args):
     scenario = prop4_scenario()
-    query = _query_override(scenario, args)
+    query = scenario.query
     report = analysis.enumerate_equilibria(scenario.instance, scenario.schedule, query)
     start = core.honest_profile(scenario.instance, scenario.schedule.T)
     trace = analysis.best_response_dynamics(
@@ -731,10 +718,10 @@ def build_parser():
         return p
 
     p = add("derive-params", help="derive a reward schedule from (T, epsilon, a')",
-            handler=cmd_derive_params)
-    p.add_argument("--T", type=float)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--a-prime", dest="a_prime", type=float)
+            scenario=False, handler=cmd_derive_params)
+    p.add_argument("--T", type=float, required=True)
+    p.add_argument("--epsilon", type=float, required=True)
+    p.add_argument("--a-prime", dest="a_prime", type=float, required=True)
 
     add("validate", help="schedule identity diagnostics", handler=cmd_validate)
 
@@ -791,10 +778,8 @@ def build_parser():
     p = add("prop3", help="constructive strategic equilibrium and its quality ratio",
             scenario=False, within=claims, claim=_reproduce_prop3)
     p.add_argument("--n", type=int, default=4)
-    p = add("prop4", help="no pure equilibrium, a best-response cycle of length 4",
-            scenario=False, within=claims, claim=_reproduce_prop4)
-    p.add_argument("--mode", choices=analysis.MODES)
-    p.add_argument("--epsilon", type=float)
+    add("prop4", help="no pure equilibrium, a best-response cycle of length 4",
+        scenario=False, within=claims, claim=_reproduce_prop4)
     p = add("thm6", help="semi-strategic equilibrium with quality ratio 2/(1+eps-weight)",
             scenario=False, within=claims, claim=_reproduce_thm6)
     p.add_argument("--eps-weight", dest="eps_weight", type=float, default=0.1)

@@ -41,6 +41,10 @@ DUMMY = 0
 # 2^16 is also the number of kept entries repeated.STATE_GUARD allows.
 VECTOR_GUARD_BITS = 16
 
+# reward_curve builds its whole table at once, and the CLI's JSON and CSV
+# grow with it: 10^6 rows take some 230 MB, so larger tables are refused.
+CURVE_GUARD_SAMPLES = 10**6
+
 
 def _as_matrix(rows, name, n=None, k=None):
     out = tuple(tuple(float(x) for x in row) for row in rows)
@@ -396,10 +400,14 @@ def reward_curve(schedule: RewardSchedule, sample_count: int) -> list:
     """Tabulate both expected-reward branches on an even belief grid.
 
     Returns ``sample_count`` rows ``(p, approve_value, reject_value)`` for
-    p evenly spaced over [0, 1]; the two branches cross at p = T.
+    p evenly spaced over [0, 1]; the two branches cross at p = T.  More
+    than CURVE_GUARD_SAMPLES rows are refused before any is built.
     """
     if sample_count < 2:
         raise ContractViolation("sample_count must be at least 2")
+    if sample_count > CURVE_GUARD_SAMPLES:
+        raise GuardRefusal(f"sample_count = {sample_count} is capped at "
+                           f"{CURVE_GUARD_SAMPLES}")
     rows = []
     for i in range(sample_count):
         p = i / (sample_count - 1)

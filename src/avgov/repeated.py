@@ -523,9 +523,9 @@ def run(world: WorldConfig, schedule: RewardSchedule,
         winners=tuple(winners),
         revealed=tuple(q[js - 1] if js != DUMMY else None
                        for js, q in zip(winners, quality_rows)),
-        realized=tuple(map(tuple, realized.tolist())),
-        subjective=tuple(map(tuple, subjective.tolist())),
-        weights=tuple(map(tuple, weights.tolist())),
+        realized=tuple(zip(*realized.T.tolist())),
+        subjective=tuple(zip(*subjective.T.tolist())),
+        weights=tuple(zip(*weights.T.tolist())),
         discounted_realized=totals[:world.n],
         discounted_subjective=totals[world.n:],
         correct=correct,

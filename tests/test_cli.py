@@ -5,6 +5,7 @@ import csv
 import json
 import math
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -106,13 +107,29 @@ def _subcommands(parser):
 def test_every_command_and_claim_parses_to_its_function():
     parser = cli.build_parser()
     commands = _subcommands(parser)
+    required = {"derive-params": ["--T", "0.9", "--epsilon", "19", "--a-prime", "1"]}
     for name in commands.keys() - {"reproduce"}:
-        handler = parser.parse_args([name]).handler
+        handler = parser.parse_args([name, *required.get(name, [])]).handler
         assert handler is getattr(cli, "cmd_" + name.replace("-", "_"))
     for name in _subcommands(commands["reproduce"]):
         args = parser.parse_args(["reproduce", name])
         assert args.handler is cli.cmd_reproduce
         assert args.claim is getattr(cli, "_reproduce_" + name)
+
+
+def test_readme_cli_examples_parse():
+    # Every `avgov ...` line of the README's CLI block parses, so a flag
+    # that is removed cannot linger in the docs.  No command is run.
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    commands = [argv[1:] for argv in lines if argv[:1] == ["avgov"]]
+    assert len(commands) >= 10
+    for argv in commands:
+        try:
+            cli.build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README example does not parse: avgov {shlex.join(argv)}")
 
 
 def test_usage_errors_exit_64(capsys):
@@ -153,8 +170,8 @@ def test_non_finite_numbers_exit_2(capsys, scenario_file, data, argv):
     assert err.startswith("error: ") and "inf" in err
 
 
-@pytest.mark.parametrize("text", ["11|10", "11|1|10", "1x|10|10", "12|10|10"],
-                         ids=["wrong-shape", "ragged", "non-digit", "non-bit"])
+@pytest.mark.parametrize("text", ["11|10", "11|1|10", "1x|10|10", "12|10|10", "11,10,10"],
+                         ids=["wrong-shape", "ragged", "non-digit", "non-bit", "comma"])
 def test_winner_rejects_bad_profile_text(capsys, scenario_file, text):
     code, out, err = run_cli(capsys, "winner", "--scenario",
                              scenario_file(PROP4_SCENARIO), "--profile", text)
@@ -400,9 +417,9 @@ def test_derive_params_refuses_some_flags(capsys, scenario_file, flags, missing,
     if with_scenario:
         flags = flags + ["--scenario", scenario_file(PROP4_SCENARIO)]
     code, out, err = run_cli(capsys, "derive-params", *flags)
-    assert code == 2
+    assert code == 64
     assert out == ""
-    assert err.startswith("error: ") and f"missing {missing}" in err
+    assert f"the following arguments are required: {missing}" in err
 
 
 def test_reproduce_refuses_scenario(capsys, scenario_file):
@@ -419,8 +436,10 @@ def test_reproduce_refuses_scenario(capsys, scenario_file):
     ["prop3", "--mode", "semi"],
     ["prop4", "--n", "5"],
     ["prop4", "--eps-weight", "0.5"],
+    ["prop4", "--mode", "semi"],
+    ["prop4", "--epsilon", "0"],
 ], ids=["thm6-n-mode", "thm6-epsilon", "prop3-slack-epsilon", "prop3-mode",
-        "prop4-n", "prop4-slack"])
+        "prop4-n", "prop4-slack", "prop4-mode", "prop4-epsilon"])
 def test_reproduce_refuses_options_its_claim_does_not_read(capsys, argv):
     code, out, _ = run_cli(capsys, "reproduce", *argv)
     assert code == 64
@@ -474,11 +493,6 @@ WORLD_WITHOUT_ZETA = dict(PROP4_SCENARIO, world={k: v for k, v in WORLD.items()
                  "query: epsilon = -1.0", id="query-epsilon"),
     pytest.param(None, ["validate", "--scenario", "."], "cannot read", id="unreadable"),
     pytest.param(None, ["qual"], "requires --scenario FILE", id="no-scenario"),
-    pytest.param(dict(PROP4_SCENARIO, schedule=EXPLICIT_SCHEDULE), ["derive-params"],
-                 "derivable schedule", id="derive-explicit"),
-    pytest.param(PROP4_SCENARIO, ["derive-params", "--T", "0.9", "--epsilon", "19",
-                                  "--a-prime", "1"], "or --scenario, not both",
-                 id="derive-flags-and-scenario"),
     pytest.param(PROP4_SCENARIO, ["repeat"], "world section", id="repeat-no-world"),
     pytest.param(None, ["reproduce", "thm6", "--eps-weight", "1.5"], "weight_slack",
                  id="thm6-slack"),
@@ -571,6 +585,29 @@ def test_input_errors_exit_2(capsys, scenario_file, data, argv, match):
     assert re.search(match, err)
 
 
+@pytest.mark.parametrize("data, flags", [
+    pytest.param(dict(PROP4_SCENARIO, schedule=EXPLICIT_SCHEDULE), [], id="derive-explicit"),
+    pytest.param(PROP4_SCENARIO, ["--T", "0.9", "--epsilon", "19", "--a-prime", "1"],
+                 id="derive-flags-and-scenario"),
+])
+def test_derive_params_takes_no_scenario(capsys, scenario_file, data, flags):
+    # A scenario's schedule and diagnostics come from validate.
+    code, out, _ = run_cli(capsys, "derive-params", *flags, "--scenario", scenario_file(data))
+    assert (code, out) == (64, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["reward-curve", "--scenario", str(EXAMPLES / "deviation.json"), "--samples", "1000001"],
+    ["reproduce", "prop3", "--n", "1001"],
+], ids=["reward-curve-samples", "prop3-n"])
+def test_oversized_requests_exit_3_before_writing(capsys, tmp_path, argv):
+    out_csv = tmp_path / "out.csv"
+    code, out, err = run_cli(capsys, *argv, "--out", str(out_csv))
+    assert (code, out) == (3, "")
+    assert err.startswith("refused: ")
+    assert not out_csv.exists()
+
+
 def test_memory_error_exits_2(capsys, tmp_path):
     # numpy refuses the 5.68 PiB of draws at once; nothing is allocated.
     out_csv = tmp_path / "trace.csv"
@@ -652,8 +689,7 @@ def test_canonical_refuses_values_without_a_form(value, error):
 
 
 def test_reproduce_prop4(capsys):
-    code, out, _ = run_cli(capsys, "reproduce", "prop4", "--mode", "semi",
-                           "--epsilon", "0")
+    code, out, _ = run_cli(capsys, "reproduce", "prop4")
     payload = json.loads(out)
     assert code == 0
     assert payload["equilibria"] == []

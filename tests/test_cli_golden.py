@@ -103,6 +103,7 @@ SCENARIOS = {
 
 # case name -> (scenario or None, argv without --scenario and --out)
 CASES = {
+    # derive-params reads only its three flags: a scenario is a usage error.
     "derive-params": ("prop4", ["derive-params"]),
     "derive-params-flags": (None, ["derive-params", "--T", "0.9", "--epsilon", "19",
                                    "--a-prime", "1"]),

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from avgov import (
     ContractViolation,
     EquilibriumQuery,
+    GuardRefusal,
     Instance,
     NormalizationError,
     RewardSchedule,
@@ -25,6 +26,7 @@ from avgov import (
     utility,
     winner,
 )
+from avgov import core
 from avgov.core import _elect
 from avgov.cli import prop3_scenario, prop4_scenario, thm6_scenario
 
@@ -513,3 +515,10 @@ def test_reward_curve_crosses_within_grid_resolution():
 def test_reward_curve_needs_two_samples():
     with pytest.raises(ContractViolation):
         reward_curve(SCHED, 1)
+
+
+def test_reward_curve_refuses_past_its_guard(monkeypatch):
+    # Refused before any row is built: no branch is ever evaluated.
+    monkeypatch.setattr(core, "_expected_branches", None)
+    with pytest.raises(GuardRefusal, match="capped at 1000000"):
+        reward_curve(SCHED, core.CURVE_GUARD_SAMPLES + 1)
