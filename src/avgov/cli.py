@@ -131,7 +131,6 @@ def parse_profile(text):
 class Scenario:
     instance: core.Instance
     schedule: core.RewardSchedule
-    query: analysis.EquilibriumQuery
     world: repeated.WorldConfig | None
     schedule_form: str  # "explicit" | "derived"
 
@@ -158,6 +157,14 @@ def _check_rows(rows, field):
                 _number(value, field)
 
 
+def _check_keys(keys, allowed, section):
+    """Refuse a key outside ``allowed``, naming it and the section, so that
+    a misspelled field is never silently ignored."""
+    unknown = sorted(set(keys) - allowed)
+    if unknown:
+        raise ScenarioError(f"{section}: unknown key {unknown[0]!r}; known: {sorted(allowed)}")
+
+
 def _section(name, read, *args):
     """``read(*args)``, with a missing or malformed field and a library
     refusal turned into a ScenarioError that names the section."""
@@ -179,6 +186,7 @@ def _read_experts(data):
     _check_rows((weights,), "experts: weight")
     _check_rows(beliefs, "experts: beliefs")
     _check_rows(external, "experts: external")
+    _check_keys(itertools.chain(*experts), {"weight", "beliefs", "external"}, "experts")
     return core.Instance(weights=weights, beliefs=beliefs, external=external)
 
 
@@ -231,21 +239,14 @@ def _read_schedule(data, instance):
     return dataclasses.replace(schedule, delta=max(delta, bound)), form
 
 
-def _read_query(data):
-    if not isinstance(data, dict):
-        raise ScenarioError("query must be a JSON object")
-    return analysis.EquilibriumQuery(
-        mode=data.get("mode", "semi"),
-        epsilon=float(_number(data.get("epsilon", 0.0), "query: epsilon")),
-    )
-
-
 def _read_world(data):
     def num(key):
         return _number(data[key], f"world: {key}")
 
     expertise = tuple(data["expertise"])
     _check_rows((expertise,), "world: expertise")
+    _check_keys(data, {"expertise", "good_prior", "k", "zeta", "gamma", "horizon", "seed"},
+                "world")
     try:
         return repeated.WorldConfig(
             expertise=expertise, good_prior=float(num("good_prior")),
@@ -261,13 +262,15 @@ def _read_world(data):
 def scenario_from_dict(data) -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioError("scenario must be a JSON object")
+    if "query" in data:
+        raise ScenarioError("scenario: key 'query' is not read; pass --mode and --epsilon")
+    _check_keys(data, {"experts", "schedule", "world"}, "scenario")
     instance = _section("experts", _read_experts, data)
     if "schedule" not in data:
         raise ScenarioError("scenario has no schedule")
     schedule, form = _section("schedule", _read_schedule, data["schedule"], instance)
     return Scenario(
         instance=instance, schedule=schedule,
-        query=_section("query", _read_query, data.get("query", {})),
         world=_section("world", _read_world, data["world"]) if "world" in data else None,
         schedule_form=form,
     )
@@ -295,12 +298,11 @@ BUILTIN_EPSILON = 19.0
 PROP3_GUARD_N = 1000
 
 
-def _scenario(instance, mode="semi"):
+def _scenario(instance):
     return Scenario(
         instance=instance,
         schedule=params.derive_schedule(BUILTIN_T, BUILTIN_EPSILON, 1.0),
-        query=analysis.EquilibriumQuery(mode=mode), world=None,
-        schedule_form="derived",
+        world=None, schedule_form="derived",
     )
 
 
@@ -336,20 +338,13 @@ def prop3_scenario(n: int) -> Scenario:
         raise GuardRefusal(f"n = {n} is capped at {PROP3_GUARD_N}")
     weights = (1.0 / n + 0.01,) + (1.0 / n,) * n
     beliefs = ((1.0, 0.0),) + ((0.0, 1.0),) * n
-    return _scenario(core.Instance(weights=weights, beliefs=beliefs),
-                     mode="strategic")
+    return _scenario(core.Instance(weights=weights, beliefs=beliefs))
 
 
 # ---------------------------------------------------------------------------
 # Command handlers.  Each returns (payload, csv_header, csv_rows); header
 # and rows are None for commands without a natural table.
 # ---------------------------------------------------------------------------
-
-
-def _need_scenario(args):
-    if args.scenario is None:
-        raise ScenarioError(f"{args.command} requires --scenario FILE")
-    return load_scenario(args.scenario)
 
 
 def _schedule_report(schedule):
@@ -367,7 +362,7 @@ def cmd_derive_params(args):
 
 
 def cmd_validate(args):
-    scenario = _need_scenario(args)
+    scenario = load_scenario(args.scenario)
     payload = dict(_schedule_report(scenario.schedule),
                    schedule_form=scenario.schedule_form)
     return payload, None, None
@@ -382,7 +377,7 @@ def _resolve_profile(scenario, text):
 
 
 def cmd_winner(args):
-    scenario = _need_scenario(args)
+    scenario = load_scenario(args.scenario)
     profile = _resolve_profile(scenario, args.profile)
     outcome = core.winner(scenario.instance, profile)
     utilities = [
@@ -399,7 +394,7 @@ def cmd_winner(args):
 
 
 def cmd_qual(args):
-    scenario = _need_scenario(args)
+    scenario = load_scenario(args.scenario)
     instance, T = scenario.instance, scenario.schedule.T
     values = list(core._honest_masses(instance, T))
     opt = core.opt_quality(instance, T)
@@ -412,7 +407,7 @@ def cmd_qual(args):
 
 
 def cmd_honest(args):
-    scenario = _need_scenario(args)
+    scenario = load_scenario(args.scenario)
     profile = core.honest_profile(scenario.instance, scenario.schedule.T)
     return {"profile": votes_to_str(profile.votes)}, None, None
 
@@ -429,9 +424,8 @@ def _report_payload(report):
 
 
 def _enumerate(args):
-    scenario = _need_scenario(args)
-    epsilon = scenario.query.epsilon if args.epsilon is None else args.epsilon
-    query = analysis.EquilibriumQuery(mode=args.mode or scenario.query.mode, epsilon=epsilon)
+    scenario = load_scenario(args.scenario)
+    query = analysis.EquilibriumQuery(args.mode, args.epsilon)
     return analysis.enumerate_equilibria(scenario.instance, scenario.schedule, query)
 
 
@@ -448,7 +442,7 @@ def cmd_poa(args):
 
 
 def cmd_construct_pne(args):
-    scenario = _need_scenario(args)
+    scenario = load_scenario(args.scenario)
     profile = analysis.constructive_pne(scenario.instance, scenario.schedule)
     outcome = core.winner(scenario.instance, profile)
     verified = analysis.is_approx_pne(
@@ -466,11 +460,10 @@ def cmd_construct_pne(args):
 
 
 def cmd_dynamics(args):
-    scenario = _need_scenario(args)
+    scenario = load_scenario(args.scenario)
     start = _resolve_profile(scenario, args.start)
-    mode = args.mode or scenario.query.mode
     trace = analysis.best_response_dynamics(
-        scenario.instance, scenario.schedule, start, mode, args.max_steps
+        scenario.instance, scenario.schedule, start, args.mode, args.max_steps
     )
     rows = [
         (idx, m.expert, _bits(m.old_votes), _bits(m.new_votes), m.winner)
@@ -480,7 +473,7 @@ def cmd_dynamics(args):
              for _, expert, old, new, winner in rows]
     payload = {
         "start": votes_to_str(start.votes),
-        "mode": mode,
+        "mode": args.mode,
         "moves": moves,
         "steps": len(trace.path),
         "terminal": trace.terminal,
@@ -490,7 +483,7 @@ def cmd_dynamics(args):
 
 
 def cmd_safety(args):
-    scenario = _need_scenario(args)
+    scenario = load_scenario(args.scenario)
     envelope = params.deviation_safety_threshold(scenario.schedule, args.g)
     certificate = analysis.safety_certificate(scenario.instance, scenario.schedule)
     delta = params.external_bound_delta(scenario.instance, scenario.schedule)
@@ -503,7 +496,7 @@ def cmd_safety(args):
 
 
 def cmd_reward_curve(args):
-    scenario = _need_scenario(args)
+    scenario = load_scenario(args.scenario)
     rows = core.reward_curve(scenario.schedule, args.samples)
     gaps = [abs(yes - no) for _, yes, no in rows]
     payload = {
@@ -526,7 +519,7 @@ def _world_for(args, scenario):
 
 
 def cmd_repeat(args):
-    scenario = _need_scenario(args)
+    scenario = load_scenario(args.scenario)
     world = _world_for(args, scenario)
     trace = repeated.run(world, scenario.schedule)
     payload = {
@@ -578,7 +571,7 @@ def _repeat_rows(trace):
 
 
 def cmd_deviation_gap(args):
-    scenario = _need_scenario(args)
+    scenario = load_scenario(args.scenario)
     world = _world_for(args, scenario)
     horizon = world.horizon
     result = repeated.deviation_gap(world, scenario.schedule, args.expert, horizon)
@@ -621,7 +614,7 @@ def _ratio_to_opt(scenario, profile):
 
 def _reproduce_prop4(args):
     scenario = prop4_scenario()
-    query = scenario.query
+    query = analysis.EquilibriumQuery()
     report = analysis.enumerate_equilibria(scenario.instance, scenario.schedule, query)
     start = core.honest_profile(scenario.instance, scenario.schedule.T)
     trace = analysis.best_response_dynamics(
@@ -712,7 +705,7 @@ def build_parser():
     def add(name, help, scenario=True, within=sub, **defaults):
         p = within.add_parser(name, help=help)
         if scenario:
-            p.add_argument("--scenario", help="scenario JSON file")
+            p.add_argument("--scenario", required=True, help="scenario JSON file")
         p.add_argument("--out", help="write CSV/flattened output here")
         p.set_defaults(**defaults)
         return p
@@ -736,8 +729,8 @@ def build_parser():
             ("enumerate", "exhaustive equilibrium search", cmd_enumerate),
             ("poa", "price of anarchy / stability", cmd_poa)):
         p = add(name, help=help, handler=handler)
-        p.add_argument("--mode", choices=analysis.MODES)
-        p.add_argument("--epsilon", type=float)
+        p.add_argument("--mode", choices=analysis.MODES, default="semi")
+        p.add_argument("--epsilon", type=float, default=0.0)
 
     add("construct-pne", help="constructive equilibrium for strategic experts",
         handler=cmd_construct_pne)
@@ -746,7 +739,7 @@ def build_parser():
             handler=cmd_dynamics)
     p.add_argument("--start", default="honest",
                    help="honest, zeros, or an explicit profile")
-    p.add_argument("--mode", choices=analysis.MODES)
+    p.add_argument("--mode", choices=analysis.MODES, default="semi")
     p.add_argument("--max-steps", dest="max_steps", type=int, default=64)
 
     p = add("safety", help="deviation-safety thresholds and certificate",
@@ -758,15 +751,13 @@ def build_parser():
             handler=cmd_reward_curve)
     p.add_argument("--samples", type=int, default=101)
 
-    p = add("repeat", help="simulate the repeated game", handler=cmd_repeat)
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--seed", type=int, help="override world seed")
-
-    p = add("deviation-gap", help="exhaustive single-deviator search",
-            handler=cmd_deviation_gap)
+    for name, help, handler in (
+            ("repeat", "simulate the repeated game", cmd_repeat),
+            ("deviation-gap", "exhaustive single-deviator search", cmd_deviation_gap)):
+        p = add(name, help=help, handler=handler)
+        p.add_argument("--horizon", type=int)
+        p.add_argument("--seed", type=int, help="override world seed")
     p.add_argument("--expert", type=int, default=0)
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--seed", type=int, help="override world seed")
 
     # Each built-in claim takes only the options its reproduction reads;
     # ``reproduce`` itself takes none, not even --out.
@@ -800,8 +791,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
-        # numpy refuses an allocation it cannot make at once, as for a
-        # horizon of 1e14 rounds; no --out file is open yet.
+        # numpy refuses an allocation it cannot make; no --out file is open yet.
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except GuardRefusal as exc:

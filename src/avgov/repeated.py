@@ -76,6 +76,11 @@ INITIAL_WEIGHT = 0.5
 # many kept entries over all rounds; each costs up to 2^k plays and children.
 STATE_GUARD = 1 << 16
 
+# ``run`` is refused when its draw array, horizon * (k + n*k) doubles, is
+# larger than this.  A CLI run with --out peaks at up to about 230 bytes of
+# RSS per draw (n = k = 1; about 90 at n = 5, k = 3), so near 1.2 GB at most.
+RUN_GUARD_DRAWS = 5_000_000
+
 # ``run`` commits rounds in guessed-then-checked chunks of up to _CHUNK; a
 # chunk that commits fewer than _CHUNK_MIN hands the next _WINDOW rounds to
 # the scalar ``_step``.  Below 1024 rounds a guessed (1 + zeta)^s * w,
@@ -493,7 +498,8 @@ def run(world: WorldConfig, schedule: RewardSchedule,
     rounds in guessed-then-checked chunks, with the scalar ``_step`` over
     the rounds where guesses fail; the trace is bit-identical to one that
     steps every round with ``_step``.  A discount factor at or above the
-    theoretical cap only sets ``gamma_warning``.
+    theoretical cap only sets ``gamma_warning``.  A world whose draw array
+    exceeds RUN_GUARD_DRAWS is refused (GuardRefusal) before any draw.
     """
     if isinstance(policy, SingleDeviatorPolicy):
         if not 0 <= policy.expert < world.n:
@@ -503,6 +509,9 @@ def run(world: WorldConfig, schedule: RewardSchedule,
                 raise ContractViolation("deviation plan rows must be k-bit vectors")
     elif not isinstance(policy, HonestPolicy):
         raise ContractViolation(f"unsupported policy {policy!r}")
+    draws = world.horizon * world.proposals_per_round * (1 + world.n)
+    if draws > RUN_GUARD_DRAWS:
+        raise GuardRefusal(f"horizon * (k + n*k) = {draws} draws, capped at {RUN_GUARD_DRAWS}")
     qualities, beliefs = _presample(world)
     votes = _honest_votes(beliefs, schedule.T)
     if isinstance(policy, SingleDeviatorPolicy) and policy.plan:

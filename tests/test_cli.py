@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from avgov import cli, params, repeated
 
 EXAMPLES = Path(__file__).parent.parent / "examples"
+README = Path(__file__).parent.parent / "README.md"
 
 PROP4_SCENARIO = {
     "experts": [
@@ -22,7 +23,6 @@ PROP4_SCENARIO = {
         {"weight": 0.10, "beliefs": [1.0, 0.0]},
     ],
     "schedule": {"T": 0.9, "epsilon": 19, "a_prime": 1},
-    "query": {"mode": "semi", "epsilon": 0},
 }
 
 
@@ -104,12 +104,19 @@ def _subcommands(parser):
                 if isinstance(a, argparse._SubParsersAction)).choices
 
 
+# Every subcommand that reads a scenario file.
+SCENARIO_COMMANDS = sorted(
+    name for name, p in _subcommands(cli.build_parser()).items()
+    if any("--scenario" in action.option_strings for action in p._actions))
+
+
 def test_every_command_and_claim_parses_to_its_function():
     parser = cli.build_parser()
     commands = _subcommands(parser)
     required = {"derive-params": ["--T", "0.9", "--epsilon", "19", "--a-prime", "1"]}
     for name in commands.keys() - {"reproduce"}:
-        handler = parser.parse_args([name, *required.get(name, [])]).handler
+        flags = ["--scenario", "x.json"] if name in SCENARIO_COMMANDS else required[name]
+        handler = parser.parse_args([name, *flags]).handler
         assert handler is getattr(cli, "cmd_" + name.replace("-", "_"))
     for name in _subcommands(commands["reproduce"]):
         args = parser.parse_args(["reproduce", name])
@@ -117,11 +124,16 @@ def test_every_command_and_claim_parses_to_its_function():
         assert args.claim is getattr(cli, "_reproduce_" + name)
 
 
+def _readme_block(heading, lang):
+    """The first ```lang block of the README after the line ``heading``."""
+    section = README.read_text().split(f"\n{heading}\n", 1)[1]
+    return section.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
 def test_readme_cli_examples_parse():
     # Every `avgov ...` line of the README's CLI block parses, so a flag
     # that is removed cannot linger in the docs.  No command is run.
-    readme = (Path(__file__).parent.parent / "README.md").read_text()
-    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    block = _readme_block("## CLI", "sh")
     lines = [shlex.split(line, comments=True) for line in block.splitlines()]
     commands = [argv[1:] for argv in lines if argv[:1] == ["avgov"]]
     assert len(commands) >= 10
@@ -130,6 +142,23 @@ def test_readme_cli_examples_parse():
             cli.build_parser().parse_args(argv)
         except SystemExit:
             pytest.fail(f"README example does not parse: avgov {shlex.join(argv)}")
+
+
+def test_readme_scenario_block_loads():
+    scenario = cli.scenario_from_dict(json.loads(_readme_block("### Scenario format", "json")))
+    assert scenario.world is not None and scenario.schedule_form == "derived"
+
+
+def test_readme_library_example_runs():
+    # The block asserts its own results.
+    exec(_readme_block("## Library example", "python"), {})
+
+
+@pytest.mark.parametrize("command", SCENARIO_COMMANDS)
+def test_missing_scenario_exits_64(capsys, command):
+    code, out, err = run_cli(capsys, command)
+    assert (code, out) == (64, "")
+    assert "the following arguments are required: --scenario" in err
 
 
 def test_usage_errors_exit_64(capsys):
@@ -184,16 +213,14 @@ STRING_WEIGHT = dict(PROP4_SCENARIO, experts=[
     {"weight": "abc", "beliefs": [0.95, 1.0]},
     {"weight": 0.41, "beliefs": [1.0, 0.95]},
 ])
-STRING_QUERY_EPSILON = dict(PROP4_SCENARIO, query={"mode": "semi", "epsilon": "abc"})
 STRING_SCHEDULE_T = dict(PROP4_SCENARIO, schedule={"T": "abc", "epsilon": 19,
                                                    "a_prime": 1})
 
 
 @pytest.mark.parametrize("data, argv", [
     (STRING_WEIGHT, ["validate"]),
-    (STRING_QUERY_EPSILON, ["winner"]),
     (STRING_SCHEDULE_T, ["validate"]),
-], ids=["weight", "query-epsilon", "schedule-T"])
+], ids=["weight", "schedule-T"])
 def test_string_numbers_exit_2(capsys, scenario_file, data, argv):
     code, out, err = run_cli(capsys, *argv, "--scenario", scenario_file(data))
     assert code == 2
@@ -204,8 +231,7 @@ def test_string_numbers_exit_2(capsys, scenario_file, data, argv):
 @pytest.mark.parametrize("field, value", [
     ("schedule", 5),
     ("schedule", ["T", "epsilon", "a_prime"]),
-    ("query", [1]),
-], ids=["schedule-number", "schedule-list", "query-list"])
+], ids=["schedule-number", "schedule-list"])
 def test_non_object_schedule_or_query_exits_2(capsys, scenario_file, field, value):
     data = dict(PROP4_SCENARIO, **{field: value})
     code, out, err = run_cli(capsys, "validate", "--scenario", scenario_file(data))
@@ -489,10 +515,17 @@ WORLD_WITHOUT_ZETA = dict(PROP4_SCENARIO, world={k: v for k, v in WORLD.items()
                  ["validate"], r"schedule: condition 1/\(epsilon\+1\)", id="derivation"),
     pytest.param(dict(PROP4_SCENARIO, schedule=dict(EXPLICIT_SCHEDULE, a=-2.0)),
                  ["validate"], "schedule: a = -2.0", id="explicit-negative-a"),
-    pytest.param(dict(PROP4_SCENARIO, query={"epsilon": -1}), ["validate"],
-                 "query: epsilon = -1.0", id="query-epsilon"),
     pytest.param(None, ["validate", "--scenario", "."], "cannot read", id="unreadable"),
-    pytest.param(None, ["qual"], "requires --scenario FILE", id="no-scenario"),
+    # Every key is read or refused: the mode and slack come from the flags.
+    pytest.param(dict(PROP4_SCENARIO, query={"mode": "semi", "epsilon": 0}), ["enumerate"],
+                 "scenario: key 'query' is not read; pass --mode and --epsilon",
+                 id="query-section"),
+    pytest.param(dict(PROP4_SCENARIO, worlds={}), ["validate"],
+                 "scenario: unknown key 'worlds'", id="scenario-unknown-key"),
+    pytest.param(_expert0(externals=[0.0, 1.0]), ["enumerate"],
+                 "experts: unknown key 'externals'", id="experts-unknown-key"),
+    pytest.param(_world(sed=7), ["repeat"], "world: unknown key 'sed'",
+                 id="world-unknown-key"),
     pytest.param(PROP4_SCENARIO, ["repeat"], "world section", id="repeat-no-world"),
     pytest.param(None, ["reproduce", "thm6", "--eps-weight", "1.5"], "weight_slack",
                  id="thm6-slack"),
@@ -523,8 +556,6 @@ WORLD_WITHOUT_ZETA = dict(PROP4_SCENARIO, world={k: v for k, v in WORLD.items()
                  id="T-str"),
     pytest.param(_schedule(a_prime=True), ["validate"],
                  "schedule: a_prime = True is not a number", id="a-prime-bool"),
-    pytest.param(dict(PROP4_SCENARIO, query={"epsilon": False}), ["validate"],
-                 "query: epsilon = False is not a number", id="query-epsilon-bool"),
     pytest.param(_world(expertise=[True, "0.6"]), ["repeat"],
                  "world: expertise = True is not a number", id="world-expertise-bool"),
     pytest.param(_world(good_prior="0.5"), ["repeat"],
@@ -547,8 +578,6 @@ WORLD_WITHOUT_ZETA = dict(PROP4_SCENARIO, world={k: v for k, v in WORLD.items()
     pytest.param(_schedule(T=BIG), ["validate"], "schedule: " + OVERFLOW, id="T-overflow"),
     pytest.param(_schedule(delta=BIG), ["validate"], "schedule: " + OVERFLOW,
                  id="delta-overflow"),
-    pytest.param(dict(PROP4_SCENARIO, query={"epsilon": BIG}), ["validate"],
-                 "query: " + OVERFLOW, id="query-epsilon-overflow"),
     pytest.param(_world(gamma=BIG), ["repeat"], "world: " + OVERFLOW,
                  id="world-gamma-overflow"),
     pytest.param(SEED_5000_DIGITS, ["repeat"],
@@ -596,11 +625,19 @@ def test_derive_params_takes_no_scenario(capsys, scenario_file, data, flags):
     assert (code, out) == (64, "")
 
 
-@pytest.mark.parametrize("argv", [
-    ["reward-curve", "--scenario", str(EXAMPLES / "deviation.json"), "--samples", "1000001"],
-    ["reproduce", "prop3", "--n", "1001"],
-], ids=["reward-curve-samples", "prop3-n"])
-def test_oversized_requests_exit_3_before_writing(capsys, tmp_path, argv):
+@pytest.mark.parametrize("data, argv", [
+    (None, ["reward-curve", "--scenario", str(EXAMPLES / "deviation.json"),
+            "--samples", "1000001"]),
+    (None, ["reproduce", "prop3", "--n", "1001"]),
+    # Both sizes of the repeated game's draw array: numpy cannot allocate it.
+    (None, ["repeat", "--scenario", str(EXAMPLES / "deviation.json"),
+            "--horizon", str(10**30)]),
+    (_world(k=10**30), ["repeat"]),
+], ids=["reward-curve-samples", "prop3-n", "repeat-horizon", "repeat-k"])
+def test_oversized_requests_exit_3_before_writing(capsys, tmp_path, scenario_file,
+                                                  data, argv):
+    if data is not None:
+        argv = argv + ["--scenario", scenario_file(data)]
     out_csv = tmp_path / "out.csv"
     code, out, err = run_cli(capsys, *argv, "--out", str(out_csv))
     assert (code, out) == (3, "")
@@ -608,8 +645,10 @@ def test_oversized_requests_exit_3_before_writing(capsys, tmp_path, argv):
     assert not out_csv.exists()
 
 
-def test_memory_error_exits_2(capsys, tmp_path):
-    # numpy refuses the 5.68 PiB of draws at once; nothing is allocated.
+def test_memory_error_exits_2(capsys, tmp_path, monkeypatch):
+    # With the run's guard lifted, numpy refuses the 5.68 PiB of draws at
+    # once; nothing is allocated.
+    monkeypatch.setattr(repeated, "RUN_GUARD_DRAWS", 10**15)
     out_csv = tmp_path / "trace.csv"
     code, out, err = run_cli(capsys, "repeat", "--scenario", str(EXAMPLES / "deviation.json"),
                              "--horizon", "100000000000000", "--out", str(out_csv))
@@ -638,7 +677,6 @@ PROP3_SCENARIO = {
     "experts": [{"weight": 0.26, "beliefs": [1.0, 0.0]}]
     + [{"weight": 0.25, "beliefs": [0.0, 1.0]}] * 4,
     "schedule": {"T": 0.9, "epsilon": 19, "a_prime": 1},
-    "query": {"mode": "strategic", "epsilon": 0},
 }
 
 

@@ -37,7 +37,6 @@ PROP4 = {
         {"weight": 0.10, "beliefs": [1.0, 0.0]},
     ],
     "schedule": {"T": 0.9, "epsilon": 19, "a_prime": 1},
-    "query": {"mode": "semi", "epsilon": 0},
     "world": {"expertise": [0.9, 0.8, 0.7], "good_prior": 0.5, "k": 2,
               "zeta": 0.1, "gamma": 0.5, "horizon": 3, "seed": 11},
 }
