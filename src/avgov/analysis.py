@@ -28,11 +28,11 @@ profile in the running, by OR-ing her 2^k column slices of the mark array
 into one bool per row, then gathers only those rows, a chunk of the row
 marks at a time, and checks them in blocks of fixed size; so the work
 follows the survivors, and no index array spans the whole row space.  In a
-block, each own vector's row of utilities starts at proposal 1's entry of
-her utility table and takes each later proposal's by a masked copy where
-its mass leads.  Masses are summed in the order :func:`avgov.core.winner`
-sums them, so every utility the enumerator compares equals
-:func:`avgov.core.utility` bit for bit.
+block, each own vector's row of utilities is her utility table's entry at
+each row's winner, written by :func:`avgov.core._elect_arrays`.  Masses
+are summed in the order :func:`avgov.core.winner` sums them, so every
+utility the enumerator compares equals :func:`avgov.core.utility` bit for
+bit.
 
 Semi-strategic semantics are coordinate-wise: an expert's reported vector
 is admissible iff every coordinate on which it disagrees with her honest
@@ -62,9 +62,11 @@ from .core import (
     _check_dims,
     _check_vectors,
     _elect,
+    _elect_arrays,
     _expected_branches,
     _honest_masses,
     _honest_votes,
+    _integer,
     _normalized_external,
     _ratio,
     _utility,
@@ -215,6 +217,7 @@ def best_response(instance: Instance, schedule: RewardSchedule,
     significant bit.
     """
     _check_mode(mode)
+    expert_i = _integer(expert_i, "expert_i")
     if not 0 <= expert_i < instance.n:
         raise ContractViolation(f"expert index {expert_i} out of range")
     _check_dims(instance, profile)
@@ -253,21 +256,13 @@ _BLOCK_BITS = 15
 
 def _block_utilities(low, high, table):
     """An expert's utilities on a block of rows, as a (2^k, rows) array: row
-    d holds ``table[d]`` at each row's winner, bit j of d picking proposal
-    j+1's mass from ``high[j]`` or ``low[j]``.  A later proposal's value is
-    copied where its mass strictly exceeds the running maximum, and the
-    dummy's 0.0 where no mass is positive, as core._elect elects."""
+    d holds ``table[d]`` at each row's winner (core._elect_arrays), bit j of
+    d picking proposal j+1's mass from ``high[j]`` or ``low[j]``."""
     k, size = low.shape
-    u = np.repeat(table[:, 1:2], size, axis=1)
-    best, gt = np.empty(size), np.empty(size, dtype=bool)
+    u = np.empty((1 << k, size))
     for d in range(1 << k):
         masses = [high[j] if d >> j & 1 else low[j] for j in range(k)]
-        np.copyto(best, masses[0])
-        for j in range(1, k):
-            np.greater(masses[j], best, out=gt)
-            np.copyto(u[d], table[d, j + 1], where=gt)
-            np.maximum(best, masses[j], out=best)
-        np.copyto(u[d], 0.0, where=best <= 0.0)
+        _elect_arrays(masses, table[d], u[d])
     return u
 
 
@@ -498,6 +493,7 @@ def best_response_dynamics(instance: Instance, schedule: RewardSchedule,
     recurrence (cycle, with its length), or at the step limit.
     """
     _check_mode(mode)
+    max_steps = _integer(max_steps, "max_steps")
     if max_steps < 1:
         raise ContractViolation("max_steps must be >= 1")
     _check_dims(instance, start_profile)

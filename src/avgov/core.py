@@ -12,9 +12,12 @@ Conventions used throughout the package:
   is selected when no proposal receives any approving weight.  The dummy
   implements nothing and pays nobody.
 
-Public names check every argument.  The kernels ``_elect``, ``_honest_votes``,
-``_reward`` and ``_utility`` take rows the caller has checked and never check
-again; ``_honest_votes`` and ``_reward`` also take numpy arrays.
+Public names check every argument; every index and count passes
+``_integer``.  The kernels ``_elect``, ``_honest_votes``, ``_reward`` and
+``_utility`` take rows the caller has checked and never check again;
+``_honest_votes`` and ``_reward`` also take numpy arrays.  The winner rule
+has two homes, both here: ``_elect`` on plain rows and ``_elect_arrays`` on
+numpy arrays of masses, which the enumerator and the repeated game call.
 
 All values are immutable after construction and every operation is a pure
 function of its inputs, so everything here is safe to share between
@@ -44,6 +47,17 @@ VECTOR_GUARD_BITS = 16
 # reward_curve builds its whole table at once, and the CLI's JSON and CSV
 # grow with it: 10^6 rows take some 230 MB, so larger tables are refused.
 CURVE_GUARD_SAMPLES = 10**6
+
+
+def _integer(value, name):
+    """``value`` as an int: an int, a numpy integer or an integral float.
+    Refuses (ContractViolation) anything else: a bool, a string, a
+    fractional value, NaN and inf."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise ContractViolation(f"{name} = {value!r} is not an integer")
 
 
 def _as_matrix(rows, name, n=None, k=None):
@@ -197,6 +211,7 @@ class VotingProfile:
 
     def replace_row(self, expert, row):
         """Return a copy with expert's vote vector replaced."""
+        expert = _integer(expert, "expert")
         if not 0 <= expert < self.n:
             raise ContractViolation(f"expert index {expert} out of range")
         new = list(self.votes)
@@ -205,6 +220,8 @@ class VotingProfile:
 
     def flip(self, expert, proposal_j):
         """Return a copy with a single coordinate flipped (1-based proposal)."""
+        expert = _integer(expert, "expert")
+        proposal_j = _integer(proposal_j, "proposal_j")
         if not 0 <= expert < self.n:
             raise ContractViolation(f"expert index {expert} out of range")
         if not 1 <= proposal_j <= self.k:
@@ -215,6 +232,7 @@ class VotingProfile:
 
     @staticmethod
     def zeros(n, k):
+        n, k = _integer(n, "n"), _integer(k, "k")
         return VotingProfile(tuple((0,) * k for _ in range(n)))
 
 
@@ -268,6 +286,21 @@ def _elect(weights, votes):
         masses.append(mass)
     best = max(masses)
     return (DUMMY if best <= 0.0 else masses.index(best) + 1), tuple(masses)
+
+
+def _elect_arrays(masses, values, out):
+    """``_elect``'s rule on arrays: ``masses[j - 1]`` holds proposal j's
+    mass at each position, and ``out`` gets, at each position,
+    ``values[j]`` of the first proposal j with the largest mass, or
+    ``values[DUMMY]`` where no mass is positive.  A later proposal's value
+    is copied where its mass strictly exceeds the running maximum."""
+    best = masses[0]
+    out[...] = values[1]
+    for j in range(1, len(masses)):
+        np.copyto(out, values[j + 1], where=masses[j] > best)
+        best = np.maximum(best, masses[j])
+    np.copyto(out, values[DUMMY], where=best <= 0.0)
+    return out
 
 
 def winner(instance: Instance, profile: VotingProfile) -> Outcome:
@@ -340,6 +373,7 @@ def utility(instance: Instance, schedule: RewardSchedule, profile: VotingProfile
     expert's weight instead.  A dummy winner yields utility 0.
     """
     _check_dims(instance, profile)
+    expert_i = _integer(expert_i, "expert_i")
     if not 0 <= expert_i < instance.n:
         raise ContractViolation(f"expert index {expert_i} out of range")
     return _utility(instance, schedule, profile.votes, expert_i)
@@ -381,6 +415,7 @@ def qual(instance: Instance, T: float, proposal_j: int) -> float:
     """Estimated quality of a proposal: total weight of experts whose
     belief in it is at or above the threshold, its mass under the honest
     profile.  The dummy has quality 0.0."""
+    proposal_j = _integer(proposal_j, "proposal_j")
     if proposal_j == DUMMY:
         return 0.0
     if not 1 <= proposal_j <= instance.k:
@@ -389,11 +424,11 @@ def qual(instance: Instance, T: float, proposal_j: int) -> float:
 
 
 def opt_quality(instance: Instance, T: float) -> tuple:
-    """The proposal of maximal estimated quality and that quality, ties
-    broken toward the smallest index."""
-    masses = _honest_masses(instance, T)
-    best = max(masses)
-    return masses.index(best) + 1, best
+    """The proposal of maximal estimated quality and that quality: the
+    honest profile's winner, or proposal 1 when nothing is approved."""
+    j, masses = _elect(instance.weights, _honest_votes(instance.beliefs, T))
+    j = max(j, 1)
+    return j, masses[j - 1]
 
 
 def reward_curve(schedule: RewardSchedule, sample_count: int) -> list:
@@ -403,6 +438,7 @@ def reward_curve(schedule: RewardSchedule, sample_count: int) -> list:
     p evenly spaced over [0, 1]; the two branches cross at p = T.  More
     than CURVE_GUARD_SAMPLES rows are refused before any is built.
     """
+    sample_count = _integer(sample_count, "sample_count")
     if sample_count < 2:
         raise ContractViolation("sample_count must be at least 2")
     if sample_count > CURVE_GUARD_SAMPLES:

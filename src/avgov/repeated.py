@@ -17,12 +17,12 @@ transition has two homes that agree bit for bit.  ``_step`` works on one
 state's plain rows: the winner (``core._elect``), the correct counts, one
 list of target rates and one row-wise capped step (``_delayed_update``).
 ``_step_rows`` applies the same rules to arrays of states, one row per
-state.  ``_play`` steps a run in chunks of rounds:
-it guesses every round's entering state from the state entering the
-chunk, steps all the guesses at once with ``_step_rows``, and commits
-the rounds up to the first guess that the exact step contradicts.  Where
-chunks commit too few rounds, as in the first rounds, it plays a window
-of rounds with ``_step``.  Either way each round's winner and weights
+state, with the winners from ``core._elect_arrays``.  ``_play`` steps a run
+in chunks of rounds: it guesses every round's entering state from the
+state entering the chunk, steps all the guesses at once with
+``_step_rows``, and commits the rounds up to the first guess that the
+exact step contradicts.  Where chunks commit too few rounds, as in the
+first rounds, it plays a window of rounds with ``_step``.  Either way each round's winner and weights
 are bit-identical to a replay of ``_step``.  The payouts are computed as
 arrays afterwards in ``_payouts``, and the discounted totals as array
 columns in ``discounted_total``.  The single-deviator search
@@ -60,8 +60,10 @@ from .core import (
     _bit_row,
     _check_vectors,
     _elect,
+    _elect_arrays,
     _expected_branches,
     _honest_votes,
+    _integer,
     _ratio,
     _reward,
     _vote_vectors,
@@ -96,14 +98,6 @@ RUN_GUARD_DRAWS = 5_000_000
 _CHUNK = 512
 _CHUNK_MIN = 16
 _WINDOW = 64
-
-
-def _integer(value, name):
-    """``value`` as an int; refuses a bool and a number that is not
-    integral (ContractViolation)."""
-    if isinstance(value, bool) or not float(value).is_integer():
-        raise ContractViolation(f"{name} = {value!r} is not an integer")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -198,6 +192,8 @@ class RepeatedTrace:
 def correct_fraction(correct_count: int, revealed_rounds: int) -> float:
     """Empirical correct-prediction rate; defaults to the initial weight
     1/2 while nothing has been revealed yet."""
+    correct_count = _integer(correct_count, "correct_count")
+    revealed_rounds = _integer(revealed_rounds, "revealed_rounds")
     if revealed_rounds < 0 or not 0 <= correct_count <= revealed_rounds:
         raise ContractViolation(
             f"need 0 <= correct ({correct_count}) <= revealed ({revealed_rounds})"
@@ -381,13 +377,14 @@ def _elect_rows(weights, votes):
     """``_elect``'s winners for m rows: weights (m, n), or one (n,) row for
     every round, and votes (m, n, k).  Each mass is summed expert by expert
     from 0.0, as ``_elect`` sums it; a weight is never negative, so w * 0
-    adds +0.0, which leaves the non-negative sum unchanged.  The winner is
-    the first argmax, or DUMMY when the largest mass is at most 0.0."""
+    adds +0.0, which leaves the non-negative sum unchanged.  The winners
+    are core._elect_arrays' on these masses."""
     weights = np.broadcast_to(weights, votes.shape[:2])
     masses = np.zeros((len(votes), votes.shape[2]))
     for i in range(votes.shape[1]):
         masses += weights[:, i, None] * votes[:, i]
-    return np.where(masses.max(axis=1) > 0.0, masses.argmax(axis=1) + 1, DUMMY)
+    return _elect_arrays(masses.T, np.arange(votes.shape[2] + 1),
+                         np.empty(len(votes), dtype=np.int64))
 
 
 def _on_winners(winners, array):
@@ -780,6 +777,7 @@ def deviation_tail_bound(schedule: RewardSchedule, zeta: float, gamma: float,
         raise ContractViolation(f"zeta = {zeta} outside (0, 1)")
     if not 0.0 <= gamma < 1.0:
         raise ContractViolation(f"gamma = {gamma} outside [0, 1)")
+    horizon_H = _integer(horizon_H, "horizon_H")
     if horizon_H < 0:
         raise ContractViolation(f"horizon_H = {horizon_H} must be >= 0")
     growth = (1.0 + zeta) * gamma

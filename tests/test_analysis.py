@@ -204,6 +204,31 @@ def test_best_response_rejects_expert_out_of_range(prop4, expert):
         best_response(instance, schedule, honest_profile(instance, 0.9), expert, "semi")
 
 
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda i, s, p: best_response(i, s, p, True, "semi"),
+                 "expert_i = True is not an integer", id="best-response-expert-bool"),
+    pytest.param(lambda i, s, p: best_response(i, s, p, 1.5, "semi"),
+                 "expert_i = 1.5 is not an integer", id="best-response-expert-fractional"),
+    pytest.param(lambda i, s, p: best_response_dynamics(i, s, p, "semi", True),
+                 "max_steps = True is not an integer", id="dynamics-steps-bool"),
+    pytest.param(lambda i, s, p: best_response_dynamics(i, s, p, "semi", 2.5),
+                 "max_steps = 2.5 is not an integer", id="dynamics-steps-fractional"),
+])
+def test_input_checks_raise(prop4, call, match):
+    instance, schedule = prop4
+    with pytest.raises(ContractViolation, match=match):
+        call(instance, schedule, honest_profile(instance, schedule.T))
+
+
+def test_integral_expert_and_steps_are_ints(prop4):
+    instance, schedule = prop4
+    honest = honest_profile(instance, schedule.T)
+    assert best_response(instance, schedule, honest, 1.0, "semi") == \
+        best_response(instance, schedule, honest, 1, "semi")
+    assert best_response_dynamics(instance, schedule, honest, "semi", 2.0) == \
+        best_response_dynamics(instance, schedule, honest, "semi", 2)
+
+
 # ---------------------------------------------------------------------------
 # is_admissible
 # ---------------------------------------------------------------------------

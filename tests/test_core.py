@@ -27,7 +27,7 @@ from avgov import (
     winner,
 )
 from avgov import core
-from avgov.core import _elect
+from avgov.core import _elect, _elect_arrays
 from avgov.cli import prop3_scenario, prop4_scenario, thm6_scenario
 
 SCHED = RewardSchedule(a=2.0, a_prime=1.0, s=17.0, T=0.9, epsilon=19.0)
@@ -105,6 +105,8 @@ def test_profile_validation():
 
 
 ONE_EXPERT = Instance(weights=(1.0,), beliefs=((0.5,),))
+TWO_EXPERTS = Instance(weights=(1.0, 2.0), beliefs=((0.95, 0.3), (0.6, 0.92)))
+TWO_BY_TWO = VotingProfile(((0, 1), (1, 0)))
 
 
 @pytest.mark.parametrize("build, match", [
@@ -157,10 +159,53 @@ ONE_EXPERT = Instance(weights=(1.0,), beliefs=((0.5,),))
                  id="honest-T-0"),
     pytest.param(lambda: honest_profile(ONE_EXPERT, 1.0), "strictly inside",
                  id="honest-T-1"),
+    # Indices and counts are integers: a bool is not read as 0 or 1, and a
+    # fractional, non-finite or non-numeric value is refused, not a TypeError.
+    pytest.param(lambda: utility(TWO_EXPERTS, SCHED, TWO_BY_TWO, True),
+                 "expert_i = True is not an integer", id="utility-expert-bool"),
+    pytest.param(lambda: utility(TWO_EXPERTS, SCHED, TWO_BY_TWO, 0.5),
+                 "expert_i = 0.5 is not an integer", id="utility-expert-fractional"),
+    pytest.param(lambda: utility(TWO_EXPERTS, SCHED, TWO_BY_TWO, math.nan),
+                 "expert_i = nan is not an integer", id="utility-expert-nan"),
+    pytest.param(lambda: utility(TWO_EXPERTS, SCHED, TWO_BY_TWO, "1"),
+                 "expert_i = '1' is not an integer", id="utility-expert-string"),
+    pytest.param(lambda: TWO_BY_TWO.replace_row(True, (1, 1)),
+                 "expert = True is not an integer", id="replace-row-bool"),
+    pytest.param(lambda: TWO_BY_TWO.replace_row(np.bool_(True), (1, 1)),
+                 r"expert = (np\.True_|True) is not an integer",
+                 id="replace-row-numpy-bool"),
+    pytest.param(lambda: TWO_BY_TWO.flip(0, True),
+                 "proposal_j = True is not an integer", id="flip-proposal-bool"),
+    pytest.param(lambda: TWO_BY_TWO.flip(0, 1.5),
+                 "proposal_j = 1.5 is not an integer", id="flip-proposal-fractional"),
+    pytest.param(lambda: TWO_BY_TWO.flip(math.inf, 1),
+                 "expert = inf is not an integer", id="flip-expert-inf"),
+    pytest.param(lambda: VotingProfile.zeros(True, 2),
+                 "n = True is not an integer", id="zeros-n-bool"),
+    pytest.param(lambda: qual(TWO_EXPERTS, 0.5, True),
+                 "proposal_j = True is not an integer", id="qual-proposal-bool"),
+    pytest.param(lambda: qual(TWO_EXPERTS, 0.5, 1.5),
+                 "proposal_j = 1.5 is not an integer", id="qual-proposal-fractional"),
+    pytest.param(lambda: reward_curve(SCHED, 2.5),
+                 "sample_count = 2.5 is not an integer", id="curve-count-fractional"),
+    pytest.param(lambda: reward_curve(SCHED, True),
+                 "sample_count = True is not an integer", id="curve-count-bool"),
 ])
 def test_input_checks_raise(build, match):
     with pytest.raises(ContractViolation, match=match):
         build()
+
+
+def test_integral_indices_and_counts_are_ints():
+    # An integral float or a numpy integer reads as the int it equals.
+    for one in (1.0, np.int64(1), np.float64(1.0)):
+        assert utility(TWO_EXPERTS, SCHED, TWO_BY_TWO, one) == utility(
+            TWO_EXPERTS, SCHED, TWO_BY_TWO, 1)
+        assert TWO_BY_TWO.replace_row(one, (1, 1)) == TWO_BY_TWO.replace_row(1, (1, 1))
+        assert TWO_BY_TWO.flip(0, one) == TWO_BY_TWO.flip(0, 1)
+        assert qual(TWO_EXPERTS, 0.5, one) == qual(TWO_EXPERTS, 0.5, 1)
+    assert reward_curve(SCHED, 3.0) == reward_curve(SCHED, 3)
+    assert VotingProfile.zeros(2.0, np.int8(2)) == VotingProfile.zeros(2, 2)
 
 
 def test_votes_equal_to_bits_pass():
@@ -237,6 +282,34 @@ def test_elect_masses_are_left_to_right_sums_in_expert_order(data):
     assert [m.hex() for m in masses] == [m.hex() for m in expected]
     best = max(expected)
     assert winner_j == (0 if best <= 0.0 else expected.index(best) + 1)
+
+
+# A small pool makes exact mass ties common; zero weights and all-zero vote
+# rows elect the dummy, and subnormals give sums that round.
+ARRAY_WEIGHTS = st.sampled_from((0.0, 5e-324, 2.0 ** -1060, 0.1, 0.2, 0.3, 0.5, 1.0))
+VALUES = st.sampled_from((0.0, -0.0, 1.0)) | st.floats(-1e3, 1e3)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_elect_arrays_elects_as_elect(data):
+    # At every position the array rule writes the value of the winner that
+    # _elect picks on the same masses: float values (utilities) down to the
+    # sign of a zero, and int values (proposal indices).
+    n, k, m = (data.draw(st.integers(1, top)) for top in (5, 4, 8))
+    elected = []
+    for _ in range(m):
+        weights = tuple(data.draw(ARRAY_WEIGHTS) for _ in range(n))
+        if data.draw(st.integers(0, 4)) == 0:
+            votes = ((0,) * k,) * n
+        else:
+            votes = tuple(data.draw(st.tuples(*[st.integers(0, 1)] * k)) for _ in range(n))
+        elected.append(_elect(weights, votes))
+    masses = np.array([masses for _, masses in elected]).T
+    floats = np.array([data.draw(VALUES) for _ in range(k + 1)])
+    for values, out in ((floats, np.empty(m)), (np.arange(k + 1), np.empty(m, dtype=np.int64))):
+        assert _elect_arrays(masses, values, out) is out
+        assert [repr(x) for x in out.tolist()] == [repr(values[j].item()) for j, _ in elected]
 
 
 def test_winner_dimension_mismatch(prop4):

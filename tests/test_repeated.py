@@ -550,6 +550,20 @@ def test_world_config_validation():
                  id="tail-zeta-zero"),
     pytest.param(lambda: deviation_tail_bound(SCHED, 0.05, 0.5, -1), "horizon_H = -1",
                  id="tail-H-negative"),
+    # Counts are integers: a bool is not read as 0 or 1, and a fractional or
+    # non-numeric value is refused, not truncated, parsed or a TypeError.
+    pytest.param(lambda: deviation_tail_bound(SCHED, 0.05, 0.5, 2.5),
+                 "horizon_H = 2.5 is not an integer", id="tail-H-fractional"),
+    pytest.param(lambda: correct_fraction(1.5, 2), "correct_count = 1.5 is not an integer",
+                 id="fraction-correct-fractional"),
+    pytest.param(lambda: correct_fraction(1, True), "revealed_rounds = True is not an integer",
+                 id="fraction-revealed-bool"),
+    pytest.param(lambda: world(horizon="7"), "horizon = '7' is not an integer",
+                 id="world-horizon-string"),
+    pytest.param(lambda: world(horizon="1e3"), "horizon = '1e3' is not an integer",
+                 id="world-horizon-exponent-string"),
+    pytest.param(lambda: world(seed=np.True_), r"seed = (np\.True_|True) is not an integer",
+                 id="world-seed-numpy-bool"),
 ])
 def test_input_checks_raise(call, match):
     with pytest.raises(ContractViolation, match=match):
