@@ -528,7 +528,7 @@ def cmd_repeat(args):
         "zeta": world.zeta,
         "seed": world.seed,
         "non_dummy_rounds": trace.revealed_rounds,
-        "final_weights": list(trace.weights[-1]),
+        "final_weights": trace.weights[-1].tolist(),
         "correct": list(trace.correct),
         "discounted_realized": list(trace.discounted_realized),
         "discounted_subjective": list(trace.discounted_subjective),
@@ -539,35 +539,34 @@ def cmd_repeat(args):
     return payload, header, _repeat_rows(trace)
 
 
-class _VoteCells(dict):
-    """Vote rows' CSV cells, each formatted the first time it is asked for;
-    a cell already made costs one dict lookup."""
-
-    def __missing__(self, row):
-        cell = self[row] = _bits(row)
-        return cell
+# ``repeat --out`` formats its CSV rows from this many rounds at a time.
+_REPEAT_BLOCK = 1024
 
 
 def _repeat_rows(trace):
     """The trace's CSV rows, one per round and expert, made as they are
-    written.  Each weight is formatted once: round t's ``weight_next`` is
-    round t+1's ``weight``.  A subjective reward equal to the realized one
-    reuses its cell, unless both are zeros, whose signs may differ.  Only
-    the vote rows that occur get a cell, so k sets no table of 2^k cells."""
-    bits = _VoteCells()
+    written from _REPEAT_BLOCK rounds of the trace's arrays at a time.
+    Each weight is formatted once: round t's ``weight_next`` is round t+1's
+    ``weight``.  A subjective reward equal to the realized one reuses its
+    cell, unless both are zeros, whose signs may differ.  A vote row's cell
+    is its k vote bytes, "0" or "1", read as one string, for any k."""
     experts = [str(i) for i in range(len(trace.correct))]
-    weights = iter(trace.weights)
-    now = list(map(_real, next(weights)))
-    for t, (votes, js, q, realized, subjective, following) in enumerate(zip(
-            trace.votes, trace.winners, trace.revealed, trace.realized,
-            trace.subjective, weights)):
-        after = list(map(_real, following))
-        round_, winner, revealed = str(t), str(js), _cell(q)
-        for i, v, r, s, w, w_next in zip(experts, votes, realized, subjective, now, after):
-            cell = _real(r)
-            yield (round_, i, bits[v], winner, revealed, cell,
-                   cell if s == r != 0.0 else _real(s), w, w_next)
-        now = after
+    k = trace.votes.shape[2]
+    now = list(map(_real, trace.weights[0].tolist()))
+    for start in range(0, len(trace.winners), _REPEAT_BLOCK):
+        block = slice(start, start + _REPEAT_BLOCK)
+        bits = (trace.votes[block] + ord("0")).view(f"S{k}")[..., 0].astype(str)
+        for t, (votes, js, q, realized, subjective, following) in enumerate(zip(
+                bits.tolist(), trace.winners[block].tolist(), trace.revealed[block].tolist(),
+                trace.realized[block].tolist(), trace.subjective[block].tolist(),
+                trace.weights[start + 1:start + 1 + _REPEAT_BLOCK].tolist()), start):
+            after = list(map(_real, following))
+            round_, winner, revealed = str(t), str(js), "" if q < 0 else str(q)
+            for i, v, r, s, w, w_next in zip(experts, votes, realized, subjective, now, after):
+                cell = _real(r)
+                yield (round_, i, v, winner, revealed, cell,
+                       cell if s == r != 0.0 else _real(s), w, w_next)
+            now = after
 
 
 def cmd_deviation_gap(args):

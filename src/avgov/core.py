@@ -401,9 +401,14 @@ def _honest_votes(beliefs, T):
 def honest_profile(instance: Instance, T: float) -> VotingProfile:
     """The honest strategy profile: approve exactly the proposals whose
     belief is at or above the threshold."""
+    _check_threshold(T)
+    return VotingProfile(_honest_votes(instance.beliefs, T))
+
+
+def _check_threshold(T):
+    """Refuse a threshold T outside the open interval (0, 1)."""
     if not 0.0 < T < 1.0:
         raise ContractViolation(f"T = {T} must lie strictly inside (0, 1)")
-    return VotingProfile(_honest_votes(instance.beliefs, T))
 
 
 def _honest_masses(instance, T):
@@ -415,6 +420,7 @@ def qual(instance: Instance, T: float, proposal_j: int) -> float:
     """Estimated quality of a proposal: total weight of experts whose
     belief in it is at or above the threshold, its mass under the honest
     profile.  The dummy has quality 0.0."""
+    _check_threshold(T)
     proposal_j = _integer(proposal_j, "proposal_j")
     if proposal_j == DUMMY:
         return 0.0
@@ -426,6 +432,7 @@ def qual(instance: Instance, T: float, proposal_j: int) -> float:
 def opt_quality(instance: Instance, T: float) -> tuple:
     """The proposal of maximal estimated quality and that quality: the
     honest profile's winner, or proposal 1 when nothing is approved."""
+    _check_threshold(T)
     j, masses = _elect(instance.weights, _honest_votes(instance.beliefs, T))
     j = max(j, 1)
     return j, masses[j - 1]

@@ -9,10 +9,9 @@ correct-prediction rate under a multiplicative step cap.
 Round draws do not depend on play, so everything the rest of a run depends
 on after round t is one game state: the weight vector, the correct counts
 and the number of revealed rounds.  A run draws every round and builds
-every vote at once as arrays, then turns the votes into interned rows
-(``_vote_rows``): round t is a tuple of n vote rows, equal rows are one
-tuple keyed by the row's binary code, and that one tuple of rounds is both
-what the scalar rounds read and ``RepeatedTrace.votes``.  A round's
+every vote at once as arrays.  The arrays it plays on and computes are the
+ones ``RepeatedTrace`` holds, made read-only; the scalar rounds read their
+own slices of them as plain rows with ``.tolist()``.  A round's
 transition has two homes that agree bit for bit.  ``_step`` works on one
 state's plain rows: the winner (``core._elect``), the correct counts, one
 list of target rates and one row-wise capped step (``_delayed_update``).
@@ -48,7 +47,6 @@ execute concurrently.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,8 +77,10 @@ INITIAL_WEIGHT = 0.5
 STATE_GUARD = 1 << 16
 
 # ``run`` is refused when its draw array, horizon * (k + n*k) doubles, is
-# larger than this.  A CLI run with --out peaks at up to about 230 bytes of
-# RSS per draw (n = k = 1; about 90 at n = 5, k = 3), so near 1.2 GB at most.
+# larger than this.  A CLI run with --out peaks at up to about 82 bytes of
+# RSS per draw (n = k = 1; about 46 at n = 5, k = 3), so near 400 MB at
+# most: 390 MB at n = k = 1 and 2.5 million rounds, measured on a 2-core
+# x86 host with Python 3.11 and numpy 2.4.
 RUN_GUARD_DRAWS = 5_000_000
 
 # ``run`` commits rounds in guessed-then-checked chunks of up to _CHUNK; a
@@ -170,18 +170,22 @@ class SingleDeviatorPolicy:
 class RepeatedTrace:
     """Per-round record of a run plus cumulative discounted totals.
 
-    ``votes[t][i]`` is expert i's vote row in round t; ``weights[t]`` holds
-    the weight vector entering round t, so it has horizon+1 rows;
-    ``revealed[t]`` is the winner's quality bit or None on dummy rounds.
-    Correctness counters only advance on rounds with a revealed winner.
+    The per-round fields are the run's own arrays, read-only, for H rounds,
+    n experts and k proposals: ``votes`` (H, n, k) int8, ``votes[t, i]``
+    expert i's vote row in round t; ``winners`` (H,) int64, 0 for the
+    dummy; ``revealed`` (H,) int64, the winner's quality bit or -1 on dummy
+    rounds; ``realized`` and ``subjective`` (H, n) float64; ``weights``
+    (H + 1, n) float64, row t entering round t.  ``==`` on two traces
+    raises: compare the arrays with ``np.array_equal``.  Correctness
+    counters only advance on rounds with a revealed winner.
     """
 
-    votes: tuple
-    winners: tuple
-    revealed: tuple
-    realized: tuple
-    subjective: tuple
-    weights: tuple
+    votes: np.ndarray
+    winners: np.ndarray
+    revealed: np.ndarray
+    realized: np.ndarray
+    subjective: np.ndarray
+    weights: np.ndarray
     discounted_realized: tuple
     discounted_subjective: tuple
     correct: tuple
@@ -354,21 +358,6 @@ def _round_cap(schedule):
     return max(schedule.a, schedule.a_prime)
 
 
-def _vote_rows(votes):
-    """An (m, n, k) vote array as m rounds of n interned vote rows: equal
-    rows are one tuple.  Each row is keyed by its code, its bits read with
-    coordinate 1 as the most significant, the order of ``_vote_vectors``.
-    Only the codes that occur get a tuple, so no table of 2^k vectors is
-    built; past 63 bits the codes are Python integers, where int64 would wrap."""
-    k = votes.shape[-1]
-    powers = 1 << np.arange(k - 1, -1, -1, dtype=np.int64 if k < 64 else object)
-    codes = (votes @ powers).tolist()
-    vectors = dict.fromkeys(itertools.chain.from_iterable(codes))
-    for code in vectors:
-        vectors[code] = tuple([(code >> j) & 1 for j in range(k - 1, -1, -1)])
-    return tuple([tuple([vectors[c] for c in row]) for row in codes])
-
-
 def _initial_state(n):
     return (INITIAL_WEIGHT,) * n, (0,) * n, 0
 
@@ -425,7 +414,7 @@ def _step_rows(zeta, weights, correct, revealed, votes, qualities):
     return winners, weights, correct, revealed
 
 
-def _play(zeta, votes, qualities, vote_rows, quality_rows):
+def _play(zeta, votes, qualities):
     """Every round's winner (H,) and the weights entering each round
     (H + 1, n), with the final correct counts and revealed rounds, from the
     initial state; bit for bit a replay of ``_step`` round by round.
@@ -476,8 +465,9 @@ def _play(zeta, votes, qualities, vote_rows, quality_rows):
         if m < _CHUNK_MIN and t < horizon:
             stop = min(t + _WINDOW, horizon)
             state = tuple(w.tolist()), tuple(c.tolist()), r
-            for s in range(t, stop):
-                winners[s], state = _step(zeta, state, vote_rows[s], quality_rows[s])
+            rows = zip(votes[t:stop].tolist(), qualities[t:stop].tolist())
+            for s, (v, q) in enumerate(rows, t):
+                winners[s], state = _step(zeta, state, v, q)
                 weights[s + 1] = state[0]
             t = stop
             w, c, r = weights[t], np.array(state[1]), state[2]
@@ -514,24 +504,18 @@ def run(world: WorldConfig, schedule: RewardSchedule,
     if isinstance(policy, SingleDeviatorPolicy) and policy.plan:
         plan = policy.plan[:world.horizon]
         votes[:len(plan), policy.expert] = plan
-    vote_rows = _vote_rows(votes)
-    quality_rows = qualities.tolist()
-    winners, weights, correct, revealed_rounds = _play(
-        world.zeta, votes, qualities, vote_rows, quality_rows)
+    winners, weights, correct, revealed_rounds = _play(world.zeta, votes, qualities)
     realized, subjective = _payouts(schedule, winners, weights[:-1], votes, beliefs,
                                     qualities)
-    winners = winners.tolist()
+    revealed = np.where(winners != DUMMY, _on_winners(winners, qualities), -1)
+    for array in (votes, winners, revealed, realized, subjective, weights):
+        array.flags.writeable = False
 
     gamma_warning = world.gamma >= max_discount(schedule.epsilon, world.zeta)
     totals = discounted_total(np.hstack((realized, subjective)), world.gamma)
     return RepeatedTrace(
-        votes=vote_rows,
-        winners=tuple(winners),
-        revealed=tuple(q[js - 1] if js != DUMMY else None
-                       for js, q in zip(winners, quality_rows)),
-        realized=tuple(zip(*realized.T.tolist())),
-        subjective=tuple(zip(*subjective.T.tolist())),
-        weights=tuple(zip(*weights.T.tolist())),
+        votes=votes, winners=winners, revealed=revealed, realized=realized,
+        subjective=subjective, weights=weights,
         discounted_realized=totals[:world.n],
         discounted_subjective=totals[world.n:],
         correct=correct,
@@ -552,7 +536,7 @@ def _expand(schedule, zeta, expert, states, votes, beliefs, qualities, vectors):
     # branches[j][bit]: the weight-1 payout of voting bit on proposal j+1.
     branches = [(reject, approve)
                 for approve, reject in (_expected_branches(p, schedule) for p in own)]
-    profiles = [votes[:expert] + (v,) + votes[expert + 1:] for v in vectors]
+    profiles = [(*votes[:expert], v, *votes[expert + 1:]) for v in vectors]
     rows = []
     for state in states:
         weight = state[0][expert]
@@ -693,7 +677,7 @@ def deviation_gap(world: WorldConfig, schedule: RewardSchedule, expert_i: int,
             f"horizon_H = {horizon_H} expands at least one per round"
         )
     qualities, beliefs = _presample(dataclasses.replace(world, horizon=horizon_H))
-    votes = _vote_rows(_honest_votes(beliefs, schedule.T))
+    votes = _honest_votes(beliefs, schedule.T).tolist()
     quality_rows = qualities.tolist()
 
     # factors[t] is gamma^t as discounted_total forms it, capped[t] the

@@ -8,10 +8,12 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from avgov import cli, params, repeated
+from test_repeated import tuple_form
 
 EXAMPLES = Path(__file__).parent.parent / "examples"
 README = Path(__file__).parent.parent / "README.md"
@@ -879,6 +881,25 @@ def test_repeat_csv_makes_cells_for_occurring_vote_rows(scenario_file, tmp_path,
     assert peak < 16 << 20
 
 
+# k = 64 and 70 pass the 63 bits an int64 code of a vote row holds.
+@pytest.mark.parametrize("n, k", [(1, 1), (3, 2), (5, 3), (2, 5), (3, 64), (2, 70)])
+def test_repeat_csv_vote_cells_are_the_vote_rows(scenario_file, tmp_path, capsys, n, k):
+    data = dict(PROP4_SCENARIO)
+    data["world"] = {"expertise": [0.9, 0.7, 0.6, 0.8, 0.5][:n], "good_prior": 0.5,
+                     "k": k, "zeta": 0.05, "gamma": 0.5, "horizon": 60, "seed": n * 10 + k}
+    path = scenario_file(data)
+    out = tmp_path / "votes.csv"
+    assert run_cli(capsys, "repeat", "--scenario", path, "--out", str(out))[0] == 0
+    scenario = cli.load_scenario(path)
+    votes = tuple_form(repeated.run(scenario.world, scenario.schedule)).votes
+    cells = [row[2] for row in csv.reader(out.read_text().splitlines()[1:])]
+    assert cells == ["".join(map(str, row)) for round_ in votes for row in round_]
+    assert {len(cell) for cell in cells} == {k}
+    # Both values of the first coordinate, the bit an int64 code would
+    # lose first, occur.
+    assert {cell[0] for cell in cells} == {"0", "1"}
+
+
 def test_csv_byte_determinism(scenario_file, tmp_path, capsys):
     data = dict(PROP4_SCENARIO)
     data["world"] = {"expertise": [0.9, 0.6], "good_prior": 0.5, "k": 2,
@@ -895,17 +916,19 @@ def test_repeat_rows_share_only_equal_nonzero_reward_cells():
     # underflowed to 0), and an equal non-zero pair.  Round 1: a differing
     # pair and two positive zeros.
     trace = repeated.RepeatedTrace(
-        votes=(((1, 0), (0, 1)), ((1, 1), (0, 0))), winners=(1, 2), revealed=(0, 1),
-        realized=((-0.0, 1.0 / 3.0), (0.25, 0.0)),
-        subjective=((0.0, 1.0 / 3.0), (0.1, 0.0)),
-        weights=((0.0, 0.6), (0.0, 0.63), (0.0, 0.6615)),
+        votes=np.array([[[1, 0], [0, 1]], [[1, 1], [0, 0]]], dtype=np.int8),
+        winners=np.array([1, 2]), revealed=np.array([0, 1]),
+        realized=np.array([[-0.0, 1.0 / 3.0], [0.25, 0.0]]),
+        subjective=np.array([[0.0, 1.0 / 3.0], [0.1, 0.0]]),
+        weights=np.array([[0.0, 0.6], [0.0, 0.63], [0.0, 0.6615]]),
         discounted_realized=(0.0, 0.0), discounted_subjective=(0.0, 0.0),
         correct=(0, 2), revealed_rounds=2, gamma_warning=False)
+    plain = tuple_form(trace)
     expected = [
-        (str(t), str(i), cli._bits(trace.votes[t][i]), str(trace.winners[t]),
-         str(trace.revealed[t]), cli._real(trace.realized[t][i]),
-         cli._real(trace.subjective[t][i]), cli._real(trace.weights[t][i]),
-         cli._real(trace.weights[t + 1][i]))
+        (str(t), str(i), cli._bits(plain.votes[t][i]), str(plain.winners[t]),
+         str(plain.revealed[t]), cli._real(plain.realized[t][i]),
+         cli._real(plain.subjective[t][i]), cli._real(plain.weights[t][i]),
+         cli._real(plain.weights[t + 1][i]))
         for t in range(2) for i in range(2)
     ]
     rows = list(cli._repeat_rows(trace))

@@ -159,6 +159,20 @@ TWO_BY_TWO = VotingProfile(((0, 1), (1, 0)))
                  id="honest-T-0"),
     pytest.param(lambda: honest_profile(ONE_EXPERT, 1.0), "strictly inside",
                  id="honest-T-1"),
+    # qual and opt_quality read T as honest_profile does, the dummy's
+    # quality included.
+    pytest.param(lambda: qual(TWO_EXPERTS, 5.0, 1), "T = 5.0 must lie strictly inside",
+                 id="qual-T-above-1"),
+    pytest.param(lambda: qual(TWO_EXPERTS, 0.0, 0), "T = 0.0 must lie strictly inside",
+                 id="qual-dummy-T-0"),
+    pytest.param(lambda: qual(TWO_EXPERTS, math.nan, 2), "T = nan must lie strictly inside",
+                 id="qual-T-nan"),
+    pytest.param(lambda: opt_quality(TWO_EXPERTS, -1.0), "T = -1.0 must lie strictly inside",
+                 id="opt-quality-T-negative"),
+    pytest.param(lambda: opt_quality(TWO_EXPERTS, 1.0), "T = 1.0 must lie strictly inside",
+                 id="opt-quality-T-1"),
+    pytest.param(lambda: opt_quality(TWO_EXPERTS, math.nan), "T = nan must lie strictly inside",
+                 id="opt-quality-T-nan"),
     # Indices and counts are integers: a bool is not read as 0 or 1, and a
     # fractional, non-finite or non-numeric value is refused, not a TypeError.
     pytest.param(lambda: utility(TWO_EXPERTS, SCHED, TWO_BY_TWO, True),
