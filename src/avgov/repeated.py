@@ -10,19 +10,17 @@ Round draws do not depend on play, so everything the rest of a run depends
 on after round t is one game state: the weight vector, the correct counts
 and the number of revealed rounds.  A run draws every round and builds
 every vote at once as arrays.  The arrays it plays on and computes are the
-ones ``RepeatedTrace`` holds, made read-only; the scalar rounds read their
-own slices of them as plain rows with ``.tolist()``.  A round's
-transition has two homes that agree bit for bit.  ``_step`` works on one
-state's plain rows: the winner (``core._elect``), the correct counts, one
-list of target rates and one row-wise capped step (``_delayed_update``).
+ones ``RepeatedTrace`` holds, made read-only.  A round's transition has
+two homes that agree bit for bit.  ``_step`` works on one state's plain
+rows: the winner (``core._elect``), the correct counts, one list of
+target rates and one row-wise capped step (``_delayed_update``).
 ``_step_rows`` applies the same rules to arrays of states, one row per
 state, with the winners from ``core._elect_arrays``.  ``_play`` steps a run
 in chunks of rounds: it guesses every round's entering state from the
 state entering the chunk, steps all the guesses at once with
 ``_step_rows``, and commits the rounds up to the first guess that the
-exact step contradicts.  Where chunks commit too few rounds, as in the
-first rounds, it plays a window of rounds with ``_step``.  Either way each round's winner and weights
-are bit-identical to a replay of ``_step``.  The payouts are computed as
+exact step contradicts, so each round's winner and weights are
+bit-identical to a replay of ``_step``.  The payouts are computed as
 arrays afterwards in ``_payouts``, and the discounted totals as array
 columns in ``discounted_total``.  The single-deviator search
 (``deviation_gap``) builds no trace: it plays every round, honest play's
@@ -83,21 +81,10 @@ STATE_GUARD = 1 << 16
 # x86 host with Python 3.11 and numpy 2.4.
 RUN_GUARD_DRAWS = 5_000_000
 
-# ``run`` commits rounds in guessed-then-checked chunks of up to _CHUNK; a
-# chunk that commits fewer than _CHUNK_MIN hands the next _WINDOW rounds to
-# the scalar ``_step``.  Below 1024 rounds a guessed (1 + zeta)^s * w,
-# with zeta < 1 and w <= 1, stays finite.  The window is there for speed,
-# not for the answer: a variant that dropped it and instead doubled each
-# chunk from what the last one committed gave identical outputs, but at
-# small zeta, where the cap binds for many rounds, its chunks commit few
-# rounds each.  On worlds of 5 experts over 20,000 rounds at zeta 0.001 it made
-# 163 to 1,614 ``_step_rows`` calls, against 46 to 143 calls plus 512 to
-# 6,784 scalar rounds with the window (on examples/repeat_k3.json, 54
-# calls against 43 plus 64 rounds), and ran slower there, though the
-# timings were noisy.  Measure such worlds before removing the window.
+# ``run`` commits rounds in guessed-then-checked chunks of up to _CHUNK.
+# Below 1024 rounds a guessed (1 + zeta)^s * w, with zeta < 1 and w <= 1,
+# stays finite.
 _CHUNK = 512
-_CHUNK_MIN = 16
-_WINDOW = 64
 
 
 @dataclass(frozen=True)
@@ -432,10 +419,9 @@ def _play(zeta, votes, qualities):
     enters at the true state, and each row whose exact next state equals
     the next row's guess hands a true state on; so the rows up to the first
     mismatch are true, and their checked winners and next states are
-    committed.  A chunk commits at least one round.  When it commits fewer
-    than _CHUNK_MIN, as in the first rounds, where the rates jump and the
-    cap binds both ways, the next _WINDOW rounds are played by the scalar
-    ``_step`` instead."""
+    committed.  A chunk commits at least one round.  It may commit few
+    while the rates jump and the cap binds both ways, as in the first
+    rounds, and for longer at small zeta."""
     horizon, n = votes.shape[:2]
     winners = np.empty(horizon, dtype=np.int64)
     weights = np.empty((horizon + 1, n))
@@ -462,15 +448,6 @@ def _play(zeta, votes, qualities):
         weights[t + 1:t + m + 1] = w_next[:m]
         w, c, r = w_next[m - 1], c_next[m - 1], int(r_next[m - 1])
         t += m
-        if m < _CHUNK_MIN and t < horizon:
-            stop = min(t + _WINDOW, horizon)
-            state = tuple(w.tolist()), tuple(c.tolist()), r
-            rows = zip(votes[t:stop].tolist(), qualities[t:stop].tolist())
-            for s, (v, q) in enumerate(rows, t):
-                winners[s], state = _step(zeta, state, v, q)
-                weights[s + 1] = state[0]
-            t = stop
-            w, c, r = weights[t], np.array(state[1]), state[2]
     return winners, weights, tuple(c.tolist()), r
 
 
@@ -482,10 +459,9 @@ def run(world: WorldConfig, schedule: RewardSchedule,
     identical proposals and signals whatever the policy does.  A deviator's
     plan is fixed in advance, so it is written into the vote array up
     front.  Then every vote is known before play, and ``_play`` steps the
-    rounds in guessed-then-checked chunks, with the scalar ``_step`` over
-    the rounds where guesses fail; the trace is bit-identical to one that
-    steps every round with ``_step``.  A discount factor at or above the
-    theoretical cap only sets ``gamma_warning``.  A world whose draw array
+    rounds in guessed-then-checked chunks; the trace is bit-identical to
+    one that steps every round with ``_step``.  A discount factor at or
+    above the theoretical cap only sets ``gamma_warning``.  A world whose draw array
     exceeds RUN_GUARD_DRAWS is refused (GuardRefusal) before any draw.
     """
     if isinstance(policy, SingleDeviatorPolicy):
@@ -512,12 +488,11 @@ def run(world: WorldConfig, schedule: RewardSchedule,
         array.flags.writeable = False
 
     gamma_warning = world.gamma >= max_discount(schedule.epsilon, world.zeta)
-    totals = discounted_total(np.hstack((realized, subjective)), world.gamma)
     return RepeatedTrace(
         votes=votes, winners=winners, revealed=revealed, realized=realized,
         subjective=subjective, weights=weights,
-        discounted_realized=totals[:world.n],
-        discounted_subjective=totals[world.n:],
+        discounted_realized=discounted_total(realized, world.gamma),
+        discounted_subjective=discounted_total(subjective, world.gamma),
         correct=correct,
         revealed_rounds=revealed_rounds,
         gamma_warning=gamma_warning,

@@ -467,6 +467,12 @@ def long_runs(draw):
 # the weights they would move are held by the cap.
 @example((world(expertise=(0.1, 1.0, 0.1), proposals_per_round=3, horizon=1100,
                 seed=20736), derive_schedule(0.95, 39.0, 1.0), HonestPolicy()))
+# At small zeta the cap binds for hundreds of rounds, so the first chunks
+# commit few rounds each (the strategy draws zeta >= 0.01).
+@example((world(expertise=(0.85, 0.875, 0.9, 0.925, 0.95), proposals_per_round=3,
+                zeta=0.001, gamma=0.8, horizon=1100, seed=23), SCHED, HonestPolicy()))
+@example((world(expertise=(0.85, 0.875, 0.9, 0.925, 0.95), proposals_per_round=3,
+                zeta=0.01, gamma=0.8, horizon=1100, seed=23), SCHED, HonestPolicy()))
 def test_run_equals_step_replay_over_many_chunks(case):
     w, schedule, policy = case
     with mock.patch.object(repeated, "_play", step_replay):
@@ -474,21 +480,30 @@ def test_run_equals_step_replay_over_many_chunks(case):
     assert repr(tuple_form(run_repeated(w, schedule, policy))) == expected
 
 
-def test_run_steps_few_rounds_one_by_one(monkeypatch):
-    # On a benchmark-shaped world (n=5, k=3, 20,000 rounds) the chunks
-    # commit almost every round; the scalar _step plays only the first.
-    scenario = cli.load_scenario(EXAMPLES / "repeat_k3.json")
+def test_run_steps_every_round_in_array_chunks(monkeypatch):
+    # run never falls back to the scalar _step, and its chunks stay few on
+    # both sides of zeta: a benchmark-shaped world (n=5, k=3, zeta 0.05,
+    # 20,000 rounds) and the same world at zeta 0.001, where the cap binds
+    # for many rounds and the early chunks commit few rounds each.
+    def scalar_step(*args):
+        raise AssertionError("run stepped a round with the scalar _step")
+
     calls = []
-    step = repeated._step
+    step_rows = repeated._step_rows
 
     def counted(*args):
         calls.append(None)
-        return step(*args)
+        return step_rows(*args)
 
-    monkeypatch.setattr(repeated, "_step", counted)
-    trace = repeated.run(scenario.world, scenario.schedule)
-    assert len(trace.winners) == scenario.world.horizon == 20000
-    assert len(calls) <= scenario.world.horizon // 100
+    monkeypatch.setattr(repeated, "_step", scalar_step)
+    monkeypatch.setattr(repeated, "_step_rows", counted)
+    scenario = cli.load_scenario(EXAMPLES / "repeat_k3.json")
+    small_zeta = dataclasses.replace(scenario.world, zeta=0.001)
+    for w, most_calls in ((scenario.world, 100), (small_zeta, 400)):
+        calls.clear()
+        trace = repeated.run(w, scenario.schedule)
+        assert len(trace.winners) == w.horizon == 20000
+        assert len(calls) <= most_calls
 
 
 def test_integral_deviator_index_is_an_int():
