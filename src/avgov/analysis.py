@@ -48,7 +48,6 @@ profile.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +67,7 @@ from .core import (
     _honest_votes,
     _integer,
     _normalized_external,
+    _real,
     _ratio,
     _utility,
     _vote_vectors,
@@ -103,8 +103,7 @@ class EquilibriumQuery:
 
     def __post_init__(self):
         _check_mode(self.mode)
-        if not 0.0 <= self.epsilon < math.inf:
-            raise ContractViolation(f"epsilon = {self.epsilon} must be finite and >= 0")
+        object.__setattr__(self, "epsilon", _real(self.epsilon, "epsilon", 0))
 
 
 @dataclass(frozen=True)
@@ -217,9 +216,7 @@ def best_response(instance: Instance, schedule: RewardSchedule,
     significant bit.
     """
     _check_mode(mode)
-    expert_i = _integer(expert_i, "expert_i")
-    if not 0 <= expert_i < instance.n:
-        raise ContractViolation(f"expert index {expert_i} out of range")
+    expert_i = _integer(expert_i, "expert_i", 0, instance.n - 1)
     _check_dims(instance, profile)
     _check_vectors(instance.k)
     values = _responses(instance, schedule, profile.votes, expert_i)
@@ -493,9 +490,7 @@ def best_response_dynamics(instance: Instance, schedule: RewardSchedule,
     recurrence (cycle, with its length), or at the step limit.
     """
     _check_mode(mode)
-    max_steps = _integer(max_steps, "max_steps")
-    if max_steps < 1:
-        raise ContractViolation("max_steps must be >= 1")
+    max_steps = _integer(max_steps, "max_steps", 1)
     _check_dims(instance, start_profile)
     _check_vectors(instance.k)
     honest = _honest_votes(instance.beliefs, schedule.T)

@@ -139,24 +139,6 @@ EXPLICIT_KEYS = {"a", "a_prime", "s", "T"}
 DERIVABLE_KEYS = {"T", "epsilon", "a_prime"}
 
 
-def _number(value, field):
-    """``value`` if it is a JSON number, an int or a float but not a bool;
-    else a ScenarioError naming the field.  An int is returned as it is, so
-    a world integer keeps every digit."""
-    if type(value) not in (int, float):
-        raise ScenarioError(f"{field} = {value!r} is not a number")
-    return value
-
-
-def _check_rows(rows, field):
-    """Read every value in the rows with ``_number``.  The set of their
-    types is checked first, because that loop runs in C."""
-    if not {*map(type, itertools.chain(*rows))} <= {int, float}:
-        for row in rows:
-            for value in row:
-                _number(value, field)
-
-
 def _check_keys(keys, allowed, section):
     """Refuse a key outside ``allowed``, naming it and the section, so that
     a misspelled field is never silently ignored."""
@@ -183,9 +165,6 @@ def _read_experts(data):
     external = tuple(
         tuple(e.get("external", [0.0] * len(e["beliefs"]))) for e in experts
     )
-    _check_rows((weights,), "experts: weight")
-    _check_rows(beliefs, "experts: beliefs")
-    _check_rows(external, "experts: external")
     _check_keys(itertools.chain(*experts), {"weight", "beliefs", "external"}, "experts")
     return core.Instance(weights=weights, beliefs=beliefs, external=external)
 
@@ -199,7 +178,7 @@ def _read_schedule(data, instance):
     keys = data.keys() - {"delta"}
 
     def num(key):
-        return float(_number(data[key], f"schedule: {key}"))
+        return core._real(data[key], key)
 
     if keys == DERIVABLE_KEYS:
         form = "derived"
@@ -235,24 +214,17 @@ def _read_schedule(data, instance):
             f"schedule: delta = {delta} is below the bound "
             f"{bound} computed from the instance's external rewards"
         )
-    # max(nan, bound) is nan: the constructor refuses it, as an infinite one.
     return dataclasses.replace(schedule, delta=max(delta, bound)), form
 
 
 def _read_world(data):
-    def num(key):
-        return _number(data[key], f"world: {key}")
-
-    expertise = tuple(data["expertise"])
-    _check_rows((expertise,), "world: expertise")
     _check_keys(data, {"expertise", "good_prior", "k", "zeta", "gamma", "horizon", "seed"},
                 "world")
     try:
         return repeated.WorldConfig(
-            expertise=expertise, good_prior=float(num("good_prior")),
-            proposals_per_round=num("k"), zeta=float(num("zeta")),
-            gamma=float(num("gamma")), horizon=num("horizon"),
-            seed=_number(data.get("seed", 0), "world: seed"),
+            expertise=tuple(data["expertise"]), good_prior=data["good_prior"],
+            proposals_per_round=data["k"], zeta=data["zeta"], gamma=data["gamma"],
+            horizon=data["horizon"], seed=data.get("seed", 0),
         )
     except ContractViolation as exc:
         # The scenario calls WorldConfig's proposals_per_round k.
@@ -320,8 +292,7 @@ def thm6_scenario(weight_slack: float) -> Scenario:
     """Two experts whose weights differ by a small slack; the unique-ish
     semi-strategic equilibrium elects the lower-quality proposal, pushing
     the anarchy ratio toward 2 as the slack shrinks."""
-    if not 0.0 < weight_slack < 1.0:
-        raise ContractViolation(f"weight_slack = {weight_slack} outside (0, 1)")
+    weight_slack = core._real(weight_slack, "weight_slack", 0, 1, "()")
     instance = core.Instance(
         weights=(1.0 + weight_slack, 1.0 - weight_slack),
         beliefs=((BUILTIN_T, 1.0), (1.0, 0.0)),
@@ -332,8 +303,7 @@ def thm6_scenario(weight_slack: float) -> Scenario:
 def prop3_scenario(n: int) -> Scenario:
     """n+1 experts, two proposals: the constructive equilibrium elects a
     proposal whose quality is a 1/n fraction of the optimum."""
-    if n < 1:
-        raise ContractViolation(f"n = {n} must be >= 1")
+    n = core._integer(n, "n", 1)
     if n > PROP3_GUARD_N:
         raise GuardRefusal(f"n = {n} is capped at {PROP3_GUARD_N}")
     weights = (1.0 / n + 0.01,) + (1.0 / n,) * n

@@ -12,9 +12,12 @@ Conventions used throughout the package:
   is selected when no proposal receives any approving weight.  The dummy
   implements nothing and pays nobody.
 
-Public names check every argument; every index and count passes
-``_integer``.  The kernels ``_elect``, ``_honest_votes``, ``_reward`` and
-``_utility`` take rows the caller has checked and never check again;
+Public names check every argument.  Each index and count passes
+``_integer`` and each real ``_real`` (``_reals`` for a row of them), with
+its interval; ``_real`` also refuses a bool, a string, NaN and inf.  These
+two are the one home of the type and range rules for numbers.  The
+kernels ``_elect``, ``_honest_votes``, ``_reward`` and ``_utility`` take
+rows the caller has checked and never check again;
 ``_honest_votes`` and ``_reward`` also take numpy arrays.  The winner rule
 has two homes, both here: ``_elect`` on plain rows and ``_elect_arrays`` on
 numpy arrays of masses, which the enumerator and the repeated game call.
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,28 +52,94 @@ VECTOR_GUARD_BITS = 16
 # grow with it: 10^6 rows take some 230 MB, so larger tables are refused.
 CURVE_GUARD_SAMPLES = 10**6
 
+# The types and the range that ``_reals`` checks in one pass.
+_PLAIN_NUMBERS = frozenset((int, float))
+_FLOAT_MAX = sys.float_info.max
 
-def _integer(value, name):
-    """``value`` as an int: an int, a numpy integer or an integral float.
-    Refuses (ContractViolation) anything else: a bool, a string, a
-    fractional value, NaN and inf."""
+
+def _interval(low, high, ends):
+    """The interval as it is printed: each end's bracket from ``ends``, and
+    an infinite end open."""
+    left = "[" if ends[0] == "[" and low > -math.inf else "("
+    right = "]" if ends[1] == "]" and high < math.inf else ")"
+    return f"{left}{low:g}, {high:g}{right}"
+
+
+def _outside(value, name, low, high, ends):
+    """The refusal of a value outside its interval."""
+    return ContractViolation(f"{name} = {value} outside {_interval(low, high, ends)}")
+
+
+def _integer(value, name, low=-math.inf, high=math.inf):
+    """``value`` as an int in [low, high]: an int, a numpy integer or an
+    integral float.  Refuses (ContractViolation) anything else: a bool, a
+    string, a fractional value, NaN, inf and a value outside the range."""
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, (float, np.floating)) and float(value).is_integer():
-        return int(value)
-    raise ContractViolation(f"{name} = {value!r} is not an integer")
+        value = int(value)
+    elif isinstance(value, (float, np.floating)) and float(value).is_integer():
+        value = int(value)
+    else:
+        raise ContractViolation(f"{name} = {value!r} is not an integer")
+    if not low <= value <= high:
+        raise _outside(value, name, low, high, "[]")
+    return value
 
 
-def _as_matrix(rows, name, n=None, k=None):
-    out = tuple(tuple(float(x) for x in row) for row in rows)
-    if n is not None and len(out) != n:
-        raise ContractViolation(f"{name} must have {n} rows, got {len(out)}")
-    widths = {len(row) for row in out}
+def _real(value, name, low=-math.inf, high=math.inf, ends="[]"):
+    """``value`` as a finite float between low and high, each end closed or
+    open by its bracket in ``ends``.  Refuses (ContractViolation) a bool, a
+    string or any other non-number, NaN, inf and a value outside the
+    interval."""
+    if type(value) is not float and (
+            isinstance(value, bool) or not isinstance(value, (int, np.integer, np.floating))):
+        raise ContractViolation(f"{name} = {value!r} is not a number")
+    x = float(value)
+    if low < x < high:  # Strictly inside, and so finite.
+        return x
+    if not math.isfinite(x):
+        raise ContractViolation(f"{name} = {x} is not a finite number")
+    if not ((low < x or x == low and ends[0] == "[")
+            and (x < high or x == high and ends[1] == "]")):
+        raise _outside(x, name, low, high, ends)
+    return x
+
+
+def _reals(values, names, low=-math.inf, high=math.inf):
+    """Values as a tuple of floats, each checked as ``_real`` checks one in
+    [low, high] and named, when refused, by its item of the iterable
+    ``names``.
+
+    The common case, plain ints and floats in range, is decided without a
+    name or a Python loop: by the set of the types, then the smallest and
+    largest float against the finite floats of the interval.  min and max
+    skip a NaN after the first value (and keep a first one, which fails
+    the comparison), so the sum, NaN only when a value is, catches it."""
+    values = tuple(values)
+    if _PLAIN_NUMBERS.issuperset(map(type, values)):
+        floats = tuple(map(float, values))
+        lo, hi = max(low, -_FLOAT_MAX), min(high, _FLOAT_MAX)
+        if not floats or (lo <= min(floats) and max(floats) <= hi
+                          and not math.isnan(sum(floats))):
+            return floats
+    return tuple(_real(x, name, low, high) for x, name in zip(values, names))
+
+
+def _as_matrix(rows, name, low, high=math.inf, n=None, k=None):
+    """Rows as ``n`` rows of ``k`` floats in [low, high], or of one width
+    when n or k is None; ``name[i][j]`` names a refused cell."""
+    rows = tuple(map(tuple, rows))
+    if n is not None and len(rows) != n:
+        raise ContractViolation(f"{name} must have {n} rows, got {len(rows)}")
+    widths = {len(row) for row in rows}
     if len(widths) > 1:
         raise ContractViolation(f"{name} rows have unequal lengths {sorted(widths)}")
-    if k is not None and out and len(out[0]) != k:
-        raise ContractViolation(f"{name} must have {k} columns, got {len(out[0])}")
-    return out
+    if k is not None and rows and len(rows[0]) != k:
+        raise ContractViolation(f"{name} must have {k} columns, got {len(rows[0])}")
+    names = (f"{name}[{i}][{j}]" for i, row in enumerate(rows) for j in range(len(row)))
+    cells = _reals(itertools.chain.from_iterable(rows), names, low, high)
+    if not cells:
+        return rows
+    return tuple(zip(*[iter(cells)] * len(rows[0])))
 
 
 @dataclass(frozen=True)
@@ -87,35 +157,22 @@ class Instance:
     external: tuple = None
 
     def __post_init__(self):
-        weights = tuple(float(w) for w in self.weights)
+        weights = _reals(self.weights, map("weights[{}]".format, itertools.count()), 0)
         if not weights:
             raise ContractViolation("need at least one expert")
-        beliefs = _as_matrix(self.beliefs, "beliefs", n=len(weights))
+        beliefs = _as_matrix(self.beliefs, "beliefs", 0, 1, n=len(weights))
         if not beliefs[0]:
             raise ContractViolation("need at least one proposal")
         k = len(beliefs[0])
         if self.external is None:
             external = tuple((0.0,) * k for _ in weights)
         else:
-            external = _as_matrix(self.external, "external", n=len(weights), k=k)
-        for i, w in enumerate(weights):
-            if not 0.0 <= w < math.inf:
-                raise ContractViolation(f"weights[{i}] = {w} must be finite and >= 0")
+            external = _as_matrix(self.external, "external", 0, n=len(weights), k=k)
         # Every expert approving one proposal: rounding is monotone, so a
         # mass that leaves out some non-negative weights is never larger.
         total = _elect(weights, ((1,),) * len(weights))[1][0]
         if total == math.inf:
             raise ContractViolation(f"the weights sum to {total}; it must be finite")
-        for i, row in enumerate(beliefs):
-            for j, p in enumerate(row):
-                if not 0.0 <= p <= 1.0:
-                    raise ContractViolation(f"beliefs[{i}][{j}] = {p} outside [0, 1]")
-        for i, row in enumerate(external):
-            for j, g in enumerate(row):
-                if not 0.0 <= g < math.inf:
-                    raise ContractViolation(
-                        f"external[{i}][{j}] = {g} must be finite and >= 0"
-                    )
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "beliefs", beliefs)
         object.__setattr__(self, "external", external)
@@ -155,23 +212,12 @@ class RewardSchedule:
     delta: float = 0.0
 
     def __post_init__(self):
-        for name in ("a", "a_prime", "s", "T", "epsilon", "delta"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ContractViolation(f"{name} = {value} must be finite")
-            object.__setattr__(self, name, value)
-        if not self.a > 0.0:
-            raise ContractViolation(f"a = {self.a} must be > 0")
-        if not self.a_prime >= 0.0:
-            raise ContractViolation(f"a_prime = {self.a_prime} must be >= 0")
-        if not self.s >= 0.0:
-            raise ContractViolation(f"s = {self.s} must be >= 0")
-        if not 0.0 < self.T < 1.0:
-            raise ContractViolation(f"T = {self.T} must lie strictly inside (0, 1)")
-        if not self.epsilon >= 0.0:
-            raise ContractViolation(f"epsilon = {self.epsilon} must be >= 0")
-        if not self.delta >= 0.0:
-            raise ContractViolation(f"delta = {self.delta} must be >= 0")
+        object.__setattr__(self, "a", _real(self.a, "a", 0, math.inf, "()"))
+        object.__setattr__(self, "a_prime", _real(self.a_prime, "a_prime", 0))
+        object.__setattr__(self, "s", _real(self.s, "s", 0))
+        object.__setattr__(self, "T", _check_threshold(self.T))
+        object.__setattr__(self, "epsilon", _real(self.epsilon, "epsilon", 0))
+        object.__setattr__(self, "delta", _real(self.delta, "delta", 0))
 
 
 def _bit_row(row, name, i):
@@ -211,21 +257,15 @@ class VotingProfile:
 
     def replace_row(self, expert, row):
         """Return a copy with expert's vote vector replaced."""
-        expert = _integer(expert, "expert")
-        if not 0 <= expert < self.n:
-            raise ContractViolation(f"expert index {expert} out of range")
+        expert = _integer(expert, "expert", 0, self.n - 1)
         new = list(self.votes)
         new[expert] = row
         return VotingProfile(tuple(new))
 
     def flip(self, expert, proposal_j):
         """Return a copy with a single coordinate flipped (1-based proposal)."""
-        expert = _integer(expert, "expert")
-        proposal_j = _integer(proposal_j, "proposal_j")
-        if not 0 <= expert < self.n:
-            raise ContractViolation(f"expert index {expert} out of range")
-        if not 1 <= proposal_j <= self.k:
-            raise ContractViolation(f"proposal index {proposal_j} out of range")
+        expert = _integer(expert, "expert", 0, self.n - 1)
+        proposal_j = _integer(proposal_j, "proposal_j", 1, self.k)
         row = list(self.votes[expert])
         row[proposal_j - 1] ^= 1
         return self.replace_row(expert, row)
@@ -319,8 +359,7 @@ def reward(vote_bit: int, quality_bit: int, schedule: RewardSchedule, weight: fl
     winner's revealed quality, scaled by her weight."""
     if vote_bit not in (0, 1) or quality_bit not in (0, 1):
         raise ContractViolation("vote_bit and quality_bit must be bits")
-    if not weight >= 0.0:
-        raise ContractViolation(f"weight = {weight} must be >= 0")
+    weight = _real(weight, "weight", 0)
     return float(_reward(vote_bit, quality_bit, schedule, weight))
 
 
@@ -344,9 +383,7 @@ def expected_reward(vote_bit: int, belief_p: float, schedule: RewardSchedule) ->
     winning proposal, from the voter's own perspective."""
     if vote_bit not in (0, 1):
         raise ContractViolation("vote_bit must be a bit")
-    if not 0.0 <= belief_p <= 1.0:
-        raise ContractViolation(f"belief_p = {belief_p} outside [0, 1]")
-    approve, reject = _expected_branches(belief_p, schedule)
+    approve, reject = _expected_branches(_real(belief_p, "belief_p", 0, 1), schedule)
     return approve if vote_bit == 1 else reject
 
 
@@ -373,9 +410,7 @@ def utility(instance: Instance, schedule: RewardSchedule, profile: VotingProfile
     expert's weight instead.  A dummy winner yields utility 0.
     """
     _check_dims(instance, profile)
-    expert_i = _integer(expert_i, "expert_i")
-    if not 0 <= expert_i < instance.n:
-        raise ContractViolation(f"expert index {expert_i} out of range")
+    expert_i = _integer(expert_i, "expert_i", 0, instance.n - 1)
     return _utility(instance, schedule, profile.votes, expert_i)
 
 
@@ -401,14 +436,13 @@ def _honest_votes(beliefs, T):
 def honest_profile(instance: Instance, T: float) -> VotingProfile:
     """The honest strategy profile: approve exactly the proposals whose
     belief is at or above the threshold."""
-    _check_threshold(T)
-    return VotingProfile(_honest_votes(instance.beliefs, T))
+    return VotingProfile(_honest_votes(instance.beliefs, _check_threshold(T)))
 
 
 def _check_threshold(T):
-    """Refuse a threshold T outside the open interval (0, 1)."""
-    if not 0.0 < T < 1.0:
-        raise ContractViolation(f"T = {T} must lie strictly inside (0, 1)")
+    """T as a float, refused (ContractViolation) outside the open interval
+    (0, 1)."""
+    return _real(T, "T", 0, 1, "()")
 
 
 def _honest_masses(instance, T):
@@ -420,19 +454,17 @@ def qual(instance: Instance, T: float, proposal_j: int) -> float:
     """Estimated quality of a proposal: total weight of experts whose
     belief in it is at or above the threshold, its mass under the honest
     profile.  The dummy has quality 0.0."""
-    _check_threshold(T)
-    proposal_j = _integer(proposal_j, "proposal_j")
+    T = _check_threshold(T)
+    proposal_j = _integer(proposal_j, "proposal_j", DUMMY, instance.k)
     if proposal_j == DUMMY:
         return 0.0
-    if not 1 <= proposal_j <= instance.k:
-        raise ContractViolation(f"proposal index {proposal_j} out of range")
     return _honest_masses(instance, T)[proposal_j - 1]
 
 
 def opt_quality(instance: Instance, T: float) -> tuple:
     """The proposal of maximal estimated quality and that quality: the
     honest profile's winner, or proposal 1 when nothing is approved."""
-    _check_threshold(T)
+    T = _check_threshold(T)
     j, masses = _elect(instance.weights, _honest_votes(instance.beliefs, T))
     j = max(j, 1)
     return j, masses[j - 1]
@@ -445,9 +477,7 @@ def reward_curve(schedule: RewardSchedule, sample_count: int) -> list:
     p evenly spaced over [0, 1]; the two branches cross at p = T.  More
     than CURVE_GUARD_SAMPLES rows are refused before any is built.
     """
-    sample_count = _integer(sample_count, "sample_count")
-    if sample_count < 2:
-        raise ContractViolation("sample_count must be at least 2")
+    sample_count = _integer(sample_count, "sample_count", 2)
     if sample_count > CURVE_GUARD_SAMPLES:
         raise GuardRefusal(f"sample_count = {sample_count} is capped at "
                            f"{CURVE_GUARD_SAMPLES}")

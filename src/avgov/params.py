@@ -7,11 +7,10 @@ All functions are pure and safe for unrestricted concurrent use.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
-from .core import Instance, RewardSchedule, _normalized_external
-from .errors import ContractViolation, DerivationError
+from .core import Instance, RewardSchedule, _normalized_external, _real
+from .errors import DerivationError
 
 # Residual tolerance for the schedule identities.
 IDENTITY_TOL = 1e-9
@@ -109,8 +108,7 @@ def deviation_safety_threshold(schedule: RewardSchedule, g: float) -> SafetyEnve
     effective threshold equals T, recovering the dominant-strategy
     guarantee for unbribed experts.
     """
-    if not 0.0 <= g < math.inf:
-        raise ContractViolation(f"g = {g} must be finite and >= 0")
+    g = _real(g, "g", 0)
     a, ap, s, T = schedule.a, schedule.a_prime, schedule.s, schedule.T
     denom = a + s + g
     first = T * (a + s) / denom
@@ -145,10 +143,8 @@ def max_discount(epsilon: float, zeta: float) -> float:
     1, which is returned as-is; admissible discounts are strictly below 1
     in that case.
     """
-    if not epsilon >= 0.0:
-        raise ContractViolation(f"epsilon = {epsilon} must be >= 0")
-    if not 0.0 <= zeta < 1.0:
-        raise ContractViolation(f"zeta = {zeta} outside [0, 1)")
+    epsilon = _real(epsilon, "epsilon", 0)
+    zeta = _real(zeta, "zeta", 0, 1, "[)")
     denom = (1.0 + epsilon) * (1.0 + zeta) - (1.0 - zeta)
     if denom <= 0.0:
         return 0.0

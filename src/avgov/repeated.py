@@ -45,6 +45,7 @@ execute concurrently.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +62,8 @@ from .core import (
     _honest_votes,
     _integer,
     _ratio,
+    _real,
+    _reals,
     _reward,
     _vote_vectors,
     winner,
@@ -106,27 +109,18 @@ class WorldConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("proposals_per_round", "horizon", "seed"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
-        expertise = tuple(float(x) for x in self.expertise)
+        expertise = _reals(self.expertise, map("expertise[{}]".format, itertools.count()),
+                           0, 1)
         if not expertise:
             raise ContractViolation("need at least one expert")
-        for i, x in enumerate(expertise):
-            if not 0.0 <= x <= 1.0:
-                raise ContractViolation(f"expertise[{i}] = {x} outside [0, 1]")
-        if not 0.0 <= self.good_prior <= 1.0:
-            raise ContractViolation(f"good_prior = {self.good_prior} outside [0, 1]")
-        if self.proposals_per_round < 1:
-            raise ContractViolation("proposals_per_round must be >= 1")
-        if not 0.0 < self.zeta < 1.0:
-            raise ContractViolation(f"zeta = {self.zeta} outside (0, 1)")
-        if not 0.0 <= self.gamma < 1.0:
-            raise ContractViolation(f"gamma = {self.gamma} outside [0, 1)")
-        if self.horizon < 1:
-            raise ContractViolation("horizon must be >= 1")
-        if self.seed < 0:
-            raise ContractViolation(f"seed = {self.seed} must be >= 0")
         object.__setattr__(self, "expertise", expertise)
+        object.__setattr__(self, "good_prior", _real(self.good_prior, "good_prior", 0, 1))
+        object.__setattr__(self, "proposals_per_round",
+                           _integer(self.proposals_per_round, "proposals_per_round", 1))
+        object.__setattr__(self, "zeta", _real(self.zeta, "zeta", 0, 1, "()"))
+        object.__setattr__(self, "gamma", _real(self.gamma, "gamma", 0, 1, "[)"))
+        object.__setattr__(self, "horizon", _integer(self.horizon, "horizon", 1))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed", 0))
 
     @property
     def n(self):
@@ -203,13 +197,8 @@ def delayed_update(w: float, omega: float, zeta: float) -> float:
     """Move a weight toward the target rate, capped at a (1 +/- zeta)
     multiplicative step per round.  A weight of 0, which a run reaches by
     underflow, stays 0."""
-    if not w >= 0.0:
-        raise ContractViolation(f"w = {w} must be >= 0")
-    if not 0.0 <= omega <= 1.0:
-        raise ContractViolation(f"omega = {omega} outside [0, 1]")
-    if not 0.0 < zeta < 1.0:
-        raise ContractViolation(f"zeta = {zeta} outside (0, 1)")
-    return _delayed_update((w,), (omega,), zeta)[0]
+    return _delayed_update((_real(w, "w", 0),), (_real(omega, "omega", 0, 1),),
+                           _real(zeta, "zeta", 0, 1, "()"))[0]
 
 
 def _delayed_update(weights, rates, zeta):
@@ -255,7 +244,7 @@ def discounted_total(values, gamma: float):
     turns a first term of -0.0 into 0.0, as the loop does.
     """
     values = np.asarray(values, dtype=float)
-    factors = _discount_factors(len(values), gamma)
+    factors = _discount_factors(len(values), _real(gamma, "gamma", 0, 1, "[)"))
     terms = factors.reshape((-1,) + (1,) * (values.ndim - 1)) * values
     totals = np.add.accumulate(
         np.concatenate((np.zeros((1,) + values.shape[1:]), terms)))[-1]
@@ -265,7 +254,7 @@ def discounted_total(values, gamma: float):
 def _discount_factors(m, gamma):
     """gamma^t for t < m as an array: 1.0, then one multiplication by gamma
     per round, in ``np.multiply.accumulate``'s sequential order."""
-    factors = np.full(m, float(gamma))
+    factors = np.full(m, gamma)
     factors[:1] = 1.0
     return np.multiply.accumulate(factors)
 
@@ -465,8 +454,7 @@ def run(world: WorldConfig, schedule: RewardSchedule,
     exceeds RUN_GUARD_DRAWS is refused (GuardRefusal) before any draw.
     """
     if isinstance(policy, SingleDeviatorPolicy):
-        if not 0 <= policy.expert < world.n:
-            raise ContractViolation(f"deviator index {policy.expert} out of range")
+        _integer(policy.expert, "policy.expert", 0, world.n - 1)
         for row in policy.plan:
             if len(row) != world.proposals_per_round:
                 raise ContractViolation("deviation plan rows must be k-bit vectors")
@@ -636,12 +624,8 @@ def deviation_gap(world: WorldConfig, schedule: RewardSchedule, expert_i: int,
     core.VECTOR_GUARD_BITS.  Whether a shorter horizon passes the cap is
     known only by searching.
     """
-    expert_i = _integer(expert_i, "expert_i")
-    horizon_H = _integer(horizon_H, "horizon_H")
-    if not 0 <= expert_i < world.n:
-        raise ContractViolation(f"expert index {expert_i} out of range")
-    if horizon_H < 1:
-        raise ContractViolation("horizon_H must be >= 1")
+    expert_i = _integer(expert_i, "expert_i", 0, world.n - 1)
+    horizon_H = _integer(horizon_H, "horizon_H", 1)
     cap = max_discount(schedule.epsilon, world.zeta)
     if world.gamma > cap:
         raise ContractViolation(f"gamma = {world.gamma} exceeds max_discount = {cap}")
@@ -732,13 +716,9 @@ def deviation_tail_bound(schedule: RewardSchedule, zeta: float, gamma: float,
     max(a, a'), with the weight starting at INITIAL_WEIGHT and growing at
     most (1+zeta) per round.  zeta and gamma must lie in the ranges
     WorldConfig enforces, and horizon_H must be >= 0."""
-    if not 0.0 < zeta < 1.0:
-        raise ContractViolation(f"zeta = {zeta} outside (0, 1)")
-    if not 0.0 <= gamma < 1.0:
-        raise ContractViolation(f"gamma = {gamma} outside [0, 1)")
-    horizon_H = _integer(horizon_H, "horizon_H")
-    if horizon_H < 0:
-        raise ContractViolation(f"horizon_H = {horizon_H} must be >= 0")
+    zeta = _real(zeta, "zeta", 0, 1, "()")
+    gamma = _real(gamma, "gamma", 0, 1, "[)")
+    horizon_H = _integer(horizon_H, "horizon_H", 0)
     growth = (1.0 + zeta) * gamma
     if growth >= 1.0:
         raise ContractViolation(f"(1+zeta)*gamma = {growth} must be < 1 for the tail sum")

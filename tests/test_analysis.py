@@ -200,7 +200,7 @@ def test_vote_vector_searches_refuse_k_above_16(monkeypatch, call, k, refused):
 @pytest.mark.parametrize("expert", [-1, 3])
 def test_best_response_rejects_expert_out_of_range(prop4, expert):
     instance, schedule = prop4
-    with pytest.raises(ContractViolation, match="out of range"):
+    with pytest.raises(ContractViolation, match=rf"expert_i = {expert} outside \[0, 2\]"):
         best_response(instance, schedule, honest_profile(instance, 0.9), expert, "semi")
 
 
@@ -213,6 +213,8 @@ def test_best_response_rejects_expert_out_of_range(prop4, expert):
                  "max_steps = True is not an integer", id="dynamics-steps-bool"),
     pytest.param(lambda i, s, p: best_response_dynamics(i, s, p, "semi", 2.5),
                  "max_steps = 2.5 is not an integer", id="dynamics-steps-fractional"),
+    pytest.param(lambda i, s, p: best_response_dynamics(i, s, p, "semi", 0),
+                 r"^max_steps = 0 outside \[1, inf\)$", id="dynamics-steps-0"),
 ])
 def test_input_checks_raise(prop4, call, match):
     instance, schedule = prop4

@@ -4,10 +4,11 @@ estimated quality and the reward curve."""
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from avgov import (
     ContractViolation,
@@ -17,8 +18,14 @@ from avgov import (
     NormalizationError,
     RewardSchedule,
     VotingProfile,
+    WorldConfig,
+    delayed_update,
+    deviation_safety_threshold,
+    deviation_tail_bound,
+    discounted_total,
     expected_reward,
     honest_profile,
+    max_discount,
     opt_quality,
     qual,
     reward,
@@ -27,7 +34,7 @@ from avgov import (
     winner,
 )
 from avgov import core
-from avgov.core import _elect, _elect_arrays
+from avgov.core import _elect, _elect_arrays, _integer, _real, _reals
 from avgov.cli import prop3_scenario, prop4_scenario, thm6_scenario
 
 SCHED = RewardSchedule(a=2.0, a_prime=1.0, s=17.0, T=0.9, epsilon=19.0)
@@ -72,26 +79,152 @@ def test_schedule_validation():
         RewardSchedule(a=1.0, a_prime=-1.0, s=1.0, T=0.5)
 
 
-# Every number a scenario can carry into these constructors must be
-# finite: Python's JSON reader accepts Infinity, which passes a ">= 0"
-# range check.
+WORLD = WorldConfig(expertise=(0.9, 0.6), good_prior=0.5, proposals_per_round=2,
+                    zeta=0.05, gamma=0.5, horizon=4)
+
+# Every real argument of the public API: the name its refusal gives it,
+# and a call that passes it.  Each must be a finite number: Python's JSON
+# reader accepts Infinity, which passes a ">= 0" range check, and float()
+# reads "1" and True.
 NON_FINITE_BUILDERS = {
-    "weights": lambda v: Instance(weights=(v,), beliefs=((0.5,),)),
-    "external": lambda v: Instance(weights=(1.0,), beliefs=((0.5,),), external=((v,),)),
-    "a": lambda v: dataclasses.replace(SCHED, a=v),
-    "a_prime": lambda v: dataclasses.replace(SCHED, a_prime=v),
-    "s": lambda v: dataclasses.replace(SCHED, s=v),
-    "epsilon": lambda v: dataclasses.replace(SCHED, epsilon=v),
-    "delta": lambda v: dataclasses.replace(SCHED, delta=v),
-    "query.epsilon": lambda v: EquilibriumQuery(epsilon=v),
+    "weights": ("weights[0]", lambda v: Instance(weights=(v,), beliefs=((0.5,),))),
+    "beliefs": ("beliefs[0][1]", lambda v: Instance(weights=(1.0,), beliefs=((0.5, v),))),
+    "external": ("external[0][0]", lambda v: Instance(weights=(1.0,), beliefs=((0.5,),),
+                                                      external=((v,),))),
+    "a": ("a", lambda v: dataclasses.replace(SCHED, a=v)),
+    "a_prime": ("a_prime", lambda v: dataclasses.replace(SCHED, a_prime=v)),
+    "s": ("s", lambda v: dataclasses.replace(SCHED, s=v)),
+    "T": ("T", lambda v: dataclasses.replace(SCHED, T=v)),
+    "epsilon": ("epsilon", lambda v: dataclasses.replace(SCHED, epsilon=v)),
+    "delta": ("delta", lambda v: dataclasses.replace(SCHED, delta=v)),
+    "reward.weight": ("weight", lambda v: reward(0, 1, SCHED, v)),
+    "expected_reward.belief_p": ("belief_p", lambda v: expected_reward(1, v, SCHED)),
+    "honest_profile.T": ("T", lambda v: honest_profile(ONE_EXPERT, v)),
+    "qual.T": ("T", lambda v: qual(ONE_EXPERT, v, 1)),
+    "opt_quality.T": ("T", lambda v: opt_quality(ONE_EXPERT, v)),
+    "query.epsilon": ("epsilon", lambda v: EquilibriumQuery(epsilon=v)),
+    "safety.g": ("g", lambda v: deviation_safety_threshold(SCHED, v)),
+    "max_discount.epsilon": ("epsilon", lambda v: max_discount(v, 0.05)),
+    "max_discount.zeta": ("zeta", lambda v: max_discount(19.0, v)),
+    "world.expertise": ("expertise[1]", lambda v: dataclasses.replace(WORLD,
+                                                                      expertise=(0.9, v))),
+    "world.good_prior": ("good_prior", lambda v: dataclasses.replace(WORLD, good_prior=v)),
+    "world.zeta": ("zeta", lambda v: dataclasses.replace(WORLD, zeta=v)),
+    "world.gamma": ("gamma", lambda v: dataclasses.replace(WORLD, gamma=v)),
+    "delayed_update.w": ("w", lambda v: delayed_update(v, 0.5, 0.1)),
+    "delayed_update.omega": ("omega", lambda v: delayed_update(0.5, v, 0.1)),
+    "delayed_update.zeta": ("zeta", lambda v: delayed_update(0.5, 0.5, v)),
+    "discounted_total.gamma": ("gamma", lambda v: discounted_total([1.0, 2.0], v)),
+    "tail_bound.zeta": ("zeta", lambda v: deviation_tail_bound(SCHED, v, 0.5, 4)),
+    "tail_bound.gamma": ("gamma", lambda v: deviation_tail_bound(SCHED, 0.05, v, 4)),
+    "thm6.weight_slack": ("weight_slack", thm6_scenario),
 }
 
 
-@pytest.mark.parametrize("value", [math.inf, math.nan])
+@pytest.mark.parametrize("value", [math.inf, math.nan, -math.inf])
 @pytest.mark.parametrize("field", sorted(NON_FINITE_BUILDERS))
 def test_constructors_reject_non_finite_numbers(field, value):
-    with pytest.raises(ContractViolation, match="finite"):
-        NON_FINITE_BUILDERS[field](value)
+    name, build = NON_FINITE_BUILDERS[field]
+    with pytest.raises(ContractViolation) as refusal:
+        build(value)
+    assert str(refusal.value) == f"{name} = {value} is not a finite number"
+
+
+@pytest.mark.parametrize("value", [True, np.False_, "1", "0.5", None],
+                         ids=["bool", "numpy-bool", "int-string", "float-string", "none"])
+@pytest.mark.parametrize("field", sorted(NON_FINITE_BUILDERS))
+def test_real_arguments_refuse_non_numbers(field, value):
+    # Not read as 1, 0 or a parsed string, and not a TypeError either.
+    name, build = NON_FINITE_BUILDERS[field]
+    with pytest.raises(ContractViolation) as refusal:
+        build(value)
+    assert str(refusal.value) == f"{name} = {value!r} is not a number"
+
+
+# Values of every kind the argument checks meet: floats (NaN, infinities,
+# signed zeros and interval ends among them), ints, numpy scalars, bools
+# and strings.
+CHECKED_VALUES = (
+    st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from((0.0, -0.0, 0.5, 1.0, -1.0, 2.0, 5e-324, math.inf, -math.inf, math.nan,
+                       10 ** 308, -(10 ** 308)))
+    | st.integers(-(2 ** 70), 2 ** 70) | st.integers(-3, 3)
+    | st.builds(np.float64, st.floats()) | st.builds(np.int64, st.integers(-3, 3))
+    | st.booleans() | st.sampled_from((np.True_, "1", "0.5", None))
+)
+INTERVAL_ENDS = st.sampled_from((-math.inf, -1.0, 0, 0.5, 1, 2.0, math.inf)) | st.floats(
+    allow_nan=False)
+
+
+def _is_number(value):
+    return not isinstance(value, bool) and isinstance(value, (int, float, np.integer,
+                                                               np.floating))
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(value=CHECKED_VALUES, low=INTERVAL_ENDS, high=INTERVAL_ENDS,
+       ends=st.sampled_from(("[]", "[)", "(]", "()")))
+def test_real_accepts_exactly_the_finite_numbers_in_its_interval(value, low, high, ends):
+    x = float(value) if _is_number(value) else None
+    inside = x is not None and (low < x or ends[0] == "[" and x == low) and (
+        x < high or ends[1] == "]" and x == high)
+    if x is not None and math.isfinite(x) and inside:
+        checked = _real(value, "x", low, high, ends)
+        assert type(checked) is float and checked == x
+        return
+    with pytest.raises(ContractViolation) as refusal:
+        _real(value, "x", low, high, ends)
+    message = str(refusal.value)
+    if x is None:
+        assert message == f"x = {value!r} is not a number"
+    elif not math.isfinite(x):
+        assert message == f"x = {x} is not a finite number"
+    else:
+        left = ends[0] if low != -math.inf else "("
+        right = ends[1] if high != math.inf else ")"
+        assert message == f"x = {x} outside {left}{low:g}, {high:g}{right}"
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(values=st.lists(CHECKED_VALUES, max_size=6), low=INTERVAL_ENDS, high=INTERVAL_ENDS)
+# A non-finite value at an infinite end, and a NaN that min and max skip.
+@example(values=[0.5, -math.inf], low=-math.inf, high=math.inf)
+@example(values=[0.5, math.inf], low=0, high=math.inf)
+@example(values=[0.5, math.nan, 1.0], low=0, high=1)
+def test_reals_checks_each_value_as_real(values, low, high):
+    # The one-pass check over plain values decides as _real on each value,
+    # and a refusal names the first refused value.
+    names = [f"v[{i}]" for i in range(len(values))]
+    try:
+        expected = tuple(_real(v, name, low, high) for v, name in zip(values, names))
+    except ContractViolation as refusal:
+        with pytest.raises(ContractViolation, match=f"^{re.escape(str(refusal))}$"):
+            _reals(values, iter(names), low, high)
+    else:
+        assert _reals(values, iter(names), low, high) == expected
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(value=CHECKED_VALUES | st.floats(-4.0, 4.0).map(round).map(float),
+       low=st.sampled_from((-math.inf, -2, 0, 1, 3)) | st.integers(-4, 4),
+       high=st.sampled_from((math.inf, -1, 0, 2, 3)) | st.integers(-4, 4))
+def test_integer_accepts_exactly_the_integers_in_its_range(value, low, high):
+    if isinstance(value, (float, np.floating)):
+        integral = math.isfinite(value) and float(value).is_integer()
+    else:
+        integral = _is_number(value)
+    if integral and low <= int(value) <= high:
+        checked = _integer(value, "i", low, high)
+        assert type(checked) is int and checked == value
+        return
+    with pytest.raises(ContractViolation) as refusal:
+        _integer(value, "i", low, high)
+    if not integral:
+        assert str(refusal.value) == f"i = {value!r} is not an integer"
+    else:
+        right = "]" if high != math.inf else ")"
+        left = "[" if low != -math.inf else "("
+        assert str(refusal.value) == f"i = {int(value)} outside {left}{low:g}, {high:g}{right}"
 
 
 def test_profile_validation():
@@ -123,6 +256,9 @@ TWO_BY_TWO = VotingProfile(((0, 1), (1, 0)))
     pytest.param(lambda: Instance(weights=(1e308, 5e307, 5e307),
                                   beliefs=((0.5,), (0.5,), (0.5,))),
                  "sum to inf", id="weights-three-sum-overflow"),
+    # Integers that each fit a float, as a scenario file can give them.
+    pytest.param(lambda: Instance(weights=(10 ** 308, 10 ** 308), beliefs=((0.5,), (0.5,))),
+                 "^the weights sum to inf; it must be finite$", id="integer-weights-sum-overflow"),
     pytest.param(lambda: dataclasses.replace(SCHED, s=-1.0), "s = -1.0", id="negative-s"),
     pytest.param(lambda: dataclasses.replace(SCHED, epsilon=-1.0), "epsilon = -1.0",
                  id="negative-epsilon"),
@@ -138,40 +274,40 @@ TWO_BY_TWO = VotingProfile(((0, 1), (1, 0)))
                  id="nan-vote"),
     # Negative indices would pick a row or coordinate from the end.
     pytest.param(lambda: VotingProfile(((0, 1), (1, 0))).replace_row(-1, (1, 1)),
-                 "expert index -1 out of range", id="replace-row-negative"),
+                 r"expert = -1 outside \[0, 1\]", id="replace-row-negative"),
     pytest.param(lambda: VotingProfile(((0, 1), (1, 0))).replace_row(2, (1, 1)),
-                 "expert index 2 out of range", id="replace-row-past-end"),
+                 r"expert = 2 outside \[0, 1\]", id="replace-row-past-end"),
     pytest.param(lambda: VotingProfile(((0, 1), (1, 0))).flip(5, 1),
-                 "expert index 5 out of range", id="flip-expert-past-end"),
+                 r"expert = 5 outside \[0, 1\]", id="flip-expert-past-end"),
     pytest.param(lambda: VotingProfile(((0, 1), (1, 0))).flip(-1, 1),
-                 "expert index -1 out of range", id="flip-expert-negative"),
+                 r"expert = -1 outside \[0, 1\]", id="flip-expert-negative"),
     pytest.param(lambda: VotingProfile(((0, 1), (1, 0))).flip(0, 0),
-                 "proposal index 0 out of range", id="flip-proposal-0"),
+                 r"proposal_j = 0 outside \[1, 2\]", id="flip-proposal-0"),
     pytest.param(lambda: VotingProfile(((0, 1), (1, 0))).flip(0, -1),
-                 "proposal index -1 out of range", id="flip-proposal-negative"),
+                 r"proposal_j = -1 outside \[1, 2\]", id="flip-proposal-negative"),
     pytest.param(lambda: VotingProfile(((0, 1), (1, 0))).flip(0, 3),
-                 "proposal index 3 out of range", id="flip-proposal-past-end"),
+                 r"proposal_j = 3 outside \[1, 2\]", id="flip-proposal-past-end"),
     pytest.param(lambda: expected_reward(2, 0.5, SCHED), "must be a bit",
                  id="expected-reward-vote"),
     pytest.param(lambda: expected_reward(1, 1.5, SCHED), r"outside \[0, 1\]",
                  id="expected-reward-belief"),
-    pytest.param(lambda: honest_profile(ONE_EXPERT, 0.0), "strictly inside",
+    pytest.param(lambda: honest_profile(ONE_EXPERT, 0.0), r"T = 0.0 outside \(0, 1\)",
                  id="honest-T-0"),
-    pytest.param(lambda: honest_profile(ONE_EXPERT, 1.0), "strictly inside",
+    pytest.param(lambda: honest_profile(ONE_EXPERT, 1.0), r"T = 1.0 outside \(0, 1\)",
                  id="honest-T-1"),
     # qual and opt_quality read T as honest_profile does, the dummy's
     # quality included.
-    pytest.param(lambda: qual(TWO_EXPERTS, 5.0, 1), "T = 5.0 must lie strictly inside",
+    pytest.param(lambda: qual(TWO_EXPERTS, 5.0, 1), r"T = 5.0 outside \(0, 1\)",
                  id="qual-T-above-1"),
-    pytest.param(lambda: qual(TWO_EXPERTS, 0.0, 0), "T = 0.0 must lie strictly inside",
+    pytest.param(lambda: qual(TWO_EXPERTS, 0.0, 0), r"T = 0.0 outside \(0, 1\)",
                  id="qual-dummy-T-0"),
-    pytest.param(lambda: qual(TWO_EXPERTS, math.nan, 2), "T = nan must lie strictly inside",
+    pytest.param(lambda: qual(TWO_EXPERTS, math.nan, 2), "T = nan is not a finite number",
                  id="qual-T-nan"),
-    pytest.param(lambda: opt_quality(TWO_EXPERTS, -1.0), "T = -1.0 must lie strictly inside",
+    pytest.param(lambda: opt_quality(TWO_EXPERTS, -1.0), r"T = -1.0 outside \(0, 1\)",
                  id="opt-quality-T-negative"),
-    pytest.param(lambda: opt_quality(TWO_EXPERTS, 1.0), "T = 1.0 must lie strictly inside",
+    pytest.param(lambda: opt_quality(TWO_EXPERTS, 1.0), r"T = 1.0 outside \(0, 1\)",
                  id="opt-quality-T-1"),
-    pytest.param(lambda: opt_quality(TWO_EXPERTS, math.nan), "T = nan must lie strictly inside",
+    pytest.param(lambda: opt_quality(TWO_EXPERTS, math.nan), "T = nan is not a finite number",
                  id="opt-quality-T-nan"),
     # Indices and counts are integers: a bool is not read as 0 or 1, and a
     # fractional, non-finite or non-numeric value is refused, not a TypeError.
@@ -204,6 +340,29 @@ TWO_BY_TWO = VotingProfile(((0, 1), (1, 0)))
                  "sample_count = 2.5 is not an integer", id="curve-count-fractional"),
     pytest.param(lambda: reward_curve(SCHED, True),
                  "sample_count = True is not an integer", id="curve-count-bool"),
+    # A value of the right type outside its interval names the interval,
+    # with an infinite end open.
+    pytest.param(lambda: reward_curve(SCHED, 1), r"^sample_count = 1 outside \[2, inf\)$",
+                 id="curve-count-1"),
+    pytest.param(lambda: utility(TWO_EXPERTS, SCHED, TWO_BY_TWO, 2),
+                 r"^expert_i = 2 outside \[0, 1\]$", id="utility-expert-past-end"),
+    pytest.param(lambda: qual(TWO_EXPERTS, 0.5, 3), r"^proposal_j = 3 outside \[0, 2\]$",
+                 id="qual-proposal-past-end"),
+    pytest.param(lambda: Instance(weights=(-1,), beliefs=((0.5,),)),
+                 r"^weights\[0\] = -1\.0 outside \[0, inf\)$", id="negative-weight"),
+    pytest.param(lambda: dataclasses.replace(SCHED, a=0), r"^a = 0\.0 outside \(0, inf\)$",
+                 id="zero-a"),
+    pytest.param(lambda: reward(1, 1, SCHED, -0.5), r"^weight = -0\.5 outside \[0, inf\)$",
+                 id="reward-negative-weight"),
+    pytest.param(lambda: EquilibriumQuery("semi", -1), r"^epsilon = -1\.0 outside \[0, inf\)$",
+                 id="query-negative-epsilon"),
+    pytest.param(lambda: thm6_scenario(1), r"^weight_slack = 1\.0 outside \(0, 1\)$",
+                 id="thm6-slack-1"),
+    pytest.param(lambda: prop3_scenario(0), r"^n = 0 outside \[1, inf\)$", id="prop3-n-0"),
+    pytest.param(lambda: prop3_scenario(2.5), "^n = 2.5 is not an integer$",
+                 id="prop3-n-fractional"),
+    pytest.param(lambda: prop3_scenario(True), "^n = True is not an integer$",
+                 id="prop3-n-bool"),
 ])
 def test_input_checks_raise(build, match):
     with pytest.raises(ContractViolation, match=match):

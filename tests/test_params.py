@@ -249,7 +249,18 @@ def test_max_discount_is_zero_without_slack_or_step():
                  "a_prime = 0.0", id="zero-a-prime"),
     pytest.param(lambda: deviation_safety_threshold(derive_schedule(0.9, 19.0, 1.0),
                                                     math.inf),
-                 ContractViolation, "g = inf must be finite and >= 0", id="infinite-g"),
+                 ContractViolation, "g = inf is not a finite number", id="infinite-g"),
+    pytest.param(lambda: deviation_safety_threshold(derive_schedule(0.9, 19.0, 1.0), -1),
+                 ContractViolation, r"^g = -1\.0 outside \[0, inf\)$", id="negative-g"),
+    # An infinite slack gave a NaN cap.
+    pytest.param(lambda: max_discount(math.inf, 0.05), ContractViolation,
+                 "^epsilon = inf is not a finite number$", id="cap-infinite-epsilon"),
+    pytest.param(lambda: max_discount(-1, 0.05), ContractViolation,
+                 r"^epsilon = -1\.0 outside \[0, inf\)$", id="cap-negative-epsilon"),
+    pytest.param(lambda: max_discount(19.0, 1), ContractViolation,
+                 r"^zeta = 1\.0 outside \[0, 1\)$", id="cap-zeta-1"),
+    pytest.param(lambda: max_discount(19.0, "0.05"), ContractViolation,
+                 "^zeta = '0.05' is not a number$", id="cap-zeta-string"),
 ])
 def test_input_checks_raise(call, error, match):
     with pytest.raises(error, match=match):

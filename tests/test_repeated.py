@@ -554,7 +554,7 @@ def test_world_config_validation():
     pytest.param(lambda: delayed_update(0.5, 0.5, 0.0), "zeta = 0.0", id="update-zeta"),
     pytest.param(lambda: run_repeated(world(), SCHED, policy="greedy"),
                  "unsupported policy", id="run-policy"),
-    pytest.param(lambda: deviation_gap(world(), SCHED, 2, 3), "expert index 2",
+    pytest.param(lambda: deviation_gap(world(), SCHED, 2, 3), r"expert_i = 2 outside \[0, 1\]",
                  id="gap-expert"),
     pytest.param(lambda: deviation_gap(world(), SCHED, 0, 0), "horizon_H", id="gap-H"),
     pytest.param(lambda: deviation_gap(world(), SCHED, True, 3),
@@ -601,6 +601,32 @@ def test_world_config_validation():
                  id="world-horizon-exponent-string"),
     pytest.param(lambda: world(seed=np.True_), r"seed = (np\.True_|True) is not an integer",
                  id="world-seed-numpy-bool"),
+    pytest.param(lambda: world(horizon=0), r"^horizon = 0 outside \[1, inf\)$",
+                 id="world-horizon-0"),
+    pytest.param(lambda: world(seed=-1), r"^seed = -1 outside \[0, inf\)$",
+                 id="world-seed-negative"),
+    # A real is a number: not parsed from a string, not read from a bool.
+    pytest.param(lambda: world(zeta="0.1"), "^zeta = '0.1' is not a number$",
+                 id="world-zeta-string"),
+    pytest.param(lambda: world(good_prior=True), "^good_prior = True is not a number$",
+                 id="world-good-prior-bool"),
+    pytest.param(lambda: world(expertise=("0.9",)), r"^expertise\[0\] = '0.9' is not a number$",
+                 id="world-expertise-string"),
+    pytest.param(lambda: world(gamma=1), r"^gamma = 1\.0 outside \[0, 1\)$",
+                 id="world-gamma-1"),
+    # An infinite weight stepped to inf, and a NaN or string gamma summed.
+    pytest.param(lambda: delayed_update(math.inf, 0.5, 0.1), "^w = inf is not a finite number$",
+                 id="update-w-inf"),
+    pytest.param(lambda: discounted_total([1, 2], math.nan),
+                 "^gamma = nan is not a finite number$", id="total-gamma-nan"),
+    pytest.param(lambda: discounted_total([1, 2], "0.5"), "^gamma = '0.5' is not a number$",
+                 id="total-gamma-string"),
+    pytest.param(lambda: discounted_total([1, 2], 1.0), r"^gamma = 1\.0 outside \[0, 1\)$",
+                 id="total-gamma-1"),
+    pytest.param(lambda: run_repeated(world(), SCHED, SingleDeviatorPolicy(expert=2, plan=())),
+                 r"^policy\.expert = 2 outside \[0, 1\]$", id="run-deviator-past-end"),
+    pytest.param(lambda: run_repeated(world(), SCHED, SingleDeviatorPolicy(expert=-1, plan=())),
+                 r"^policy\.expert = -1 outside \[0, 1\]$", id="run-deviator-negative"),
 ])
 def test_input_checks_raise(call, match):
     with pytest.raises(ContractViolation, match=match):
