@@ -73,13 +73,16 @@ def _cells(rows):
 
 def _write_csv(fh, header, rows):
     """Write the header and the rows as CSV to the text file ``fh``, opened
-    with ``newline=""``: cells joined by commas, each line ended by CRLF,
-    one line at a time.
+    with ``newline=""``: cells joined by commas, each line ended by CRLF.
+    The lines are joined and written _WRITE_SLICE at a time, so that no
+    Python code runs per line and a long table is never whole in memory.
 
     Cells arrive as CSV text.  Only ``_flatten`` makes cells that can hold
     a comma, a quote or a line break, and it quotes them with ``_quoted``;
     every other producer yields cells that need no quotes."""
-    fh.writelines(",".join(row) + "\r\n" for row in itertools.chain((header,), rows))
+    rows = itertools.chain((header,), rows)
+    while lines := list(itertools.islice(rows, _WRITE_SLICE)):
+        fh.write("\r\n".join(map(",".join, lines)) + "\r\n")
 
 
 def _quoted(cell):
@@ -509,34 +512,53 @@ def cmd_repeat(args):
     return payload, header, _repeat_rows(trace)
 
 
-# ``repeat --out`` formats its CSV rows from this many rounds at a time.
-_REPEAT_BLOCK = 1024
+# ``repeat --out`` formats its CSV columns this many rounds at a time, and
+# ``_write_csv`` joins and writes this many lines at a time.
+_REPEAT_BLOCK = 256
+_WRITE_SLICE = 512
 
 
 def _repeat_rows(trace):
     """The trace's CSV rows, one per round and expert, made as they are
-    written from _REPEAT_BLOCK rounds of the trace's arrays at a time.
-    Each weight is formatted once: round t's ``weight_next`` is round t+1's
-    ``weight``.  A subjective reward equal to the realized one reuses its
-    cell, unless both are zeros, whose signs may differ.  A vote row's cell
-    is its k vote bytes, "0" or "1", read as one string, for any k."""
-    experts = [str(i) for i in range(len(trace.correct))]
-    k = trace.votes.shape[2]
-    now = list(map(_real, trace.weights[0].tolist()))
-    for start in range(0, len(trace.winners), _REPEAT_BLOCK):
-        block = slice(start, start + _REPEAT_BLOCK)
-        bits = (trace.votes[block] + ord("0")).view(f"S{k}")[..., 0].astype(str)
-        for t, (votes, js, q, realized, subjective, following) in enumerate(zip(
-                bits.tolist(), trace.winners[block].tolist(), trace.revealed[block].tolist(),
-                trace.realized[block].tolist(), trace.subjective[block].tolist(),
-                trace.weights[start + 1:start + 1 + _REPEAT_BLOCK].tolist()), start):
-            after = list(map(_real, following))
-            round_, winner, revealed = str(t), str(js), "" if q < 0 else str(q)
-            for i, v, r, s, w, w_next in zip(experts, votes, realized, subjective, now, after):
-                cell = _real(r)
-                yield (round_, i, v, winner, revealed, cell,
-                       cell if s == r != 0.0 else _real(s), w, w_next)
-            now = after
+    written, _REPEAT_BLOCK rounds at a time (``_repeat_block``)."""
+    return itertools.chain.from_iterable(
+        _repeat_block(trace, start) for start in range(0, len(trace.winners), _REPEAT_BLOCK))
+
+
+def _repeat_block(trace, start):
+    """The rows of the _REPEAT_BLOCK rounds from ``start``, zipped from
+    columns that are each formatted in one pass over the block's arrays,
+    so that no Python code runs per row.
+
+    A per-round cell is repeated for each of the n experts.  The weights
+    entering rounds start to start + rounds are formatted once: their cells
+    from the n-th on are the ``weight_next`` column, and zip stops at the
+    block's last row.  A subjective reward equal
+    to the realized one reuses its cell, unless both are zeros, whose
+    signs may differ.  A vote row's cell is its k vote bytes, "0" or "1",
+    read as one string, for any k."""
+    block = slice(start, start + _REPEAT_BLOCK)
+    winners = trace.winners[block].tolist()
+    rounds, n, k = len(winners), trace.votes.shape[1], trace.votes.shape[2]
+
+    def per_expert(cells):
+        return itertools.chain.from_iterable(zip(*[cells] * n))
+
+    bits = (trace.votes[block] + ord("0")).view(f"S{k}")[..., 0].astype(str)
+    realized, subjective = trace.realized[block].ravel(), trace.subjective[block].ravel()
+    reward = list(map(_real, realized.tolist()))
+    own = ((subjective != realized) | (realized == 0.0)).nonzero()[0]
+    subjective_cells = reward.copy()
+    for i, cell in zip(own.tolist(), map(_real, subjective[own].tolist())):
+        subjective_cells[i] = cell
+    weight = list(map(_real, trace.weights[start:start + rounds + 1].ravel().tolist()))
+    return zip(
+        per_expert(list(map(str, range(start, start + rounds)))),
+        [str(i) for i in range(n)] * rounds,
+        bits.ravel().tolist(),
+        per_expert(list(map(str, winners))),
+        per_expert(["" if q < 0 else str(q) for q in trace.revealed[block].tolist()]),
+        reward, subjective_cells, weight, weight[n:])
 
 
 def cmd_deviation_gap(args):

@@ -56,6 +56,9 @@ def derive_schedule(T: float, epsilon: float, a_prime: float, *,
     holds iff (1+epsilon)(1-T) >= 1.  A schedule with a < a_prime can only
     be given in explicit form, where ``validate_schedule`` flags it.
     """
+    T = _real(T, "T")
+    epsilon = _real(epsilon, "epsilon")
+    a_prime = _real(a_prime, "a_prime")
     if T in (0.0, 1.0):
         raise DerivationError(f"T = {T} is degenerate; the threshold must be interior")
     if not 0.0 < T < 1.0:

@@ -7,6 +7,7 @@ import math
 import re
 import shlex
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -433,6 +434,14 @@ def test_derive_params_rejects_bad_epsilon(capsys):
                            "0.05", "--a-prime", "1")
     assert code == 2
     assert "1/(epsilon+1)" in err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--epsilon", "inf", "--a-prime", "1"], "epsilon = inf is not a finite number"),
+    (["--epsilon", "19", "--a-prime", "inf"], "a_prime = inf is not a finite number"),
+], ids=["epsilon-inf", "a-prime-inf"])
+def test_derive_params_names_the_non_finite_flag(capsys, flags, message):
+    assert run_cli(capsys, "derive-params", "--T", "0.9", *flags) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("flags, missing", [
@@ -937,18 +946,63 @@ def test_repeat_rows_share_only_equal_nonzero_reward_cells():
     assert rows[1][5] is rows[1][6]
 
 
+def _drawn_trace(seed, n, k, horizon):
+    """A trace of random arrays whose reward pairs are, cell by cell, equal,
+    unequal, or zeros of either sign, and whose dummy rounds reveal -1."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.integers(-7, 7, size=(horizon, n))
+    realized = rng.random((horizon, n)) * scale
+    kind = rng.integers(0, 4, size=(horizon, n))
+    subjective = np.where(kind == 0, realized, rng.random((horizon, n)) * scale)
+    zero_signs = rng.choice([0.0, -0.0], size=(2, horizon, n))
+    realized[kind == 2] = zero_signs[0][kind == 2]
+    subjective[kind == 2] = zero_signs[1][kind == 2]
+    winners = rng.integers(0, k + 1, size=horizon)
+    return repeated.RepeatedTrace(
+        votes=rng.integers(0, 2, size=(horizon, n, k), dtype=np.int8),
+        winners=winners,
+        revealed=np.where(winners == 0, -1, rng.integers(0, 2, size=horizon)),
+        realized=realized, subjective=subjective,
+        weights=rng.random((horizon + 1, n)) * 10.0 ** rng.integers(-5, 3, size=(horizon + 1, n)),
+        discounted_realized=(0.0,) * n, discounted_subjective=(0.0,) * n,
+        correct=(0,) * n, revealed_rounds=0, gamma_warning=False)
+
+
+BLOCK = cli._REPEAT_BLOCK
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 8),
+       st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7]))
+def test_repeat_rows_match_per_row_cells(seed, n, k, horizon):
+    # Block edges fall inside all but the shortest horizons.
+    trace = _drawn_trace(seed, n, k, horizon)
+    plain = tuple_form(trace)
+    expected = [
+        (str(t), str(i), cli._bits(plain.votes[t][i]), str(plain.winners[t]),
+         "" if plain.revealed[t] is None else str(plain.revealed[t]),
+         cli._real(plain.realized[t][i]), cli._real(plain.subjective[t][i]),
+         cli._real(plain.weights[t][i]), cli._real(plain.weights[t + 1][i]))
+        for t in range(horizon) for i in range(n)
+    ]
+    assert list(cli._repeat_rows(trace)) == expected
+
+
 # Cells with every character csv.writer's minimal rule quotes for.
 CSV_CELLS = st.text(alphabet=st.sampled_from("a1 |.-é,\"\r\n"), max_size=6)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(st.lists(st.lists(CSV_CELLS, min_size=2, max_size=4), max_size=6))
-def test_write_csv_matches_csv_writer(tmp_path_factory, rows):
-    # csv stays here as the reference dialect for the joined cells.
+@given(st.lists(st.lists(CSV_CELLS, min_size=2, max_size=4), max_size=6),
+       st.integers(1, 4))
+def test_write_csv_matches_csv_writer(tmp_path_factory, rows, lines_per_write):
+    # csv stays here as the reference dialect for the joined cells.  The
+    # lines are written a few at a time, so that the table spans writes.
     header = ("key", "value")
     ours = tmp_path_factory.mktemp("csv") / "ours.csv"
     theirs = ours.with_name("theirs.csv")
-    with open(ours, "w", newline="") as fh:
+    with open(ours, "w", newline="") as fh, \
+            mock.patch.object(cli, "_WRITE_SLICE", lines_per_write):
         cli._write_csv(fh, header, ([cli._quoted(c) for c in row] for row in rows))
     with open(theirs, "w", newline="") as fh:
         csv.writer(fh).writerows([header, *rows])

@@ -247,6 +247,23 @@ def test_max_discount_is_zero_without_slack_or_step():
                  "epsilon = -1.0", id="negative-epsilon"),
     pytest.param(lambda: derive_schedule(0.9, 19.0, 0.0), DerivationError,
                  "a_prime = 0.0", id="zero-a-prime"),
+    # Type and finiteness are core._real's; the ranges stay DerivationError's.
+    pytest.param(lambda: derive_schedule("0.9", 19, 1), ContractViolation,
+                 "^T = '0.9' is not a number$", id="T-string"),
+    pytest.param(lambda: derive_schedule(0.9, True, 1), ContractViolation,
+                 "^epsilon = True is not a number$", id="epsilon-bool"),
+    pytest.param(lambda: derive_schedule(0.9, 19, None), ContractViolation,
+                 "^a_prime = None is not a number$", id="a-prime-none"),
+    pytest.param(lambda: derive_schedule(math.nan, 19, 1), ContractViolation,
+                 "^T = nan is not a finite number$", id="T-nan"),
+    pytest.param(lambda: derive_schedule(0.9, math.inf, 1), ContractViolation,
+                 "^epsilon = inf is not a finite number$", id="infinite-epsilon"),
+    pytest.param(lambda: derive_schedule(0.9, math.nan, 1), ContractViolation,
+                 "^epsilon = nan is not a finite number$", id="nan-epsilon"),
+    pytest.param(lambda: derive_schedule(0.9, 19, math.inf), ContractViolation,
+                 "^a_prime = inf is not a finite number$", id="infinite-a-prime"),
+    pytest.param(lambda: derive_schedule(0.9, 19, -math.inf), ContractViolation,
+                 "^a_prime = -inf is not a finite number$", id="negative-infinite-a-prime"),
     pytest.param(lambda: deviation_safety_threshold(derive_schedule(0.9, 19.0, 1.0),
                                                     math.inf),
                  ContractViolation, "g = inf is not a finite number", id="infinite-g"),
