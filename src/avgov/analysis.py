@@ -54,6 +54,7 @@ import numpy as np
 
 from . import params
 from .core import (
+    MODES,
     TOL,
     Instance,
     RewardSchedule,
@@ -84,8 +85,6 @@ from .errors import ContractViolation, GuardRefusal
 # passes in all.
 ENUMERATION_GUARD_BITS = 24
 ENUMERATION_GUARD_LOOP_BITS = 32
-
-MODES = ("strategic", "semi")
 
 
 def _check_mode(mode):

@@ -17,8 +17,9 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from . import analysis, core, params, repeated
+from . import core, params
 from .errors import (
     ContractViolation,
     DerivationError,
@@ -26,6 +27,9 @@ from .errors import (
     NormalizationError,
     ScenarioError,
 )
+
+if TYPE_CHECKING:  # imported by the commands that run it; see _read_world
+    from . import repeated
 
 
 # ---------------------------------------------------------------------------
@@ -217,10 +221,15 @@ def _read_schedule(data, instance):
             f"schedule: delta = {delta} is below the bound "
             f"{bound} computed from the instance's external rewards"
         )
-    return dataclasses.replace(schedule, delta=max(delta, bound)), form
+    delta = max(delta, bound)
+    if delta.hex() != schedule.delta.hex():  # bit for bit: a given -0.0 stays -0.0
+        schedule = dataclasses.replace(schedule, delta=delta)
+    return schedule, form
 
 
 def _read_world(data):
+    from . import repeated
+
     _check_keys(data, {"expertise", "good_prior", "k", "zeta", "gamma", "horizon", "seed"},
                 "world")
     try:
@@ -397,6 +406,8 @@ def _report_payload(report):
 
 
 def _enumerate(args):
+    from . import analysis
+
     scenario = load_scenario(args.scenario)
     query = analysis.EquilibriumQuery(args.mode, args.epsilon)
     return analysis.enumerate_equilibria(scenario.instance, scenario.schedule, query)
@@ -415,6 +426,8 @@ def cmd_poa(args):
 
 
 def cmd_construct_pne(args):
+    from . import analysis
+
     scenario = load_scenario(args.scenario)
     profile = analysis.constructive_pne(scenario.instance, scenario.schedule)
     outcome = core.winner(scenario.instance, profile)
@@ -433,6 +446,8 @@ def cmd_construct_pne(args):
 
 
 def cmd_dynamics(args):
+    from . import analysis
+
     scenario = load_scenario(args.scenario)
     start = _resolve_profile(scenario, args.start)
     trace = analysis.best_response_dynamics(
@@ -456,6 +471,8 @@ def cmd_dynamics(args):
 
 
 def cmd_safety(args):
+    from . import analysis
+
     scenario = load_scenario(args.scenario)
     envelope = params.deviation_safety_threshold(scenario.schedule, args.g)
     certificate = analysis.safety_certificate(scenario.instance, scenario.schedule)
@@ -484,14 +501,16 @@ def _world_for(args, scenario):
     world = scenario.world
     if world is None:
         raise ScenarioError(f"{args.command} requires a scenario with a world section")
-    return dataclasses.replace(
-        world,
-        horizon=world.horizon if args.horizon is None else args.horizon,
-        seed=world.seed if args.seed is None else args.seed,
-    )
+    horizon = world.horizon if args.horizon is None else args.horizon
+    seed = world.seed if args.seed is None else args.seed
+    if (horizon, seed) == (world.horizon, world.seed):
+        return world
+    return dataclasses.replace(world, horizon=horizon, seed=seed)
 
 
 def cmd_repeat(args):
+    from . import repeated
+
     scenario = load_scenario(args.scenario)
     world = _world_for(args, scenario)
     trace = repeated.run(world, scenario.schedule)
@@ -562,6 +581,8 @@ def _repeat_block(trace, start):
 
 
 def cmd_deviation_gap(args):
+    from . import repeated
+
     scenario = load_scenario(args.scenario)
     world = _world_for(args, scenario)
     horizon = world.horizon
@@ -604,6 +625,8 @@ def _ratio_to_opt(scenario, profile):
 
 
 def _reproduce_prop4(args):
+    from . import analysis
+
     scenario = prop4_scenario()
     query = analysis.EquilibriumQuery()
     report = analysis.enumerate_equilibria(scenario.instance, scenario.schedule, query)
@@ -629,6 +652,8 @@ def _reproduce_prop4(args):
 
 
 def _reproduce_thm6(args):
+    from . import analysis
+
     slack = args.eps_weight
     scenario = thm6_scenario(slack)
     profile = core.VotingProfile(((0, 1), (1, 0)))
@@ -651,6 +676,8 @@ def _reproduce_thm6(args):
 
 
 def _reproduce_prop3(args):
+    from . import analysis
+
     n = args.n
     scenario = prop3_scenario(n)
     profile = analysis.constructive_pne(scenario.instance, scenario.schedule)
@@ -720,7 +747,7 @@ def build_parser():
             ("enumerate", "exhaustive equilibrium search", cmd_enumerate),
             ("poa", "price of anarchy / stability", cmd_poa)):
         p = add(name, help=help, handler=handler)
-        p.add_argument("--mode", choices=analysis.MODES, default="semi")
+        p.add_argument("--mode", choices=core.MODES, default="semi")
         p.add_argument("--epsilon", type=float, default=0.0)
 
     add("construct-pne", help="constructive equilibrium for strategic experts",
@@ -730,7 +757,7 @@ def build_parser():
             handler=cmd_dynamics)
     p.add_argument("--start", default="honest",
                    help="honest, zeros, or an explicit profile")
-    p.add_argument("--mode", choices=analysis.MODES, default="semi")
+    p.add_argument("--mode", choices=core.MODES, default="semi")
     p.add_argument("--max-steps", dest="max_steps", type=int, default=64)
 
     p = add("safety", help="deviation-safety thresholds and certificate",

@@ -44,6 +44,10 @@ TOL = 1e-9
 
 DUMMY = 0
 
+# The expert models: purely strategic, or semi-strategic (a reported vector
+# must be admissible; see avgov.analysis).
+MODES = ("strategic", "semi")
+
 # Searches over an expert's 2^k vote vectors are refused beyond this k;
 # 2^16 is also the number of kept entries repeated.STATE_GUARD allows.
 VECTOR_GUARD_BITS = 16

@@ -635,7 +635,9 @@ def deviation_gap(world: WorldConfig, schedule: RewardSchedule, expert_i: int,
             f"deviation search would pass {STATE_GUARD} kept entries: "
             f"horizon_H = {horizon_H} expands at least one per round"
         )
-    qualities, beliefs = _presample(dataclasses.replace(world, horizon=horizon_H))
+    if horizon_H != world.horizon:
+        world = dataclasses.replace(world, horizon=horizon_H)
+    qualities, beliefs = _presample(world)
     votes = _honest_votes(beliefs, schedule.T).tolist()
     quality_rows = qualities.tolist()
 

@@ -766,8 +766,7 @@ def test_reproduce_prop3_ratios(capsys):
 
 
 def test_reproduce_claim_failure_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr(cli.analysis, "is_approx_pne",
-                        lambda *a, **k: False)
+    monkeypatch.setattr("avgov.analysis.is_approx_pne", lambda *a, **k: False)
     code, out, err = run_cli(capsys, "reproduce", "thm6")
     assert code == 1
     assert "claim check failed" in err
@@ -1030,3 +1029,131 @@ def test_deviation_gap_guard_exits_3(capsys, scenario_file, monkeypatch):
                            "--horizon", "12")
     assert code == 3
     assert "refused" in err
+
+
+# ---------------------------------------------------------------------------
+# imports
+# ---------------------------------------------------------------------------
+
+# Run as ``python -c LOADED_MODULES ARGV...``: runs ``python -m avgov ARGV``
+# (with no ARGV, only imports avgov.cli) and prints, as JSON, the avgov
+# modules it loaded.
+LOADED_MODULES = """
+import contextlib, io, json, runpy, sys
+with contextlib.redirect_stdout(io.StringIO()):
+    if len(sys.argv) > 1:
+        sys.argv = ["avgov", *sys.argv[1:]]
+        try:
+            runpy.run_module("avgov", run_name="__main__", alter_sys=True)
+        except SystemExit as exc:
+            assert exc.code == 0, exc.code
+    else:
+        import avgov.cli
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("avgov"))))
+"""
+
+
+def _python(script, *argv):
+    """The JSON that ``python -c script argv...`` prints, in a fresh
+    interpreter."""
+    import subprocess
+    import sys
+
+    proc = subprocess.run([sys.executable, "-c", script, *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+DEVIATION = str(EXAMPLES / "deviation.json")
+
+
+@pytest.mark.parametrize("argv, halves", [
+    ((), set()),
+    (("--help",), set()),
+    (("enumerate", "--scenario", "{no_world}"), {"avgov.analysis"}),
+    (("reproduce", "prop4"), {"avgov.analysis"}),
+    (("repeat", "--scenario", DEVIATION, "--horizon", "3"), {"avgov.repeated"}),
+    (("deviation-gap", "--scenario", DEVIATION, "--horizon", "3"), {"avgov.repeated"}),
+])
+def test_commands_load_only_the_half_they_run(scenario_file, argv, halves):
+    # The one-shot analysis and the repeated game are each loaded only by
+    # the commands that call them.  A scenario's world section is checked
+    # by repeated.WorldConfig, so enumerate reads one without it.
+    no_world = scenario_file(PROP4_SCENARIO)
+    loaded = set(_python(LOADED_MODULES, *(a.format(no_world=no_world) for a in argv)))
+    assert {"avgov", "avgov.cli", "avgov.core", "avgov.errors", "avgov.params"} <= loaded
+    assert loaded & {"avgov.analysis", "avgov.repeated"} == halves
+
+
+# The names ``avgov`` binds, by the module that defines each; the package
+# also binds each of these modules by its name, and repeated.run as
+# run_repeated.
+PACKAGE_NAMES = {
+    "avgov.core": (
+        "DUMMY", "TOL", "Instance", "Outcome", "RewardSchedule", "VotingProfile",
+        "expected_reward", "honest_profile", "opt_quality", "qual", "reward",
+        "reward_curve", "utility", "winner",
+    ),
+    "avgov.errors": (
+        "AvgovError", "ContractViolation", "DerivationError", "GuardRefusal",
+        "NormalizationError", "ScenarioError",
+    ),
+    "avgov.params": (
+        "IDENTITY_TOL", "SafetyEnvelope", "ScheduleDiagnostics", "derive_schedule",
+        "deviation_safety_threshold", "external_bound_delta", "max_discount",
+        "validate_schedule",
+    ),
+    "avgov.analysis": (
+        "ENUMERATION_GUARD_BITS", "DynamicsTrace", "EquilibriumEntry", "EquilibriumQuery",
+        "EquilibriumReport", "MoveRecord", "SafetyCertificate", "best_response",
+        "best_response_dynamics", "constructive_pne", "enumerate_equilibria",
+        "is_admissible", "is_approx_pne", "safety_certificate",
+    ),
+    "avgov.repeated": (
+        "DeviationGapResult", "HonestPolicy", "RepeatedTrace", "SingleDeviatorPolicy",
+        "WorldConfig", "correct_fraction", "delayed_update", "deviation_gap",
+        "deviation_tail_bound", "discounted_total", "sample_round",
+    ),
+}
+
+# Run as ``python -c PUBLIC_NAMES WHERE``, WHERE a JSON object of
+# name -> [module, attribute or null for the module itself]: prints the
+# names that ``avgov`` does not resolve to that object, then ``__all__``
+# and the names ``from avgov import *`` binds.
+PUBLIC_NAMES = """
+import importlib, json, sys
+import avgov
+
+def target(module, attr):
+    module = importlib.import_module(module)
+    return module if attr is None else getattr(module, attr)
+
+where = json.loads(sys.argv[1])
+differ = [name for name, (module, attr) in where.items()
+          if getattr(avgov, name) is not target(module, attr)]
+star = {}
+exec("from avgov import *", star)
+print(json.dumps([differ, sorted(avgov.__all__), sorted(set(star) - {"__builtins__"})]))
+"""
+
+
+def test_public_names_resolve_to_their_module_objects():
+    # In a fresh interpreter, so that each name the package loads on first
+    # use is looked up for the first time here.
+    where = {name: (module, name)
+             for module, names in PACKAGE_NAMES.items() for name in names}
+    where.update({module.split(".")[1]: (module, None) for module in PACKAGE_NAMES})
+    where["run_repeated"] = ("avgov.repeated", "run")
+    differ, names, star = _python(PUBLIC_NAMES, json.dumps(where))
+    assert differ == []
+    assert names == star == sorted(where)
+
+
+def test_package_refuses_unknown_names_and_lists_lazy_ones():
+    import avgov
+
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        avgov.no_such_name
+    assert not hasattr(avgov, "run")
+    assert set(avgov.__all__) <= set(dir(avgov))
