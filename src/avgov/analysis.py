@@ -151,7 +151,9 @@ class DynamicsTrace:
 @dataclass(frozen=True)
 class SafetyCertificate:
     """Per-(expert, proposal) safety flags from the deviation-safety
-    threshold; ``eligible`` iff every below-threshold belief is safe."""
+    threshold.  ``eligible`` iff every cell whose belief is below T is
+    safe; cells at or above T are not checked, so it does not imply the
+    2-approximation (see ``safety_certificate``)."""
 
     safe: tuple
     eligible: bool
@@ -527,8 +529,15 @@ def best_response_dynamics(instance: Instance, schedule: RewardSchedule,
 def safety_certificate(instance: Instance, schedule: RewardSchedule) -> SafetyCertificate:
     """Flag each (expert, proposal) cell as safe iff the belief lies below
     the deviation-safety threshold for that cell's normalized external
-    reward.  The instance is eligible for the 2-approximation guarantee iff
-    every below-threshold belief is safe."""
+    reward.  The instance is eligible iff every cell whose belief is below
+    T, one the expert honestly disapproves, is safe.
+
+    Eligibility checks only those cells and is not the 2-approximation
+    guarantee: an expert whose belief is at or above T may admissibly
+    withhold an approval, and ``tests/test_analysis.py::
+    test_anarchy_bound_fails_for_marginally_attached_pivotal_expert`` pins
+    an eligible instance with a semi-strategic equilibrium whose ratio to
+    the optimum exceeds 2."""
     honest = _honest_votes(instance.beliefs, schedule.T)
     safe = []
     eligible = True

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -623,6 +624,15 @@ def deviation_gap(world: WorldConfig, schedule: RewardSchedule, expert_i: int,
     refused before anything is sampled, as is a world whose k exceeds
     core.VECTOR_GUARD_BITS.  Whether a shorter horizon passes the cap is
     known only by searching.
+
+    Refuses (ContractViolation), also before sampling, when the float sum
+    over t < H of gamma^t * max(a, a', s), formed from 0.0 in round order
+    as the totals are, is not finite.  No margin is needed below that:
+    every payout has magnitude at most max(a, a', s), since p*a and
+    (1-p)*s are nonnegative and at most a and s, and the weight is at most
+    1.  Rounding is monotone, so each term and partial sum of a total is
+    at most that sum's in magnitude, and every total is finite.  Past it a
+    total may overflow, and inf / inf would make the ratio NaN.
     """
     expert_i = _integer(expert_i, "expert_i", 0, world.n - 1)
     horizon_H = _integer(horizon_H, "horizon_H", 1)
@@ -635,16 +645,25 @@ def deviation_gap(world: WorldConfig, schedule: RewardSchedule, expert_i: int,
             f"deviation search would pass {STATE_GUARD} kept entries: "
             f"horizon_H = {horizon_H} expands at least one per round"
         )
+    # factors[t] is gamma^t as discounted_total forms it.
+    factors = _discount_factors(horizon_H, world.gamma).tolist()
+    most = max(schedule.a, schedule.a_prime, schedule.s)
+    reach = 0.0
+    for factor in factors:
+        reach += factor * most
+    if not math.isfinite(reach):
+        raise ContractViolation(
+            f"deviation search would overflow: the sum of gamma^t * max(a, a', s) "
+            f"over {horizon_H} rounds is not finite"
+        )
     if horizon_H != world.horizon:
         world = dataclasses.replace(world, horizon=horizon_H)
     qualities, beliefs = _presample(world)
     votes = _honest_votes(beliefs, schedule.T).tolist()
     quality_rows = qualities.tolist()
 
-    # factors[t] is gamma^t as discounted_total forms it, capped[t] the
-    # bound on rounds t..H-1 at weight 1.
+    # capped[t] is the bound on rounds t..H-1 at weight 1.
     top = _round_cap(schedule)
-    factors = _discount_factors(horizon_H, world.gamma).tolist()
     capped = [0.0] * (horizon_H + 1)
     for t in reversed(range(horizon_H)):
         capped[t] = factors[t] * top + capped[t + 1]

@@ -44,7 +44,7 @@ from avgov import (
     validate_schedule,
     winner,
 )
-from avgov.cli import prop3_scenario, prop4_scenario, thm6_scenario
+from avgov.claims import prop3_scenario, prop4_scenario, thm6_scenario
 
 SEMI0 = EquilibriumQuery(mode="semi", epsilon=0.0)
 STRAT0 = EquilibriumQuery(mode="strategic", epsilon=0.0)

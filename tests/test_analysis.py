@@ -32,8 +32,8 @@ from avgov import (
     winner,
 )
 from avgov import analysis
+from avgov.claims import prop3_scenario, prop4_scenario, thm6_scenario
 from avgov.core import TOL, _elect, _utility
-from avgov.cli import prop3_scenario, prop4_scenario, thm6_scenario
 
 SEMI0 = EquilibriumQuery(mode="semi", epsilon=0.0)
 STRAT0 = EquilibriumQuery(mode="strategic", epsilon=0.0)

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import inspect
 import json
 import math
 import re
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from avgov import cli, params, repeated
+from avgov import claims, cli, params, repeated
 from test_repeated import tuple_form
 
 EXAMPLES = Path(__file__).parent.parent / "examples"
@@ -121,10 +122,15 @@ def test_every_command_and_claim_parses_to_its_function():
         flags = ["--scenario", "x.json"] if name in SCENARIO_COMMANDS else required[name]
         handler = parser.parse_args([name, *flags]).handler
         assert handler is getattr(cli, "cmd_" + name.replace("-", "_"))
-    for name in _subcommands(commands["reproduce"]):
+    # A claim is a function of claims that takes only the parsed arguments.
+    functions = {name for name, f in vars(claims).items()
+                 if inspect.isfunction(f) and f.__module__ == claims.__name__
+                 and list(inspect.signature(f).parameters) == ["args"]}
+    assert set(_subcommands(commands["reproduce"])) == functions
+    for name in functions:
         args = parser.parse_args(["reproduce", name])
         assert args.handler is cli.cmd_reproduce
-        assert args.claim is getattr(cli, "_reproduce_" + name)
+        assert not hasattr(args, "claim")
 
 
 def _readme_block(heading, lang):
@@ -418,6 +424,21 @@ def test_deviation_gap_command(capsys, scenario_file):
     assert payload["plan_count"] == 64
     assert payload["ratio"] >= 1.0
     assert payload["ratio_with_tail"] <= payload["deviation_bound"]
+
+
+def test_deviation_gap_refuses_rewards_that_overflow(capsys, scenario_file, tmp_path):
+    # Rewards near the float limit would make both totals inf, and the
+    # ratio inf / inf NaN: refused before anything is printed or written.
+    data = json.loads((EXAMPLES / "deviation.json").read_text())
+    data["schedule"] = {"a": 1e308, "a_prime": 1, "s": 1e307, "T": 0.09090909090909091}
+    data["world"]["gamma"] = 0.9
+    out_file = tmp_path / "gap.csv"
+    code, out, err = run_cli(capsys, "deviation-gap", "--scenario", scenario_file(data),
+                             "--horizon", "6", "--out", str(out_file))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: deviation search would overflow")
+    assert not out_file.exists()
 
 
 def test_derive_params_command(capsys):
@@ -1072,18 +1093,19 @@ DEVIATION = str(EXAMPLES / "deviation.json")
     ((), set()),
     (("--help",), set()),
     (("enumerate", "--scenario", "{no_world}"), {"avgov.analysis"}),
-    (("reproduce", "prop4"), {"avgov.analysis"}),
+    (("reproduce", "prop4"), {"avgov.analysis", "avgov.claims"}),
     (("repeat", "--scenario", DEVIATION, "--horizon", "3"), {"avgov.repeated"}),
     (("deviation-gap", "--scenario", DEVIATION, "--horizon", "3"), {"avgov.repeated"}),
 ])
 def test_commands_load_only_the_half_they_run(scenario_file, argv, halves):
-    # The one-shot analysis and the repeated game are each loaded only by
-    # the commands that call them.  A scenario's world section is checked
-    # by repeated.WorldConfig, so enumerate reads one without it.
+    # The one-shot analysis, the repeated game and the built-in claims are
+    # each loaded only by the commands that call them.  A scenario's world
+    # section is checked by repeated.WorldConfig, so enumerate reads one
+    # without it.
     no_world = scenario_file(PROP4_SCENARIO)
     loaded = set(_python(LOADED_MODULES, *(a.format(no_world=no_world) for a in argv)))
     assert {"avgov", "avgov.cli", "avgov.core", "avgov.errors", "avgov.params"} <= loaded
-    assert loaded & {"avgov.analysis", "avgov.repeated"} == halves
+    assert loaded & {"avgov.analysis", "avgov.claims", "avgov.repeated"} == halves
 
 
 # The names ``avgov`` binds, by the module that defines each; the package

@@ -34,8 +34,8 @@ from avgov import (
     winner,
 )
 from avgov import core
+from avgov.claims import prop3_scenario, prop4_scenario, thm6_scenario
 from avgov.core import _elect, _elect_arrays, _integer, _real, _reals
-from avgov.cli import prop3_scenario, prop4_scenario, thm6_scenario
 
 SCHED = RewardSchedule(a=2.0, a_prime=1.0, s=17.0, T=0.9, epsilon=19.0)
 

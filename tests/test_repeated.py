@@ -39,6 +39,8 @@ from avgov import (
 from avgov import cli, repeated
 
 SCHED = derive_schedule(0.9, 19.0, 1.0)
+# A reward near the float limit: each round may pay up to 1e308.
+HUGE = RewardSchedule(a=1e308, a_prime=1.0, s=1e307, T=1 / 11, epsilon=1e308)
 EXAMPLES = Path(__file__).parent.parent / "examples"
 
 
@@ -563,6 +565,12 @@ def test_world_config_validation():
                  "expert_i = 0.5 is not an integer", id="gap-expert-fractional"),
     pytest.param(lambda: deviation_gap(world(), SCHED, 0, 2.5),
                  "horizon_H = 2.5 is not an integer", id="gap-H-fractional"),
+    # Rewards near the float limit: 1e308 * (1 + 0.5 + 0.25) is finite,
+    # and the fourth round's term makes the sum of gamma^t * max(a, a', s)
+    # overflow (three rounds are searched in test_deviation_gap_near_float_limit).
+    pytest.param(lambda: deviation_gap(world(), HUGE, 0, 4),
+                 r"^deviation search would overflow: .* over 4 rounds is not finite$",
+                 id="gap-overflow"),
     pytest.param(lambda: SingleDeviatorPolicy(expert=True, plan=((0, 0),)),
                  "expert = True is not an integer", id="deviator-bool"),
     pytest.param(lambda: SingleDeviatorPolicy(expert=1.5, plan=((0, 0),)),
@@ -631,6 +639,12 @@ def test_world_config_validation():
 def test_input_checks_raise(call, match):
     with pytest.raises(ContractViolation, match=match):
         call()
+
+
+def test_deviation_gap_near_float_limit():
+    result = deviation_gap(world(), HUGE, 0, 3)
+    assert math.isfinite(result.honest_total) and math.isfinite(result.best_total)
+    assert result.ratio == 1.0
 
 
 # The deviator's weight: zeros, the smallest subnormal, a subnormal, the
