@@ -54,7 +54,8 @@ def _canonical(obj):
 
 
 def emit(payload):
-    print(json.dumps(_canonical(payload), sort_keys=True, indent=2))
+    """Print the canonical payload as JSON."""
+    print(json.dumps(payload, sort_keys=True, indent=2))
 
 
 _real = "{:.12g}".format
@@ -98,8 +99,8 @@ def _quoted(cell):
 
 
 def _flatten(payload, prefix=""):
-    """The payload as quoted ``(key, value)`` cells, nested keys joined by
-    dots and lists written as JSON."""
+    """The canonical payload as quoted ``(key, value)`` cells, nested keys
+    joined by dots and lists written as JSON."""
     rows = []
     for key in sorted(payload):
         value = payload[key]
@@ -107,8 +108,8 @@ def _flatten(payload, prefix=""):
         if isinstance(value, dict):
             rows.extend(_flatten(value, prefix=name + "."))
             continue
-        if isinstance(value, (list, tuple)):
-            value = json.dumps(_canonical(value))
+        if isinstance(value, list):
+            value = json.dumps(value)
         rows.append((_quoted(name), _quoted(_cell(value))))
     return rows
 
@@ -272,8 +273,10 @@ def load_scenario(path) -> Scenario:
 
 
 # ---------------------------------------------------------------------------
-# Command handlers.  Each returns (payload, csv_header, csv_rows); header
-# and rows are None for commands without a natural table.
+# Command handlers.  Each is called as handler(args, scenario), the
+# scenario loaded from --scenario or None for a command without it, and
+# returns (payload, csv_header, csv_rows); header and rows are None for
+# commands without a natural table.
 # ---------------------------------------------------------------------------
 
 
@@ -286,13 +289,12 @@ def _schedule_report(schedule):
     }
 
 
-def cmd_derive_params(args):
+def cmd_derive_params(args, scenario):
     schedule = params.derive_schedule(args.T, args.epsilon, args.a_prime)
     return _schedule_report(schedule), None, None
 
 
-def cmd_validate(args):
-    scenario = load_scenario(args.scenario)
+def cmd_validate(args, scenario):
     payload = dict(_schedule_report(scenario.schedule),
                    schedule_form=scenario.schedule_form)
     return payload, None, None
@@ -306,8 +308,7 @@ def _resolve_profile(scenario, text):
     return parse_profile(text)
 
 
-def cmd_winner(args):
-    scenario = load_scenario(args.scenario)
+def cmd_winner(args, scenario):
     profile = _resolve_profile(scenario, args.profile)
     outcome = core.winner(scenario.instance, profile)
     utilities = [
@@ -323,8 +324,7 @@ def cmd_winner(args):
     return payload, None, None
 
 
-def cmd_qual(args):
-    scenario = load_scenario(args.scenario)
+def cmd_qual(args, scenario):
     instance, T = scenario.instance, scenario.schedule.T
     values = list(core._honest_masses(instance, T))
     opt = core.opt_quality(instance, T)
@@ -336,8 +336,7 @@ def cmd_qual(args):
     return payload, None, None
 
 
-def cmd_honest(args):
-    scenario = load_scenario(args.scenario)
+def cmd_honest(args, scenario):
     profile = core.honest_profile(scenario.instance, scenario.schedule.T)
     return {"profile": votes_to_str(profile.votes)}, None, None
 
@@ -353,30 +352,28 @@ def _report_payload(report):
     }
 
 
-def _enumerate(args):
+def _enumerate(args, scenario):
     from . import analysis
 
-    scenario = load_scenario(args.scenario)
     query = analysis.EquilibriumQuery(args.mode, args.epsilon)
     return analysis.enumerate_equilibria(scenario.instance, scenario.schedule, query)
 
 
-def cmd_enumerate(args):
-    report = _enumerate(args)
+def cmd_enumerate(args, scenario):
+    report = _enumerate(args, scenario)
     header = ("profile", "winner", "winner_quality")
     rows = [(votes_to_str(e.votes), e.winner, e.winner_quality) for e in report.equilibria]
     payload = dict(_report_payload(report), equilibria=[dict(zip(header, r)) for r in rows])
     return payload, header, _cells(rows)
 
 
-def cmd_poa(args):
-    return _report_payload(_enumerate(args)), None, None
+def cmd_poa(args, scenario):
+    return _report_payload(_enumerate(args, scenario)), None, None
 
 
-def cmd_construct_pne(args):
+def cmd_construct_pne(args, scenario):
     from . import analysis
 
-    scenario = load_scenario(args.scenario)
     profile = analysis.constructive_pne(scenario.instance, scenario.schedule)
     outcome = core.winner(scenario.instance, profile)
     verified = analysis.is_approx_pne(
@@ -393,10 +390,9 @@ def cmd_construct_pne(args):
     return payload, None, None
 
 
-def cmd_dynamics(args):
+def cmd_dynamics(args, scenario):
     from . import analysis
 
-    scenario = load_scenario(args.scenario)
     start = _resolve_profile(scenario, args.start)
     trace = analysis.best_response_dynamics(
         scenario.instance, scenario.schedule, start, args.mode, args.max_steps
@@ -418,10 +414,9 @@ def cmd_dynamics(args):
     return payload, ("step", "expert", "old_votes", "new_votes", "winner"), _cells(rows)
 
 
-def cmd_safety(args):
+def cmd_safety(args, scenario):
     from . import analysis
 
-    scenario = load_scenario(args.scenario)
     envelope = params.deviation_safety_threshold(scenario.schedule, args.g)
     certificate = analysis.safety_certificate(scenario.instance, scenario.schedule)
     delta = params.external_bound_delta(scenario.instance, scenario.schedule)
@@ -433,8 +428,7 @@ def cmd_safety(args):
     return payload, None, None
 
 
-def cmd_reward_curve(args):
-    scenario = load_scenario(args.scenario)
+def cmd_reward_curve(args, scenario):
     rows = core.reward_curve(scenario.schedule, args.samples)
     gaps = [abs(yes - no) for _, yes, no in rows]
     payload = {
@@ -451,15 +445,12 @@ def _world_for(args, scenario):
         raise ScenarioError(f"{args.command} requires a scenario with a world section")
     horizon = world.horizon if args.horizon is None else args.horizon
     seed = world.seed if args.seed is None else args.seed
-    if (horizon, seed) == (world.horizon, world.seed):
-        return world
     return dataclasses.replace(world, horizon=horizon, seed=seed)
 
 
-def cmd_repeat(args):
+def cmd_repeat(args, scenario):
     from . import repeated
 
-    scenario = load_scenario(args.scenario)
     world = _world_for(args, scenario)
     trace = repeated.run(world, scenario.schedule)
     payload = {
@@ -528,10 +519,9 @@ def _repeat_block(trace, start):
         reward, subjective_cells, weight, weight[n:])
 
 
-def cmd_deviation_gap(args):
+def cmd_deviation_gap(args, scenario):
     from . import repeated
 
-    scenario = load_scenario(args.scenario)
     world = _world_for(args, scenario)
     horizon = world.horizon
     result = repeated.deviation_gap(world, scenario.schedule, args.expert, horizon)
@@ -555,7 +545,7 @@ def cmd_deviation_gap(args):
     return payload, None, None
 
 
-def cmd_reproduce(args):
+def cmd_reproduce(args, scenario):
     from . import claims
 
     payload, checks = getattr(claims, args.name)(args)
@@ -659,7 +649,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code == 0 else 64
     try:
-        payload, header, rows = args.handler(args)
+        scenario = load_scenario(args.scenario) if "scenario" in args else None
+        payload, header, rows = args.handler(args, scenario)
     except (ContractViolation, NormalizationError, DerivationError,
             ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -671,6 +662,9 @@ def main(argv=None) -> int:
     except GuardRefusal as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
+    # Before --out is opened, so a payload that cannot be printed (a NaN)
+    # leaves no file behind.
+    payload = _canonical(payload)
     if args.out:
         # Before anything is printed, so a path that cannot be written is
         # refused with nothing on stdout.

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,10 +54,6 @@ VECTOR_GUARD_BITS = 16
 # reward_curve builds its whole table at once, and the CLI's JSON and CSV
 # grow with it: 10^6 rows take some 230 MB, so larger tables are refused.
 CURVE_GUARD_SAMPLES = 10**6
-
-# The types and the range that ``_reals`` checks in one pass.
-_PLAIN_NUMBERS = frozenset((int, float))
-_FLOAT_MAX = sys.float_info.max
 
 
 def _interval(low, high, ends):
@@ -111,20 +106,7 @@ def _real(value, name, low=-math.inf, high=math.inf, ends="[]"):
 def _reals(values, names, low=-math.inf, high=math.inf):
     """Values as a tuple of floats, each checked as ``_real`` checks one in
     [low, high] and named, when refused, by its item of the iterable
-    ``names``.
-
-    The common case, plain ints and floats in range, is decided without a
-    name or a Python loop: by the set of the types, then the smallest and
-    largest float against the finite floats of the interval.  min and max
-    skip a NaN after the first value (and keep a first one, which fails
-    the comparison), so the sum, NaN only when a value is, catches it."""
-    values = tuple(values)
-    if _PLAIN_NUMBERS.issuperset(map(type, values)):
-        floats = tuple(map(float, values))
-        lo, hi = max(low, -_FLOAT_MAX), min(high, _FLOAT_MAX)
-        if not floats or (lo <= min(floats) and max(floats) <= hi
-                          and not math.isnan(sum(floats))):
-            return floats
+    ``names``."""
     return tuple(_real(x, name, low, high) for x, name in zip(values, names))
 
 

@@ -260,6 +260,30 @@ def _discount_factors(m, gamma):
     return np.multiply.accumulate(factors)
 
 
+def _check_reach(schedule, gamma, horizon):
+    """The discount factors ``_discount_factors(horizon, gamma)``, once the
+    rewards are known not to overflow.
+
+    Refuses (ContractViolation) when the float sum over t < horizon of
+    gamma^t * max(a, a', s), formed from 0.0 in round order as the totals
+    are, is not finite.  No margin is needed below that: every payout has
+    magnitude at most max(a, a', s), since p*a and (1-p)*s are nonnegative
+    and at most a and s, and the weight is at most 1.  Rounding is
+    monotone, so each term and partial sum of a total is at most that
+    sum's in magnitude, and every total is finite.  Past it a total may
+    overflow, and inf / inf would make a ratio NaN.
+    """
+    factors = _discount_factors(horizon, gamma)
+    with np.errstate(over="ignore"):  # An overflow is refused below, not warned.
+        reach = np.add.accumulate(factors * max(schedule.a, schedule.a_prime, schedule.s))[-1]
+    if not math.isfinite(reach):
+        raise ContractViolation(
+            f"rewards would overflow: the sum of gamma^t * max(a, a', s) "
+            f"over {horizon} rounds is not finite"
+        )
+    return factors
+
+
 def _draw(world, u):
     """Threshold an (m, k + n*k) array of uniforms into m rounds' (m, k)
     quality bits and (m, n, k) beliefs.
@@ -452,7 +476,9 @@ def run(world: WorldConfig, schedule: RewardSchedule,
     rounds in guessed-then-checked chunks; the trace is bit-identical to
     one that steps every round with ``_step``.  A discount factor at or
     above the theoretical cap only sets ``gamma_warning``.  A world whose draw array
-    exceeds RUN_GUARD_DRAWS is refused (GuardRefusal) before any draw.
+    exceeds RUN_GUARD_DRAWS is refused (GuardRefusal) before any draw, and
+    so are rewards that could overflow a total (ContractViolation,
+    ``_check_reach``).
     """
     if isinstance(policy, SingleDeviatorPolicy):
         _integer(policy.expert, "policy.expert", 0, world.n - 1)
@@ -464,6 +490,7 @@ def run(world: WorldConfig, schedule: RewardSchedule,
     draws = world.horizon * world.proposals_per_round * (1 + world.n)
     if draws > RUN_GUARD_DRAWS:
         raise GuardRefusal(f"horizon * (k + n*k) = {draws} draws, capped at {RUN_GUARD_DRAWS}")
+    _check_reach(schedule, world.gamma, world.horizon)
     qualities, beliefs = _presample(world)
     votes = _honest_votes(beliefs, schedule.T)
     if isinstance(policy, SingleDeviatorPolicy) and policy.plan:
@@ -625,14 +652,8 @@ def deviation_gap(world: WorldConfig, schedule: RewardSchedule, expert_i: int,
     core.VECTOR_GUARD_BITS.  Whether a shorter horizon passes the cap is
     known only by searching.
 
-    Refuses (ContractViolation), also before sampling, when the float sum
-    over t < H of gamma^t * max(a, a', s), formed from 0.0 in round order
-    as the totals are, is not finite.  No margin is needed below that:
-    every payout has magnitude at most max(a, a', s), since p*a and
-    (1-p)*s are nonnegative and at most a and s, and the weight is at most
-    1.  Rounding is monotone, so each term and partial sum of a total is
-    at most that sum's in magnitude, and every total is finite.  Past it a
-    total may overflow, and inf / inf would make the ratio NaN.
+    Refuses (ContractViolation), also before sampling, rewards that could
+    overflow a total (``_check_reach``).
     """
     expert_i = _integer(expert_i, "expert_i", 0, world.n - 1)
     horizon_H = _integer(horizon_H, "horizon_H", 1)
@@ -646,16 +667,7 @@ def deviation_gap(world: WorldConfig, schedule: RewardSchedule, expert_i: int,
             f"horizon_H = {horizon_H} expands at least one per round"
         )
     # factors[t] is gamma^t as discounted_total forms it.
-    factors = _discount_factors(horizon_H, world.gamma).tolist()
-    most = max(schedule.a, schedule.a_prime, schedule.s)
-    reach = 0.0
-    for factor in factors:
-        reach += factor * most
-    if not math.isfinite(reach):
-        raise ContractViolation(
-            f"deviation search would overflow: the sum of gamma^t * max(a, a', s) "
-            f"over {horizon_H} rounds is not finite"
-        )
+    factors = _check_reach(schedule, world.gamma, horizon_H).tolist()
     if horizon_H != world.horizon:
         world = dataclasses.replace(world, horizon=horizon_H)
     qualities, beliefs = _presample(world)

@@ -426,18 +426,40 @@ def test_deviation_gap_command(capsys, scenario_file):
     assert payload["ratio_with_tail"] <= payload["deviation_bound"]
 
 
-def test_deviation_gap_refuses_rewards_that_overflow(capsys, scenario_file, tmp_path):
-    # Rewards near the float limit would make both totals inf, and the
-    # ratio inf / inf NaN: refused before anything is printed or written.
+def _refuses_overflow(capsys, scenario_file, tmp_path, command):
+    """Run ``command`` on rewards near the float limit, which would make
+    the totals inf: refused before anything is printed or written."""
     data = json.loads((EXAMPLES / "deviation.json").read_text())
     data["schedule"] = {"a": 1e308, "a_prime": 1, "s": 1e307, "T": 0.09090909090909091}
     data["world"]["gamma"] = 0.9
-    out_file = tmp_path / "gap.csv"
-    code, out, err = run_cli(capsys, "deviation-gap", "--scenario", scenario_file(data),
+    out_file = tmp_path / "out.csv"
+    code, out, err = run_cli(capsys, command, "--scenario", scenario_file(data),
                              "--horizon", "6", "--out", str(out_file))
     assert code == 2
     assert out == ""
-    assert err.startswith("error: deviation search would overflow")
+    assert err.startswith("error: rewards would overflow")
+    assert not out_file.exists()
+
+
+def test_deviation_gap_refuses_rewards_that_overflow(capsys, scenario_file, tmp_path):
+    # Both totals would be inf, and the ratio inf / inf NaN.
+    _refuses_overflow(capsys, scenario_file, tmp_path, "deviation-gap")
+
+
+def test_repeat_refuses_rewards_that_overflow(capsys, scenario_file, tmp_path):
+    # The discounted totals would be inf, with numpy's overflow warning.
+    _refuses_overflow(capsys, scenario_file, tmp_path, "repeat")
+
+
+def test_payload_without_canonical_form_writes_no_out_file(monkeypatch, capsys,
+                                                           scenario_file, tmp_path):
+    # The payload is canonicalized before --out is opened, so a NaN raises
+    # with no file written and nothing printed.
+    monkeypatch.setattr(cli.core, "opt_quality", lambda instance, T: (1, math.nan))
+    out_file = tmp_path / "qual.csv"
+    with pytest.raises(ValueError, match="NaN has no canonical form"):
+        cli.main(["qual", "--scenario", scenario_file(PROP4_SCENARIO), "--out", str(out_file)])
+    assert capsys.readouterr().out == ""
     assert not out_file.exists()
 
 

@@ -192,8 +192,8 @@ def test_real_accepts_exactly_the_finite_numbers_in_its_interval(value, low, hig
 @example(values=[0.5, math.inf], low=0, high=math.inf)
 @example(values=[0.5, math.nan, 1.0], low=0, high=1)
 def test_reals_checks_each_value_as_real(values, low, high):
-    # The one-pass check over plain values decides as _real on each value,
-    # and a refusal names the first refused value.
+    # _reals decides as _real on each value, and a refusal names the first
+    # refused value.
     names = [f"v[{i}]" for i in range(len(values))]
     try:
         expected = tuple(_real(v, name, low, high) for v, name in zip(values, names))

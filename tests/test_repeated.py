@@ -569,7 +569,7 @@ def test_world_config_validation():
     # and the fourth round's term makes the sum of gamma^t * max(a, a', s)
     # overflow (three rounds are searched in test_deviation_gap_near_float_limit).
     pytest.param(lambda: deviation_gap(world(), HUGE, 0, 4),
-                 r"^deviation search would overflow: .* over 4 rounds is not finite$",
+                 r"^rewards would overflow: .* over 4 rounds is not finite$",
                  id="gap-overflow"),
     pytest.param(lambda: SingleDeviatorPolicy(expert=True, plan=((0, 0),)),
                  "expert = True is not an integer", id="deviator-bool"),
@@ -645,6 +645,44 @@ def test_deviation_gap_near_float_limit():
     result = deviation_gap(world(), HUGE, 0, 3)
     assert math.isfinite(result.honest_total) and math.isfinite(result.best_total)
     assert result.ratio == 1.0
+
+
+def test_run_refuses_rewards_that_overflow_before_sampling(monkeypatch):
+    # As deviation_gap does (gap-overflow): the fourth round's term makes
+    # the sum of gamma^t * max(a, a', s) overflow.
+    def no_draws(world):
+        raise AssertionError("sampled before refusing")
+
+    monkeypatch.setattr(repeated, "_presample", no_draws)
+    with pytest.raises(ContractViolation,
+                       match=r"^rewards would overflow: .* over 4 rounds is not finite$"):
+        run_repeated(world(horizon=4), HUGE)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(a=st.floats(1e306, 1.7976931348623157e308), s=st.floats(0.0, 1e308),
+       gamma=st.floats(0.0, 1.0, exclude_max=True), horizon=st.integers(1, 64))
+@example(a=1e308, s=1e307, gamma=0.5, horizon=3)
+@example(a=1e308, s=1e307, gamma=0.5, horizon=4)
+def test_check_reach_refuses_as_the_round_loop(a, s, gamma, horizon):
+    # Refused exactly when the loop over rounds, from 0.0, reaches inf.
+    schedule = dataclasses.replace(HUGE, a=a, s=s)
+    reach, factor = 0.0, 1.0
+    for _ in range(horizon):
+        reach += factor * max(a, 1.0, s)
+        factor *= gamma
+    if math.isfinite(reach):
+        factors = repeated._check_reach(schedule, gamma, horizon)
+        assert factors.tolist() == repeated._discount_factors(horizon, gamma).tolist()
+    else:
+        with pytest.raises(ContractViolation, match="rewards would overflow"):
+            repeated._check_reach(schedule, gamma, horizon)
+
+
+def test_run_near_float_limit():
+    trace = run_repeated(world(horizon=3), HUGE)
+    totals = trace.discounted_realized + trace.discounted_subjective
+    assert all(map(math.isfinite, totals))
 
 
 # The deviator's weight: zeros, the smallest subnormal, a subnormal, the
