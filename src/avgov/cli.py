@@ -17,7 +17,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from . import core, params
 from .errors import (
@@ -27,9 +26,6 @@ from .errors import (
     NormalizationError,
     ScenarioError,
 )
-
-if TYPE_CHECKING:  # imported by the commands that run it; see _read_world
-    from . import repeated
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +135,7 @@ def parse_profile(text):
 class Scenario:
     instance: core.Instance
     schedule: core.RewardSchedule
-    world: repeated.WorldConfig | None
+    world: dict | None  # the section as given; only its keys are checked
     schedule_form: str  # "explicit" | "derived"
 
 
@@ -169,10 +165,8 @@ def _section(name, read, *args):
 def _read_experts(data):
     experts = data["experts"]
     weights = tuple(e["weight"] for e in experts)
-    beliefs = tuple(tuple(e["beliefs"]) for e in experts)
-    external = tuple(
-        tuple(e.get("external", [0.0] * len(e["beliefs"]))) for e in experts
-    )
+    beliefs = tuple(e["beliefs"] for e in experts)
+    external = tuple(e.get("external", [0.0] * len(e["beliefs"])) for e in experts)
     _check_keys(itertools.chain(*experts), {"weight", "beliefs", "external"}, "experts")
     return core.Instance(weights=weights, beliefs=beliefs, external=external)
 
@@ -228,16 +222,17 @@ def _read_schedule(data, instance):
     return schedule, form
 
 
-def _read_world(data):
+def _read_world(data, horizon=None, seed=None):
+    """The world section as one ``repeated.WorldConfig``, which checks its
+    values; a given ``horizon`` or ``seed`` replaces the section's own."""
     from . import repeated
 
-    _check_keys(data, {"expertise", "good_prior", "k", "zeta", "gamma", "horizon", "seed"},
-                "world")
     try:
         return repeated.WorldConfig(
-            expertise=tuple(data["expertise"]), good_prior=data["good_prior"],
+            expertise=data["expertise"], good_prior=data["good_prior"],
             proposals_per_round=data["k"], zeta=data["zeta"], gamma=data["gamma"],
-            horizon=data["horizon"], seed=data.get("seed", 0),
+            horizon=data["horizon"] if horizon is None else horizon,
+            seed=data.get("seed", 0) if seed is None else seed,
         )
     except ContractViolation as exc:
         # The scenario calls WorldConfig's proposals_per_round k.
@@ -254,11 +249,13 @@ def scenario_from_dict(data) -> Scenario:
     if "schedule" not in data:
         raise ScenarioError("scenario has no schedule")
     schedule, form = _section("schedule", _read_schedule, data["schedule"], instance)
-    return Scenario(
-        instance=instance, schedule=schedule,
-        world=_section("world", _read_world, data["world"]) if "world" in data else None,
-        schedule_form=form,
-    )
+    # Only the commands that read the world check its values (_world_for).
+    world = data.get("world")
+    if "world" in data and not isinstance(world, dict):
+        raise ScenarioError("world must be a JSON object")
+    _check_keys(world or (), {"expertise", "good_prior", "k", "zeta", "gamma", "horizon", "seed"},
+                "world")
+    return Scenario(instance=instance, schedule=schedule, world=world, schedule_form=form)
 
 
 def load_scenario(path) -> Scenario:
@@ -440,12 +437,11 @@ def cmd_reward_curve(args, scenario):
 
 
 def _world_for(args, scenario):
-    world = scenario.world
-    if world is None:
+    """The scenario's world, with --horizon and --seed when given, built
+    and checked once; a refusal names the world section."""
+    if scenario.world is None:
         raise ScenarioError(f"{args.command} requires a scenario with a world section")
-    horizon = world.horizon if args.horizon is None else args.horizon
-    seed = world.seed if args.seed is None else args.seed
-    return dataclasses.replace(world, horizon=horizon, seed=seed)
+    return _section("world", _read_world, scenario.world, args.horizon, args.seed)
 
 
 def cmd_repeat(args, scenario):

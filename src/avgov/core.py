@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,17 +104,26 @@ def _real(value, name, low=-math.inf, high=math.inf, ends="[]"):
     return x
 
 
-def _reals(values, names, low=-math.inf, high=math.inf):
-    """Values as a tuple of floats, each checked as ``_real`` checks one in
-    [low, high] and named, when refused, by its item of the iterable
-    ``names``."""
-    return tuple(_real(x, name, low, high) for x, name in zip(values, names))
+def _reals(values, name, low=-math.inf, high=math.inf, check=_real):
+    """The list ``values`` as a tuple of ``check(x, name, low, high)`` of its
+    items: floats, or rows of them for ``check=_reals``.  A refused item is
+    named ``name[i]``, a name built only then, when the items are checked
+    again in order.  A string, bytes or mapping is refused whole."""
+    if isinstance(values, (str, bytes, Mapping)):
+        raise ContractViolation(f"{name} = {values!r} is not a list")
+    values = tuple(values)
+    try:
+        return tuple([check(x, name, low, high) for x in values])
+    except ContractViolation:
+        for i, x in enumerate(values):
+            check(x, f"{name}[{i}]", low, high)
+        raise
 
 
 def _as_matrix(rows, name, low, high=math.inf, n=None, k=None):
     """Rows as ``n`` rows of ``k`` floats in [low, high], or of one width
     when n or k is None; ``name[i][j]`` names a refused cell."""
-    rows = tuple(map(tuple, rows))
+    rows = _reals(rows, name, low, high, _reals)
     if n is not None and len(rows) != n:
         raise ContractViolation(f"{name} must have {n} rows, got {len(rows)}")
     widths = {len(row) for row in rows}
@@ -121,11 +131,7 @@ def _as_matrix(rows, name, low, high=math.inf, n=None, k=None):
         raise ContractViolation(f"{name} rows have unequal lengths {sorted(widths)}")
     if k is not None and rows and len(rows[0]) != k:
         raise ContractViolation(f"{name} must have {k} columns, got {len(rows[0])}")
-    names = (f"{name}[{i}][{j}]" for i, row in enumerate(rows) for j in range(len(row)))
-    cells = _reals(itertools.chain.from_iterable(rows), names, low, high)
-    if not cells:
-        return rows
-    return tuple(zip(*[iter(cells)] * len(rows[0])))
+    return rows
 
 
 @dataclass(frozen=True)
@@ -143,7 +149,7 @@ class Instance:
     external: tuple = None
 
     def __post_init__(self):
-        weights = _reals(self.weights, map("weights[{}]".format, itertools.count()), 0)
+        weights = _reals(self.weights, "weights", 0)
         if not weights:
             raise ContractViolation("need at least one expert")
         beliefs = _as_matrix(self.beliefs, "beliefs", 0, 1, n=len(weights))

@@ -44,8 +44,6 @@ execute concurrently.
 
 from __future__ import annotations
 
-import dataclasses
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -110,8 +108,7 @@ class WorldConfig:
     seed: int = 0
 
     def __post_init__(self):
-        expertise = _reals(self.expertise, map("expertise[{}]".format, itertools.count()),
-                           0, 1)
+        expertise = _reals(self.expertise, "expertise", 0, 1)
         if not expertise:
             raise ContractViolation("need at least one expert")
         object.__setattr__(self, "expertise", expertise)
@@ -300,16 +297,16 @@ def _draw(world, u):
     return good.astype(int), beliefs
 
 
-def _presample(world):
-    """All rounds' qualities and beliefs from one ``rng.random((H, k + n*k))``
-    call.
+def _presample(world, horizon):
+    """The qualities and beliefs of the world's first ``horizon`` rounds,
+    from one ``rng.random((horizon, k + n*k))`` call.
 
     The generator yields the same doubles whether they are asked for one
     round at a time or all at once, so the draws equal ``horizon``
     successive ``sample_round`` calls on a generator seeded alike.
     """
     n, k = world.n, world.proposals_per_round
-    u = np.random.default_rng(world.seed).random((world.horizon, k + n * k))
+    u = np.random.default_rng(world.seed).random((horizon, k + n * k))
     return _draw(world, u)
 
 
@@ -491,7 +488,7 @@ def run(world: WorldConfig, schedule: RewardSchedule,
     if draws > RUN_GUARD_DRAWS:
         raise GuardRefusal(f"horizon * (k + n*k) = {draws} draws, capped at {RUN_GUARD_DRAWS}")
     _check_reach(schedule, world.gamma, world.horizon)
-    qualities, beliefs = _presample(world)
+    qualities, beliefs = _presample(world, world.horizon)
     votes = _honest_votes(beliefs, schedule.T)
     if isinstance(policy, SingleDeviatorPolicy) and policy.plan:
         plan = policy.plan[:world.horizon]
@@ -668,9 +665,7 @@ def deviation_gap(world: WorldConfig, schedule: RewardSchedule, expert_i: int,
         )
     # factors[t] is gamma^t as discounted_total forms it.
     factors = _check_reach(schedule, world.gamma, horizon_H).tolist()
-    if horizon_H != world.horizon:
-        world = dataclasses.replace(world, horizon=horizon_H)
-    qualities, beliefs = _presample(world)
+    qualities, beliefs = _presample(world, horizon_H)
     votes = _honest_votes(beliefs, schedule.T).tolist()
     quality_rows = qualities.tolist()
 

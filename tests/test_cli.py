@@ -155,7 +155,8 @@ def test_readme_cli_examples_parse():
 
 def test_readme_scenario_block_loads():
     scenario = cli.scenario_from_dict(json.loads(_readme_block("### Scenario format", "json")))
-    assert scenario.world is not None and scenario.schedule_form == "derived"
+    world = cli._read_world(scenario.world)
+    assert isinstance(world, repeated.WorldConfig) and scenario.schedule_form == "derived"
 
 
 def test_readme_library_example_runs():
@@ -622,6 +623,22 @@ WORLD_WITHOUT_ZETA = dict(PROP4_SCENARIO, world={k: v for k, v in WORLD.items()
                  id="world-horizon-str"),
     pytest.param(_world(seed="7"), ["repeat"], "world: seed = '7' is not an integer",
                  id="world-seed-str"),
+    # A string or an object where a list belongs is refused whole, not read
+    # character by character or key by key.
+    pytest.param(_expert0(beliefs="0.95"), ["validate"],
+                 r"^error: experts: beliefs\[0\] = '0\.95' is not a list$",
+                 id="beliefs-str-row"),
+    pytest.param(_expert0(external={"a": 1}), ["validate"],
+                 r"^error: experts: external\[0\] = \{'a': 1\} is not a list$",
+                 id="external-object-row"),
+    pytest.param(_world(expertise="0.9"), ["repeat"],
+                 r"^error: world: expertise = '0\.9' is not a list$",
+                 id="world-expertise-str"),
+    pytest.param(_world(expertise={"a": 1}), ["deviation-gap"],
+                 r"^error: world: expertise = \{'a': 1\} is not a list$",
+                 id="world-expertise-object"),
+    pytest.param(dict(PROP4_SCENARIO, world="abc"), ["repeat"],
+                 "^error: world must be a JSON object$", id="world-str"),
     # An integer too large for a float is refused in its section.
     pytest.param(_expert0(weight=BIG), ["validate"], "experts: " + OVERFLOW,
                  id="weight-overflow"),
@@ -666,6 +683,41 @@ def test_input_errors_exit_2(capsys, scenario_file, data, argv, match):
     assert out == ""
     assert err.startswith("error: ")
     assert re.search(match, err)
+
+
+@pytest.mark.parametrize("command", ["validate", "enumerate"])
+def test_one_shot_commands_check_only_the_world_shape(capsys, scenario_file, command):
+    # Only repeat and deviation-gap read the world's values; every command
+    # refuses a world that is not an object, or an unknown key in it.
+    path = scenario_file(_world(gamma=2, k=0, expertise=[1.5], seed=-1))
+    code, out, err = run_cli(capsys, command, "--scenario", path)
+    assert (code, err) == (0, "") and out
+    for world in ("abc", [WORLD], None, 7):
+        path = scenario_file(dict(PROP4_SCENARIO, world=world))
+        assert run_cli(capsys, command, "--scenario", path) == (
+            2, "", "error: world must be a JSON object\n")
+    path = scenario_file(_world(sed=7))
+    code, out, err = run_cli(capsys, command, "--scenario", path)
+    assert (code, out) == (2, "") and err.startswith("error: world: unknown key 'sed'")
+
+
+@pytest.mark.parametrize("command", ["repeat", "deviation-gap"])
+@pytest.mark.parametrize("flags", [["--horizon", "3"], ["--horizon", "2", "--seed", "5"]],
+                         ids=["horizon", "horizon-and-seed"])
+def test_world_is_built_once(capsys, monkeypatch, command, flags):
+    # Read where the command runs it, with the flags in place of the
+    # section's values: one WorldConfig, checked once.
+    built = []
+    post_init = repeated.WorldConfig.__post_init__
+
+    def counted(world):
+        built.append(world)
+        post_init(world)
+
+    monkeypatch.setattr(repeated.WorldConfig, "__post_init__", counted)
+    code = run_cli(capsys, command, "--scenario", DEVIATION, *flags)[0]
+    assert code == 0
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("data, flags", [
@@ -924,7 +976,7 @@ def test_repeat_csv_makes_cells_for_occurring_vote_rows(scenario_file, tmp_path,
     finally:
         tracemalloc.stop()
     scenario = cli.load_scenario(path)
-    trace = repeated.run(scenario.world, scenario.schedule)
+    trace = repeated.run(cli._read_world(scenario.world), scenario.schedule)
     rows = list(csv.reader(out.read_text().splitlines()))
     assert [row[2] for row in rows[1:]] == [
         "".join(map(str, votes)) for round_ in trace.votes for votes in round_]
@@ -942,7 +994,7 @@ def test_repeat_csv_vote_cells_are_the_vote_rows(scenario_file, tmp_path, capsys
     out = tmp_path / "votes.csv"
     assert run_cli(capsys, "repeat", "--scenario", path, "--out", str(out))[0] == 0
     scenario = cli.load_scenario(path)
-    votes = tuple_form(repeated.run(scenario.world, scenario.schedule)).votes
+    votes = tuple_form(repeated.run(cli._read_world(scenario.world), scenario.schedule)).votes
     cells = [row[2] for row in csv.reader(out.read_text().splitlines()[1:])]
     assert cells == ["".join(map(str, row)) for round_ in votes for row in round_]
     assert {len(cell) for cell in cells} == {k}
@@ -1114,18 +1166,17 @@ DEVIATION = str(EXAMPLES / "deviation.json")
 @pytest.mark.parametrize("argv, halves", [
     ((), set()),
     (("--help",), set()),
-    (("enumerate", "--scenario", "{no_world}"), {"avgov.analysis"}),
+    (("enumerate", "--scenario", DEVIATION), {"avgov.analysis"}),
     (("reproduce", "prop4"), {"avgov.analysis", "avgov.claims"}),
     (("repeat", "--scenario", DEVIATION, "--horizon", "3"), {"avgov.repeated"}),
     (("deviation-gap", "--scenario", DEVIATION, "--horizon", "3"), {"avgov.repeated"}),
+    (("validate", "--scenario", DEVIATION), set()),
 ])
-def test_commands_load_only_the_half_they_run(scenario_file, argv, halves):
+def test_commands_load_only_the_half_they_run(argv, halves):
     # The one-shot analysis, the repeated game and the built-in claims are
-    # each loaded only by the commands that call them.  A scenario's world
-    # section is checked by repeated.WorldConfig, so enumerate reads one
-    # without it.
-    no_world = scenario_file(PROP4_SCENARIO)
-    loaded = set(_python(LOADED_MODULES, *(a.format(no_world=no_world) for a in argv)))
+    # each loaded only by the commands that call them, whatever sections the
+    # scenario has.
+    loaded = set(_python(LOADED_MODULES, *argv))
     assert {"avgov", "avgov.cli", "avgov.core", "avgov.errors", "avgov.params"} <= loaded
     assert loaded & {"avgov.analysis", "avgov.claims", "avgov.repeated"} == halves
 

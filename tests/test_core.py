@@ -193,15 +193,14 @@ def test_real_accepts_exactly_the_finite_numbers_in_its_interval(value, low, hig
 @example(values=[0.5, math.nan, 1.0], low=0, high=1)
 def test_reals_checks_each_value_as_real(values, low, high):
     # _reals decides as _real on each value, and a refusal names the first
-    # refused value.
-    names = [f"v[{i}]" for i in range(len(values))]
+    # refused value by its index in the row.
     try:
-        expected = tuple(_real(v, name, low, high) for v, name in zip(values, names))
+        expected = tuple(_real(v, f"v[{i}]", low, high) for i, v in enumerate(values))
     except ContractViolation as refusal:
         with pytest.raises(ContractViolation, match=f"^{re.escape(str(refusal))}$"):
-            _reals(values, iter(names), low, high)
+            _reals(values, "v", low, high)
     else:
-        assert _reals(values, iter(names), low, high) == expected
+        assert _reals(values, "v", low, high) == expected
 
 
 @settings(derandomize=True, max_examples=1000, deadline=None)
@@ -363,6 +362,23 @@ TWO_BY_TWO = VotingProfile(((0, 1), (1, 0)))
                  id="prop3-n-fractional"),
     pytest.param(lambda: prop3_scenario(True), "^n = True is not an integer$",
                  id="prop3-n-bool"),
+    # A string, bytes or mapping where a row of numbers belongs is refused
+    # whole, not read character by character, byte by byte or key by key.
+    pytest.param(lambda: Instance(weights="1", beliefs=((0.5,),)),
+                 r"^weights = '1' is not a list$", id="weights-str"),
+    pytest.param(lambda: Instance(weights=(1.0,), beliefs="0.5"),
+                 r"^beliefs = '0\.5' is not a list$", id="beliefs-str"),
+    pytest.param(lambda: Instance(weights=(1.0,), beliefs=("0.5",)),
+                 r"^beliefs\[0\] = '0\.5' is not a list$", id="beliefs-row-str"),
+    pytest.param(lambda: Instance(weights=(1.0, 1.0), beliefs=((0.5,), {"a": 0.5})),
+                 r"^beliefs\[1\] = \{'a': 0\.5\} is not a list$",
+                 id="beliefs-row-mapping"),
+    pytest.param(lambda: Instance(weights=(1.0,), beliefs=((0.5,),), external=(b"\x00",)),
+                 r"^external\[0\] = b'\\x00' is not a list$",
+                 id="external-row-bytes"),
+    pytest.param(lambda: WorldConfig(expertise="0.9", good_prior=0.5, proposals_per_round=1,
+                                     zeta=0.1, gamma=0.5, horizon=1),
+                 r"^expertise = '0\.9' is not a list$", id="expertise-str"),
 ])
 def test_input_checks_raise(build, match):
     with pytest.raises(ContractViolation, match=match):

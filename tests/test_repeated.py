@@ -207,7 +207,7 @@ def test_presample_equals_successive_sample_rounds(n, k, horizon):
     expected = tuple(scalar_round(w, scalar_rng) for _ in range(horizon))
     rng = np.random.default_rng(w.seed)
     assert tuple(sample_round(w, rng) for _ in range(horizon)) == expected
-    qualities, beliefs = repeated._presample(w)
+    qualities, beliefs = repeated._presample(w, horizon)
     assert qualities.tolist() == [list(q) for q, _, _ in expected]
     assert beliefs.tolist() == [[list(row) for row in b] for _, b, _ in expected]
 
@@ -500,8 +500,9 @@ def test_run_steps_every_round_in_array_chunks(monkeypatch):
     monkeypatch.setattr(repeated, "_step", scalar_step)
     monkeypatch.setattr(repeated, "_step_rows", counted)
     scenario = cli.load_scenario(EXAMPLES / "repeat_k3.json")
-    small_zeta = dataclasses.replace(scenario.world, zeta=0.001)
-    for w, most_calls in ((scenario.world, 100), (small_zeta, 400)):
+    base = cli._read_world(scenario.world)
+    small_zeta = dataclasses.replace(base, zeta=0.001)
+    for w, most_calls in ((base, 100), (small_zeta, 400)):
         calls.clear()
         trace = repeated.run(w, scenario.schedule)
         assert len(trace.winners) == w.horizon == 20000
@@ -650,7 +651,7 @@ def test_deviation_gap_near_float_limit():
 def test_run_refuses_rewards_that_overflow_before_sampling(monkeypatch):
     # As deviation_gap does (gap-overflow): the fourth round's term makes
     # the sum of gamma^t * max(a, a', s) overflow.
-    def no_draws(world):
+    def no_draws(world, horizon):
         raise AssertionError("sampled before refusing")
 
     monkeypatch.setattr(repeated, "_presample", no_draws)
@@ -857,6 +858,7 @@ def test_deviation_gap_prunes_alike_at_every_scale(monkeypatch):
     # the pruning margin is relative to the totals, so the search expands
     # the same states at every scale.
     scenario = cli.load_scenario(EXAMPLES / "deviation.json")
+    w = cli._read_world(scenario.world)
     rounds = []
     expand = repeated._expand
 
@@ -870,7 +872,7 @@ def test_deviation_gap_prunes_alike_at_every_scale(monkeypatch):
         for m in (-40, 0, 40):
             rounds.clear()
             scale = 2.0 ** m
-            result = deviation_gap(scenario.world, derive_schedule(0.9, 19.0, scale),
+            result = deviation_gap(w, derive_schedule(0.9, 19.0, scale),
                                    expert, 12)
             seen.add((result.best_plan, result.best_total / scale, tuple(rounds)))
         assert len(seen) == 1
@@ -949,7 +951,7 @@ def test_deviation_gap_guard(monkeypatch):
 
 def test_deviation_gap_refuses_horizon_above_guard_before_sampling(monkeypatch):
     # Each round expands at least one state, so such a horizon cannot pass.
-    def no_draws(world):
+    def no_draws(world, horizon):
         raise AssertionError("sampled before refusing")
 
     monkeypatch.setattr(repeated, "_presample", no_draws)
@@ -1012,7 +1014,7 @@ def test_tail_bound_covers_honest_play_when_a_prime_exceeds_a():
     # round is capped by max(a, a'), not by a.
     sched = RewardSchedule(a=1.0, a_prime=2.0, s=0.0, T=2.0 / 3.0, epsilon=0.5)
     scenario = cli.load_scenario(str(EXAMPLES / "deviation.json"))
-    w = dataclasses.replace(scenario.world, gamma=0.75, horizon=200)
+    w = dataclasses.replace(cli._read_world(scenario.world), gamma=0.75, horizon=200)
     after = [row[0] for row in run_repeated(w, sched).subjective[8:]]
     tail = discounted_total([0.0] * 8 + after, w.gamma)
     assert tail <= deviation_tail_bound(sched, w.zeta, w.gamma, 8)
